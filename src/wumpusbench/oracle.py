@@ -1,11 +1,15 @@
 """Deterministic logical agent used as a safety oracle and non-LLM baseline.
 
-Inference is exact model enumeration: every hazard layout consistent with the
-placement rules and the recorded percepts is enumerated (grids are at most a
-few hundred layouts), and a cell is *certain* for a hazard when it carries it
-in every consistent layout, *impossible* when in none. The policy is
-risk-neutral: it only ever enters provably safe cells, shoots only a
-pinpointed wumpus, and exits rather than gamble.
+Inference is exact model counting over every hazard layout consistent with
+the placement rules and the recorded percepts. Pits and the wumpus interact
+only through the rule that the wumpus is not in a pit, so the two sides are
+enumerated separately: the pit sets that explain the breezes, and the wumpus
+cells that explain the stenches and the shots. Their counts are then combined
+exactly, without building the pit-set x wumpus-cell product. A cell is
+*certain* for a hazard when it carries it in every consistent layout,
+*impossible* when in none. The policy is risk-neutral: it only ever enters
+provably safe cells, shoots only a pinpointed wumpus, and exits rather than
+gamble.
 
 Stench records are timestamped against the wumpus being alive: a cell visited
 after a kill shows no stench even next to the corpse, and consistency checking
@@ -14,10 +18,12 @@ honors that.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import Iterator, NamedTuple
 
 from .agents import Decision
 from .errors import InconsistentPerceptsError
@@ -121,108 +127,133 @@ def mark_wumpus_dead(kb: KnowledgeBase) -> KnowledgeBase:
     return out
 
 
+class HazardCounts(NamedTuple):
+    """Per-cell hazard counts over every consistent layout.
+
+    ``pit[c]`` and ``wumpus[c]`` count the layouts with a pit, respectively the
+    wumpus, in ``c``; ``total`` counts all layouts. World generation makes
+    every legal layout equally likely, so ``count / total`` is the exact
+    posterior probability of the hazard.
+    """
+
+    total: int
+    pit: dict[Cell, int]
+    wumpus: dict[Cell, int]
+
+
+class _Grid(NamedTuple):
+    """Bitmask view of an n x n grid, one bit per cell in canonical order."""
+
+    bit: dict[Cell, int]
+    neighbors: dict[Cell, int]  # mask of each cell's in-grid 4-neighbors
+    hazard_zone: int  # mask of the cells outside the safe start zone
+
+    def members(self, mask: int) -> list[int]:
+        return [b for b in self.bit.values() if mask & b]
+
+
+@functools.cache
+def _grid(n: int) -> _Grid:
+    cells = grid_cells(n)
+    bit = {c: 1 << i for i, c in enumerate(cells)}
+
+    def mask(group) -> int:
+        return sum(bit[c] for c in group)
+
+    return _Grid(
+        bit=bit,
+        neighbors={c: mask(adjacent_cells(c, n)) for c in cells},
+        hazard_zone=mask(cells) & ~mask(safe_start_zone(n)),
+    )
+
+
+def _pit_sets(
+    kb: KnowledgeBase, grid: _Grid
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Pit sets, as (cell bits, mask), that explain every breeze record."""
+    pool = grid.hazard_zone
+    breezy = []
+    for cell, record in kb.records.items():
+        pool &= ~grid.bit[cell]  # the agent survived this cell
+        if record.breeze:
+            breezy.append(grid.neighbors[cell])
+        else:
+            pool &= ~grid.neighbors[cell]
+    for combo in itertools.combinations(grid.members(pool), kb.num_pits):
+        pits = sum(combo)
+        if all(map(pits.__and__, breezy)):  # a pit next to every breeze
+            yield combo, pits
+
+
+def _wumpus_cells(kb: KnowledgeBase, grid: _Grid) -> list[int | None]:
+    """Bits of the wumpus cells that explain every stench record and every
+    shot; ``[None]`` stands for the absent wumpus of a wumpus-free world."""
+    if not kb.num_wumpus:
+        silent = not any(r.stench for r in kb.records.values())
+        return [None] if silent and not any(s.scream for s in kb.shots) else []
+    allowed = grid.hazard_zone
+    for cell, record in kb.records.items():
+        if not record.wumpus_alive:
+            if record.stench:
+                return []  # a dead wumpus gives off no stench
+            continue
+        allowed &= ~grid.bit[cell]  # the agent survived this cell while it lived
+        near = grid.neighbors[cell]
+        allowed &= near if record.stench else ~near
+    for shot in kb.shots:
+        trajectory = shoot_trajectory(shot.origin, shot.direction, kb.grid_size)
+        path = sum(grid.bit[c] for c in trajectory)
+        allowed &= path if shot.scream else ~path
+    return grid.members(allowed)
+
+
 def consistent_layouts(kb: KnowledgeBase) -> list[tuple[frozenset[Cell], Cell | None]]:
     """All (pit set, wumpus cell) pairs consistent with rules and records."""
-    n = kb.grid_size
-    cells = grid_cells(n)
-    start_zone = safe_start_zone(n)
-    visited = set(kb.records)
-
-    # Necessary-condition prefilters; candidates are still fully verified.
-    pit_pool = []
-    for cell in cells:
-        if cell in start_zone or cell in visited:
-            continue
-        if any(
-            not kb.records[v].breeze
-            for v in adjacent_cells(cell, n)
-            if v in kb.records
-        ):
-            continue
-        pit_pool.append(cell)
-
-    wumpus_pool: list[Cell | None]
-    if kb.num_wumpus:
-        wumpus_pool = [
-            c for c in cells if c not in start_zone and not _wumpus_excluded(kb, c)
-        ]
-    else:
-        wumpus_pool = [None]
-
-    layouts = []
-    for pits in itertools.combinations(pit_pool, kb.num_pits):
-        pit_set = frozenset(pits)
-        if not _breezes_explained(kb, pit_set):
-            continue
-        for wumpus in wumpus_pool:
-            if wumpus in pit_set:
-                continue
-            if _stench_consistent(kb, wumpus) and _shots_consistent(kb, wumpus):
-                layouts.append((pit_set, wumpus))
-    return layouts
+    grid = _grid(kb.grid_size)
+    cell_of = {b: c for c, b in grid.bit.items()}
+    wumpus_cells = _wumpus_cells(kb, grid)
+    return [
+        (frozenset(cell_of[b] for b in combo), None if w is None else cell_of[w])
+        for combo, pits in _pit_sets(kb, grid)
+        for w in wumpus_cells
+        if w is None or not pits & w
+    ]
 
 
-def _wumpus_excluded(kb: KnowledgeBase, cell: Cell) -> bool:
-    n = kb.grid_size
-    for visited, record in kb.records.items():
-        if not record.wumpus_alive:
-            continue
-        if visited == cell:
-            return True  # agent survived this cell while the wumpus lived
-        if not record.stench and cell in adjacent_cells(visited, n):
-            return True
-    return False
-
-
-def _breezes_explained(kb: KnowledgeBase, pits: frozenset[Cell]) -> bool:
-    n = kb.grid_size
-    for cell, record in kb.records.items():
-        has_breeze = any(c in pits for c in adjacent_cells(cell, n))
-        if has_breeze != record.breeze:
-            return False
-    return True
-
-
-def _stench_consistent(kb: KnowledgeBase, wumpus: Cell | None) -> bool:
-    n = kb.grid_size
-    for cell, record in kb.records.items():
-        expected = (
-            record.wumpus_alive
-            and wumpus is not None
-            and wumpus in adjacent_cells(cell, n)
-        )
-        if expected != record.stench:
-            return False
-        if record.wumpus_alive and wumpus == cell:
-            return False
-    return True
-
-
-def _shots_consistent(kb: KnowledgeBase, wumpus: Cell | None) -> bool:
-    for shot in kb.shots:
-        on_path = wumpus is not None and wumpus in shoot_trajectory(
-            shot.origin, shot.direction, kb.grid_size
-        )
-        if shot.scream != on_path:
-            return False
-    return True
+def hazard_counts(kb: KnowledgeBase) -> HazardCounts:
+    """Exact per-cell counts over :func:`consistent_layouts`, without listing
+    them: a pit set ``P`` completes one layout with each wumpus candidate
+    outside ``P``, and the wumpus in ``w`` with each pit set not holding ``w``."""
+    grid = _grid(kb.grid_size)
+    wumpus_cells = _wumpus_cells(kb, grid)
+    wumpus_mask = sum(w for w in wumpus_cells if w is not None)
+    pit = dict.fromkeys(grid.bit.values(), 0)
+    holding = dict.fromkeys(grid.bit.values(), 0)  # pit sets with a pit in each cell
+    total = num_sets = 0
+    for combo, pits in _pit_sets(kb, grid):
+        layouts = len(wumpus_cells) - (pits & wumpus_mask).bit_count()
+        total += layouts
+        num_sets += 1
+        for b in combo:
+            pit[b] += layouts
+            holding[b] += 1
+    return HazardCounts(
+        total=total,
+        pit={c: pit[b] for c, b in grid.bit.items()},
+        wumpus={
+            c: num_sets - holding[b] if wumpus_mask & b else 0
+            for c, b in grid.bit.items()
+        },
+    )
 
 
 def _recompute(kb: KnowledgeBase) -> None:
-    layouts = consistent_layouts(kb)
-    if not layouts:
+    counts = hazard_counts(kb)
+    total = counts.total
+    if not total:
         raise InconsistentPerceptsError(
             "no hazard layout is consistent with the recorded percepts"
         )
-    cells = grid_cells(kb.grid_size)
-    total = len(layouts)
-    pit_counts = {c: 0 for c in cells}
-    wumpus_counts = {c: 0 for c in cells}
-    for pits, wumpus in layouts:
-        for p in pits:
-            pit_counts[p] += 1
-        if wumpus is not None:
-            wumpus_counts[wumpus] += 1
 
     def status(count: int) -> CandidateStatus:
         if count == 0:
@@ -231,11 +262,11 @@ def _recompute(kb: KnowledgeBase) -> None:
             return CandidateStatus.CERTAIN
         return CandidateStatus.POSSIBLE
 
-    kb.pit_candidates = {c: status(pit_counts[c]) for c in cells}
-    kb.wumpus_candidates = {c: status(wumpus_counts[c]) for c in cells}
+    kb.pit_candidates = {c: status(n) for c, n in counts.pit.items()}
+    kb.wumpus_candidates = {c: status(n) for c, n in counts.wumpus.items()}
     kb.safe_cells = {
         c
-        for c in cells
+        for c in counts.pit
         if kb.pit_candidates[c] is CandidateStatus.IMPOSSIBLE
         and (
             kb.wumpus_known_dead
@@ -297,26 +328,34 @@ class OracleAgent:
     plays :func:`oracle_policy`. One instance per episode."""
 
     def __init__(self, grid_size: int, num_pits: int, num_wumpus: int):
-        self.kb = new_kb(grid_size, num_pits, num_wumpus)
+        # Candidates are derived by the first decide, which records a percept.
+        self.kb = KnowledgeBase(grid_size, num_pits, num_wumpus)
         self._pending_shot: tuple[Cell, Direction] | None = None
 
     def decide(self, obs: Observation) -> Decision:
-        if obs.arrow_status.scream_heard and not self.kb.wumpus_known_dead:
-            self.kb = mark_wumpus_dead(self.kb)
+        # This round's scream, shot outcome and percept go into the knowledge
+        # base together, so inference runs once per round.
+        kb = self.kb
+        scream = obs.arrow_status.scream_heard
+        dead = kb.wumpus_known_dead or scream
+        shots = kb.shots
         if self._pending_shot is not None:
             origin, direction = self._pending_shot
-            self.kb = record_shot(
-                self.kb, origin, direction, obs.arrow_status.scream_heard
-            )
+            shots = [*shots, ShotRecord(origin, direction, scream)]
             self._pending_shot = None
+        records = kb.records
         pos = obs.current_position
-        if pos not in self.kb.records:
-            percept = Percept(
-                breeze=pos in obs.breeze_locations,
-                stench=pos in obs.stench_locations,
-                glitter=False,
-            )
-            self.kb = update_kb(self.kb, pos, percept)
+        if pos not in records:
+            records = {
+                **records,
+                pos: PerceptRecord(
+                    breeze=pos in obs.breeze_locations,
+                    stench=pos in obs.stench_locations,
+                    wumpus_alive=not dead,
+                ),
+            }
+        self.kb = replace(kb, records=records, shots=shots, wumpus_known_dead=dead)
+        _recompute(self.kb)
         action = oracle_policy(self.kb, obs)
         if action.kind is ActionKind.SHOOT:
             self._pending_shot = (pos, action.direction)

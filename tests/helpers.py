@@ -48,8 +48,8 @@ def brute_frontier(
     return out
 
 
-def enumerate_layouts(n: int, num_pits: int, num_wumpus: int):
-    """Every legal (pits, wumpus, gold) placement for the given condition."""
+def hazard_layouts(n: int, num_pits: int, num_wumpus: int):
+    """Every legal (pits, wumpus) placement for the given condition."""
     cells = [(x, y) for y in range(1, n + 1) for x in range(1, n + 1)]
     start_zone = {(1, 1)} | set(brute_adjacent((1, 1), n))
     hazard_pool = [c for c in cells if c not in start_zone]
@@ -58,10 +58,54 @@ def enumerate_layouts(n: int, num_pits: int, num_wumpus: int):
             [c for c in hazard_pool if c not in pits] if num_wumpus else [None]
         )
         for wumpus in wumpus_options:
-            for gold in cells:
-                if gold in pits or gold == (1, 1):
-                    continue
-                yield set(pits), wumpus, gold
+            yield set(pits), wumpus
+
+
+def enumerate_layouts(n: int, num_pits: int, num_wumpus: int):
+    """Every legal (pits, wumpus, gold) placement for the given condition."""
+    cells = [(x, y) for y in range(1, n + 1) for x in range(1, n + 1)]
+    for pits, wumpus in hazard_layouts(n, num_pits, num_wumpus):
+        for gold in cells:
+            if gold in pits or gold == (1, 1):
+                continue
+            yield pits, wumpus, gold
+
+
+BRUTE_DELTAS = {"up": (0, 1), "down": (0, -1), "left": (-1, 0), "right": (1, 0)}
+
+
+def brute_trajectory(
+    origin: tuple[int, int], direction: str, n: int
+) -> list[tuple[int, int]]:
+    """Cells an arrow crosses from ``origin`` to the grid edge."""
+    dx, dy = BRUTE_DELTAS[direction]
+    x, y = origin[0] + dx, origin[1] + dy
+    out = []
+    while 1 <= x <= n and 1 <= y <= n:
+        out.append((x, y))
+        x, y = x + dx, y + dy
+    return out
+
+
+def layout_explains(
+    n: int,
+    pits: set[tuple[int, int]],
+    wumpus: tuple[int, int] | None,
+    records: dict[tuple[int, int], tuple[bool, bool, bool]],
+    shots: list[tuple[tuple[int, int], str, bool]],
+) -> bool:
+    """Whether a layout reproduces every ``cell -> (breeze, stench,
+    wumpus_alive)`` record, without killing the agent in a recorded cell, and
+    every ``(origin, direction, scream)`` shot."""
+    for cell, (breeze, stench, alive) in records.items():
+        if cell in pits or (alive and cell == wumpus):
+            return False
+        if brute_percepts(cell, n, pits, wumpus, alive, None)[:2] != (breeze, stench):
+            return False
+    return all(
+        scream == (wumpus in brute_trajectory(origin, direction, n))
+        for origin, direction, scream in shots
+    )
 
 
 def make_world(

@@ -4,9 +4,16 @@ import itertools
 
 import pytest
 
-from helpers import brute_adjacent, enumerate_layouts, make_world
+from helpers import (
+    brute_adjacent,
+    enumerate_layouts,
+    hazard_layouts,
+    layout_explains,
+    make_world,
+)
 from wumpusbench import (
     Action,
+    ActionKind,
     ArrowStatus,
     Cell,
     Direction,
@@ -17,6 +24,7 @@ from wumpusbench import (
     Status,
     Suggestions,
     WorldConfig,
+    apply_action,
     build_observation,
     classify_cells,
     full_info_solvable,
@@ -26,7 +34,13 @@ from wumpusbench import (
     run_episode,
     update_kb,
 )
-from wumpusbench.oracle import CandidateStatus, mark_wumpus_dead
+from wumpusbench.oracle import (
+    CandidateStatus,
+    consistent_layouts,
+    hazard_counts,
+    mark_wumpus_dead,
+    record_shot,
+)
 
 
 def quiet():
@@ -93,6 +107,14 @@ def test_inconsistent_percepts_raise():
     kb = update_kb(kb, Cell(1, 1), quiet())
     with pytest.raises(InconsistentPerceptsError):
         update_kb(kb, Cell(2, 1), percept(breeze=True))  # breeze with zero pits
+
+
+def test_stench_without_a_live_wumpus_is_inconsistent():
+    dead = mark_wumpus_dead(update_kb(new_kb(3, 0, 1), Cell(1, 1), quiet()))
+    absent = update_kb(new_kb(3, 0, 0), Cell(1, 1), quiet())
+    for kb in (dead, absent):
+        with pytest.raises(InconsistentPerceptsError):
+            update_kb(kb, Cell(2, 1), percept(stench=True))
 
 
 def test_kb_update_is_functional():
@@ -174,6 +196,76 @@ def test_safe_cells_sound_against_brute_force_enumeration():
             for combo, w in consistent:
                 assert tuple(safe_cell) not in combo
                 assert tuple(safe_cell) != w
+
+
+def assert_counts_exact(kb, layouts):
+    """Compare the kb's counts and layouts with the brute-force ``layouts``
+    that explain its records; returns those layouts."""
+    records = {
+        tuple(c): (r.breeze, r.stench, r.wumpus_alive) for c, r in kb.records.items()
+    }
+    shots = [(tuple(s.origin), s.direction.value, s.scream) for s in kb.shots]
+    layouts = [
+        (pits, w)
+        for pits, w in layouts
+        if layout_explains(kb.grid_size, pits, w, records, shots)
+    ]
+    counts = hazard_counts(kb)
+    assert counts.total == len(layouts)
+    for cell in counts.pit:
+        assert counts.pit[cell] == sum(tuple(cell) in pits for pits, _ in layouts)
+        assert counts.wumpus[cell] == sum(tuple(cell) == w for _, w in layouts)
+    found = consistent_layouts(kb)
+    assert len(found) == len(layouts)
+    assert {(frozenset(p), w) for p, w in found} == {
+        (frozenset(p), w) for p, w in layouts
+    }
+    return layouts
+
+
+def test_hazard_counts_match_brute_force_during_oracle_play():
+    # Every odd seed forces an upward first-round shot from the start cell,
+    # which misses or screams depending on the world; the oracle's own shots
+    # scream. Records and shots are only ever added, so each knowledge base is
+    # checked against the layouts that survived the previous one.
+    conditions = [
+        (3, 1, 1, range(16)),
+        (3, 2, 0, range(8)),
+        (4, 2, 1, range(10)),
+        (4, 3, 1, range(4)),
+        (5, 2, 1, range(3)),
+    ]
+    screams = set()
+    for n, num_pits, num_wumpus, seeds in conditions:
+        all_layouts = list(hazard_layouts(n, num_pits, num_wumpus))
+        for seed in seeds:
+            world = generate_world(
+                WorldConfig(
+                    grid_size=n, num_pits=num_pits, num_wumpus=num_wumpus, seed=seed
+                )
+            )
+            truth = (
+                {tuple(p) for p in world.pit_cells},
+                tuple(world.wumpus_cell) if world.wumpus_cell else None,
+            )
+            agent = OracleAgent(n, num_pits, num_wumpus)
+            layouts = assert_counts_exact(agent.kb, all_layouts)
+            while world.status is Status.RUNNING:
+                action = agent.decide(build_observation(world)).action
+                layouts = assert_counts_exact(agent.kb, layouts)
+                assert truth in layouts
+                if seed % 2 and world.steps_taken == 0:
+                    assert action.kind is ActionKind.MOVE
+                    apply_action(world, Action.shoot(Direction.UP))
+                    agent.kb = record_shot(
+                        agent.kb, Cell(1, 1), Direction.UP, world.arrow_report.scream
+                    )
+                    layouts = assert_counts_exact(agent.kb, layouts)
+                    continue
+                apply_action(world, action)
+            assert world.status not in (Status.DEATH_PIT, Status.DEATH_WUMPUS)
+            screams.update(shot.scream for shot in agent.kb.shots)
+    assert screams == {True, False}
 
 
 # ---------------------------------------------------------------------------
