@@ -40,7 +40,10 @@ class MockChatServer:
         self._lock = threading.Lock()
         self.requests: list[dict] = []
         self._server = ThreadingHTTPServer(("127.0.0.1", port), self._handler_class())
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # A short poll interval bounds how long stop() waits for the loop.
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, args=(0.05,), daemon=True
+        )
 
     @property
     def url(self) -> str:

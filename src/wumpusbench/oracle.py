@@ -21,8 +21,10 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterator, NamedTuple
 
 from .agents import Decision
@@ -37,8 +39,8 @@ from .world import (
     START_CELL,
     WorldState,
     adjacent_cells,
+    geometry,
     grid_cells,
-    safe_start_zone,
     shoot_trajectory,
     sort_key,
 )
@@ -64,6 +66,37 @@ class ShotRecord:
     scream: bool
 
 
+class HazardCounts(NamedTuple):
+    """Per-cell hazard counts over every consistent layout.
+
+    ``pit[c]`` and ``wumpus[c]`` count the layouts with a pit, respectively the
+    wumpus, in ``c``; ``total`` counts all layouts. World generation makes
+    every legal layout equally likely, so ``count / total`` is the exact
+    posterior probability of the hazard.
+    """
+
+    total: int
+    pit: dict[Cell, int]
+    wumpus: dict[Cell, int]
+
+    def is_safe(self, cell: Cell, wumpus_dead: bool) -> bool:
+        """No pit in ``cell`` in any layout, nor the live wumpus."""
+        return not self.pit[cell] and (wumpus_dead or not self.wumpus[cell])
+
+
+def _statuses(counts: dict[Cell, int], total: int) -> Mapping[Cell, CandidateStatus]:
+    """Read-only :class:`CandidateStatus` of every cell for one hazard."""
+
+    def status(count: int) -> CandidateStatus:
+        if count == 0:
+            return CandidateStatus.IMPOSSIBLE
+        if count == total:
+            return CandidateStatus.CERTAIN
+        return CandidateStatus.POSSIBLE
+
+    return MappingProxyType({c: status(n) for c, n in counts.items()})
+
+
 @dataclass
 class KnowledgeBase:
     grid_size: int
@@ -72,9 +105,24 @@ class KnowledgeBase:
     records: dict[Cell, PerceptRecord] = field(default_factory=dict)
     shots: list[ShotRecord] = field(default_factory=list)
     wumpus_known_dead: bool = False
-    pit_candidates: dict[Cell, CandidateStatus] = field(default_factory=dict)
-    wumpus_candidates: dict[Cell, CandidateStatus] = field(default_factory=dict)
-    safe_cells: set[Cell] = field(default_factory=set)
+    # Derived from the fields above by _recompute. The properties below are
+    # read-only views of it, derived on access.
+    counts: HazardCounts | None = field(default=None, init=False, repr=False)
+
+    @property
+    def pit_candidates(self) -> Mapping[Cell, CandidateStatus]:
+        return _statuses(self.counts.pit, self.counts.total)
+
+    @property
+    def wumpus_candidates(self) -> Mapping[Cell, CandidateStatus]:
+        return _statuses(self.counts.wumpus, self.counts.total)
+
+    @property
+    def safe_cells(self) -> frozenset[Cell]:
+        """Cells with no pit in any consistent layout and, unless the wumpus
+        is known dead, no wumpus either."""
+        dead = self.wumpus_known_dead
+        return frozenset(c for c in self.counts.pit if self.counts.is_safe(c, dead))
 
 
 @dataclass(frozen=True)
@@ -127,20 +175,6 @@ def mark_wumpus_dead(kb: KnowledgeBase) -> KnowledgeBase:
     return out
 
 
-class HazardCounts(NamedTuple):
-    """Per-cell hazard counts over every consistent layout.
-
-    ``pit[c]`` and ``wumpus[c]`` count the layouts with a pit, respectively the
-    wumpus, in ``c``; ``total`` counts all layouts. World generation makes
-    every legal layout equally likely, so ``count / total`` is the exact
-    posterior probability of the hazard.
-    """
-
-    total: int
-    pit: dict[Cell, int]
-    wumpus: dict[Cell, int]
-
-
 class _Grid(NamedTuple):
     """Bitmask view of an n x n grid, one bit per cell in canonical order."""
 
@@ -154,16 +188,16 @@ class _Grid(NamedTuple):
 
 @functools.cache
 def _grid(n: int) -> _Grid:
-    cells = grid_cells(n)
-    bit = {c: 1 << i for i, c in enumerate(cells)}
+    geo = geometry(n)
+    bit = {c: 1 << i for i, c in enumerate(geo.cells)}
 
     def mask(group) -> int:
         return sum(bit[c] for c in group)
 
     return _Grid(
         bit=bit,
-        neighbors={c: mask(adjacent_cells(c, n)) for c in cells},
-        hazard_zone=mask(cells) & ~mask(safe_start_zone(n)),
+        neighbors={c: mask(geo.neighbors[c]) for c in geo.cells},
+        hazard_zone=mask(geo.cells) & ~mask(geo.start_zone),
     )
 
 
@@ -249,44 +283,23 @@ def hazard_counts(kb: KnowledgeBase) -> HazardCounts:
 
 def _recompute(kb: KnowledgeBase) -> None:
     counts = hazard_counts(kb)
-    total = counts.total
-    if not total:
+    if not counts.total:
         raise InconsistentPerceptsError(
             "no hazard layout is consistent with the recorded percepts"
         )
-
-    def status(count: int) -> CandidateStatus:
-        if count == 0:
-            return CandidateStatus.IMPOSSIBLE
-        if count == total:
-            return CandidateStatus.CERTAIN
-        return CandidateStatus.POSSIBLE
-
-    kb.pit_candidates = {c: status(n) for c, n in counts.pit.items()}
-    kb.wumpus_candidates = {c: status(n) for c, n in counts.wumpus.items()}
-    kb.safe_cells = {
-        c
-        for c in counts.pit
-        if kb.pit_candidates[c] is CandidateStatus.IMPOSSIBLE
-        and (
-            kb.wumpus_known_dead
-            or kb.wumpus_candidates[c] is CandidateStatus.IMPOSSIBLE
-        )
-    }
+    kb.counts = counts
 
 
 def classify_cells(kb: KnowledgeBase) -> CellClassification:
     """Partition the grid into provably safe, provably fatal and unknown."""
     cells = grid_cells(kb.grid_size)
-    safe = frozenset(kb.safe_cells)
+    safe = kb.safe_cells
+    pits, wumpus = kb.pit_candidates, kb.wumpus_candidates
     fatal = frozenset(
         c
         for c in cells
-        if kb.pit_candidates[c] is CandidateStatus.CERTAIN
-        or (
-            not kb.wumpus_known_dead
-            and kb.wumpus_candidates[c] is CandidateStatus.CERTAIN
-        )
+        if pits[c] is CandidateStatus.CERTAIN
+        or (not kb.wumpus_known_dead and wumpus[c] is CandidateStatus.CERTAIN)
     )
     unknown = frozenset(c for c in cells if c not in safe and c not in fatal)
     return CellClassification(safe=safe, fatal=fatal - safe, unknown=unknown)
@@ -304,16 +317,17 @@ def oracle_policy(kb: KnowledgeBase, obs: Observation) -> Action:
     """Fixed priority rule: safest frontier move, else a certain kill shot,
     else exit. Gold is collected automatically on entry, so glitter never
     needs handling."""
-    safe_frontier = [c for c in obs.suggestions.frontier_cells if c in kb.safe_cells]
+    counts = kb.counts
+    safe_frontier = [
+        c
+        for c in obs.suggestions.frontier_cells
+        if counts.is_safe(c, kb.wumpus_known_dead)
+    ]
     if safe_frontier:
         target = min(safe_frontier, key=sort_key)
         return Action.move(target.x, target.y)
     if obs.suggestions.shoot_options and not kb.wumpus_known_dead:
-        certain = [
-            c
-            for c, status in kb.wumpus_candidates.items()
-            if status is CandidateStatus.CERTAIN
-        ]
+        certain = [c for c, n in counts.wumpus.items() if n == counts.total]
         if len(certain) == 1:
             direction = _direction_toward(obs.current_position, certain[0])
             if direction is not None and certain[0] in shoot_trajectory(

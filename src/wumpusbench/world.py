@@ -13,14 +13,24 @@ Movement is frontier-addressed: the agent names an unexplored cell adjacent to
 any explored cell and is assumed to pass safely through explored territory.
 Re-entering explored cells is not a move. A single arrow can be shot along a
 straight line from the agent's cell; pits do not block it.
+
+Grid geometry is computed once per grid size, on first use: :func:`geometry`
+holds the cells in canonical order, the safe start zone and each cell's
+in-grid neighbors in canonical order. Adjacency, percepts, world generation and
+the frontier all read from that table, and the oracle builds its bitmasks from
+it, so nothing recomputes or re-sorts neighbors per call. One predicate,
+:func:`_on_frontier`, decides whether a cell is a legal move target; the
+frontier listed in observations and the legality check in :func:`apply_action`
+both use it.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import AbstractSet, Iterable, NamedTuple
 
 from .errors import ConfigurationError, IllegalActionError
 
@@ -182,20 +192,54 @@ def in_grid(cell: Cell, n: int) -> bool:
     return 1 <= cell.x <= n and 1 <= cell.y <= n
 
 
+class Geometry(NamedTuple):
+    """Static layout of an n x n grid; see :func:`geometry`."""
+
+    cells: tuple[Cell, ...]  # every cell, in canonical (y, x) order
+    start_zone: frozenset[Cell]  # the start cell and its in-grid neighbors
+    # In-grid 4-neighbors in canonical order, keyed by every cell of the grid
+    # and of the ring just outside it; any farther cell has none.
+    neighbors: dict[Cell, tuple[Cell, ...]]
+
+
+@functools.cache
+def geometry(n: int) -> Geometry:
+    """The geometry table of an n x n grid, built on first use."""
+
+    def inside(x: int, y: int) -> bool:
+        return 1 <= x <= n and 1 <= y <= n
+
+    neighbors = {
+        # Down, left, right, up is canonical (y, x) order.
+        Cell(x, y): tuple(
+            Cell(ax, ay)
+            for ax, ay in ((x, y - 1), (x - 1, y), (x + 1, y), (x, y + 1))
+            if inside(ax, ay)
+        )
+        for y in range(0, n + 2)
+        for x in range(0, n + 2)
+    }
+    cells = tuple(c for c in neighbors if inside(*c))
+    return Geometry(
+        cells=cells,
+        start_zone=frozenset([START_CELL, *neighbors[START_CELL]]),
+        neighbors=neighbors,
+    )
+
+
 def grid_cells(n: int) -> list[Cell]:
     """All cells of an n x n grid in canonical (y, x) order."""
-    return [Cell(x, y) for y in range(1, n + 1) for x in range(1, n + 1)]
+    return list(geometry(n).cells)
 
 
 def adjacent_cells(cell: Cell, n: int) -> list[Cell]:
     """In-grid 4-neighbors in canonical order."""
-    out = [Cell(cell.x + dx, cell.y + dy) for dx, dy in _DELTAS.values()]
-    return sorted((c for c in out if in_grid(c, n)), key=sort_key)
+    return list(geometry(n).neighbors.get(cell, ()))
 
 
 def safe_start_zone(n: int) -> frozenset[Cell]:
     """The start cell and its in-grid neighbors; hazards are never placed here."""
-    return frozenset([START_CELL, *adjacent_cells(START_CELL, n)])
+    return geometry(n).start_zone
 
 
 def generate_world(config: WorldConfig) -> WorldState:
@@ -209,9 +253,8 @@ def generate_world(config: WorldConfig) -> WorldState:
     """
     n = config.grid_size
     rng = random.Random(config.seed)
-    cells = grid_cells(n)
-    start_zone = safe_start_zone(n)
-    hazard_pool = [c for c in cells if c not in start_zone]
+    geo = geometry(n)
+    hazard_pool = [c for c in geo.cells if c not in geo.start_zone]
 
     pits: list[Cell] = []
     for _ in range(config.num_pits):
@@ -229,7 +272,7 @@ def generate_world(config: WorldConfig) -> WorldState:
             raise ConfigurationError(f"no cell left for the wumpus on a {n}x{n} grid")
         wumpus = pool[rng.randrange(len(pool))]
 
-    gold_pool = [c for c in cells if c not in pits and c != START_CELL]
+    gold_pool = [c for c in geo.cells if c not in pits and c != START_CELL]
     if not gold_pool:
         raise ConfigurationError(f"no cell left for the gold on a {n}x{n} grid")
     gold = gold_pool[rng.randrange(len(gold_pool))]
@@ -295,24 +338,24 @@ def percepts_at(state: WorldState, cell: Cell) -> Percept:
     n = state.config.grid_size
     if not in_grid(cell, n):
         raise ConfigurationError(f"cell {cell} outside the {n}x{n} grid")
-    neighbors = adjacent_cells(cell, n)
-    breeze = any(c in state.pit_cells for c in neighbors)
+    neighbors = geometry(n).neighbors[cell]
+    breeze = not state.pit_cells.isdisjoint(neighbors)
     stench = state.wumpus_alive and state.wumpus_cell in neighbors
     glitter = state.gold_cell == cell
     return Percept(breeze=breeze, stench=stench, glitter=glitter)
 
 
+def _on_frontier(cell: Cell, explored: AbstractSet[Cell], geo: Geometry) -> bool:
+    """Whether in-grid ``cell`` is unexplored and next to an explored cell:
+    the one definition of a legal move target."""
+    return cell not in explored and not explored.isdisjoint(geo.neighbors[cell])
+
+
 def frontier(state: WorldState) -> list[Cell]:
     """Unexplored cells adjacent to at least one explored cell, (y, x)-sorted."""
-    n = state.config.grid_size
+    geo = geometry(state.config.grid_size)
     explored = set(state.explored)
-    out = {
-        c
-        for cell in state.explored
-        for c in adjacent_cells(cell, n)
-        if c not in explored
-    }
-    return sorted(out, key=sort_key)
+    return [c for c in geo.cells if _on_frontier(c, explored, geo)]
 
 
 def legal_actions(state: WorldState) -> set[Action]:
@@ -359,7 +402,7 @@ def apply_action(state: WorldState, action: Action) -> TransitionResult:
         target = action.target
         if target is None or not in_grid(target, n):
             raise IllegalActionError(f"move target {target} outside the {n}x{n} grid")
-        if target not in frontier(state):
+        if not _on_frontier(target, set(state.explored), geometry(n)):
             raise IllegalActionError(
                 f"move target {tuple(target)} is not an unexplored cell adjacent "
                 "to explored territory"

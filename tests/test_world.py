@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_frontier, brute_percepts, make_world
+from helpers import brute_adjacent, brute_frontier, brute_percepts, make_world
 from wumpusbench import (
     Action,
     ActionKind,
@@ -14,10 +15,14 @@ from wumpusbench import (
     ConfigurationError,
     Direction,
     IllegalActionError,
+    RandomLegalAgent,
     Status,
     WorldConfig,
+    adjacent_cells,
     apply_action,
+    build_observation,
     episode_score,
+    frontier,
     generate_world,
     legal_actions,
     percepts_at,
@@ -89,6 +94,73 @@ def test_config_validation():
         WorldConfig(grid_size=3, num_pits=0, num_wumpus=2, seed=0)
     with pytest.raises(ConfigurationError):
         WorldConfig(grid_size=3, num_pits=0, num_wumpus=0, seed=0, step_limit=0)
+
+
+# ---------------------------------------------------------------------------
+# Geometry
+
+
+def yx_sorted(cells):
+    return sorted(cells, key=lambda c: (c[1], c[0]))
+
+
+def test_adjacent_cells_match_brute_force_in_canonical_order():
+    for n in range(2, 8):
+        # The grid plus two rings outside it, where only the inner ring has
+        # in-grid neighbors.
+        for x in range(-1, n + 3):
+            for y in range(-1, n + 3):
+                expected = yx_sorted(brute_adjacent((x, y), n))
+                assert adjacent_cells(Cell(x, y), n) == expected, (n, x, y)
+    assert adjacent_cells(Cell(50, 50), 4) == []
+
+
+def test_adjacent_cells_returns_a_fresh_list():
+    first = adjacent_cells(Cell(2, 2), 4)
+    first.append(Cell(9, 9))
+    first.remove(Cell(2, 1))
+    assert adjacent_cells(Cell(2, 2), 4) == [Cell(2, 1), Cell(1, 2), Cell(3, 2), Cell(2, 3)]
+
+
+def random_play_states():
+    """Every running state of seeded random-legal play on 3x3 to 6x6 grids."""
+    conditions = [(3, 1, 1), (4, 2, 1), (5, 3, 1), (6, 2, 0), (6, 3, 1)]
+    for n, pits, wumpus in conditions:
+        for seed in range(16):
+            world = generate_world(config(n=n, pits=pits, wumpus=wumpus, seed=seed))
+            agent = RandomLegalAgent(seed)
+            while world.status is Status.RUNNING:
+                yield world
+                apply_action(world, agent.decide(build_observation(world)).action)
+
+
+def test_frontier_matches_brute_force_along_random_play():
+    rounds = 0
+    for world in random_play_states():
+        explored = {tuple(c) for c in world.explored}
+        expected = yx_sorted(brute_frontier(explored, world.config.grid_size))
+        assert frontier(world) == expected
+        rounds += 1
+    assert rounds > 100
+
+
+def test_apply_action_rejects_every_non_frontier_cell_along_random_play():
+    for world in random_play_states():
+        n = world.config.grid_size
+        explored = {tuple(c) for c in world.explored}
+        reachable = brute_frontier(explored, n)
+        before = copy.deepcopy(world)
+        for x in range(1, n + 1):
+            for y in range(1, n + 1):
+                if (x, y) in reachable:
+                    continue
+                with pytest.raises(IllegalActionError, match="not an unexplored cell"):
+                    apply_action(world, Action.move(x, y))
+                assert world == before
+        for x, y in ((0, 1), (1, 0), (n + 1, n), (n, n + 1), (50, 50)):
+            with pytest.raises(IllegalActionError, match="outside the"):
+                apply_action(world, Action.move(x, y))
+        assert world == before
 
 
 # ---------------------------------------------------------------------------
