@@ -6,7 +6,6 @@ from .agents import (
     Decision,
     RandomLegalAgent,
     ScriptedAgent,
-    is_action_legal,
     legal_actions_from,
 )
 from .chat import ChatClient, ChatMessage, UsageRecord
@@ -84,7 +83,6 @@ from .planner_critic import (
     arbitrate,
     critique,
     parse_critic_verdict,
-    plan,
 )
 from .world import (
     Action,

@@ -15,7 +15,7 @@ from typing import Iterable, Protocol
 from .chat import ChatMessage, UsageRecord
 from .errors import EpisodeProtocolFailure
 from .observation import Observation, parse_action
-from .world import Action, ActionKind
+from .world import Action
 
 
 @dataclass
@@ -59,14 +59,6 @@ def legal_actions_from(obs: Observation) -> list[Action]:
     out.extend(Action.shoot(d) for d in obs.suggestions.shoot_options)
     out.append(Action.exit())
     return out
-
-
-def is_action_legal(action: Action, obs: Observation) -> bool:
-    if action.kind is ActionKind.MOVE:
-        return action.target in obs.suggestions.frontier_cells
-    if action.kind is ActionKind.SHOOT:
-        return action.direction in obs.suggestions.shoot_options
-    return True
 
 
 class ScriptedAgent:

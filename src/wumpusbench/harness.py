@@ -20,13 +20,7 @@ from typing import Callable, Iterable
 
 from .agents import Agent, CompletionLog
 from .chat import UsageRecord
-from .errors import (
-    EpisodeProtocolFailure,
-    LogCorruptionError,
-    ProtocolError,
-    ReplayMismatchError,
-    TransportError,
-)
+from .errors import EpisodeProtocolFailure, LogCorruptionError, ReplayMismatchError
 from .observation import build_observation, observation_to_dict, parse_action
 from .world import (
     Action,
@@ -215,8 +209,10 @@ def run_episode(
 ) -> EpisodeRecord:
     """Run one episode: observe, decide, act, until a terminal status.
 
-    Transport failures and exhausted parse retries end the episode with
-    status ``protocol_failure``; the rounds executed so far stay logged.
+    An agent's :class:`EpisodeProtocolFailure` (exhausted parse retries, or a
+    transport or protocol error from the endpoint) ends the episode with
+    status ``protocol_failure``. The rounds executed so far stay logged, and
+    the failed round is logged with the calls it made.
     """
     state = generate_world(config)
     rounds: list[RoundRecord] = []
@@ -241,10 +237,6 @@ def run_episode(
                     calls=list(exc.calls),
                 )
             )
-            break
-        except (TransportError, ProtocolError) as exc:
-            state.status = Status.PROTOCOL_FAILURE
-            error = f"{type(exc).__name__}: {exc}"
             break
         result = apply_action(state, decision.action)
         rounds.append(
@@ -274,9 +266,13 @@ def run_episode(
         status=state.status.value,
         score=state.score,
         success=state.status is Status.SUCCESS,
-        wumpus_killed=state.arrow_report.scream if state.arrow_report else False,
+        wumpus_killed=_wumpus_killed(state),
         error=error,
     )
+
+
+def _wumpus_killed(state: WorldState) -> bool:
+    return state.arrow_report.scream if state.arrow_report else False
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +473,7 @@ def verify_record(record: EpisodeRecord) -> WorldState:
     """Re-simulate a record from its seed and check it reproduces the log.
 
     Returns the final state; raises :class:`ReplayMismatchError` on the first
-    divergence (wrong observation, reward, score or status).
+    divergence (wrong observation, reward, score, status, success or kill).
     """
     state = generate_world(record.config)
     for round_record in record.rounds:
@@ -494,10 +490,15 @@ def verify_record(record: EpisodeRecord) -> WorldState:
                 f"round {round_record.index}: reward {result.reward_delta} != "
                 f"logged {round_record.reward_delta}"
             )
-    if state.score != record.score:
-        raise ReplayMismatchError(
-            f"final score {state.score} != logged {record.score}"
-        )
+    for name, replayed in (
+        ("score", state.score),
+        ("success", state.status is Status.SUCCESS),
+        ("wumpus_killed", _wumpus_killed(state)),
+    ):
+        if getattr(record, name) != replayed:
+            raise ReplayMismatchError(
+                f"final {name} {replayed} != logged {getattr(record, name)}"
+            )
     if record.status != Status.PROTOCOL_FAILURE.value and state.status.value != record.status:
         raise ReplayMismatchError(
             f"final status {state.status.value} != logged {record.status}"

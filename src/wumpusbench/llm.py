@@ -9,8 +9,12 @@ Two prompting mechanisms are provided:
   verbatim into the next round's prompt under a ``Previous guess`` heading,
   forming an explicit chain of hypotheses across the episode.
 
-Replies that yield no parseable, legal action are retried a bounded number of
-times; exhaustion ends the episode as a protocol failure rather than a death.
+Every model call in the package goes through :func:`ask_until`, which logs
+each call and asks again, adding a flag, while the round's ``accept`` refuses
+the reply: here ``unparseable-action`` and ``illegal-action`` (an accepted
+``cos`` reply with an unusable guess adds ``malformed-guess``), and the
+critic's flags in :mod:`wumpusbench.planner_critic`. Exhausted retries or an
+endpoint error end the episode as a protocol failure, with the calls logged.
 """
 
 from __future__ import annotations
@@ -18,10 +22,16 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
-from .agents import CompletionLog, Decision, is_action_legal
+from .agents import CompletionLog, Decision, legal_actions_from
 from .chat import ChatClient, ChatMessage
-from .errors import ActionParseError, EpisodeProtocolFailure
+from .errors import (
+    ActionParseError,
+    EpisodeProtocolFailure,
+    ProtocolError,
+    TransportError,
+)
 from .observation import Observation, observation_to_json, parse_action
 from .world import Action, Cell, in_grid
 
@@ -34,6 +44,8 @@ DEFAULT_MAX_PARSE_RETRIES = 3
 ANALYSIS_LABEL = "Analysis:"
 GUESS_LABEL = "Guess:"
 ACTION_LABEL = "Action:"
+
+T = TypeVar("T")
 
 
 def environment_rules(grid_size: int) -> str:
@@ -125,7 +137,6 @@ class CosTurn:
     guess: Guess
     guess_raw: str | None  # exact text propagated to the next prompt
     action: Action
-    action_text: str
     malformed_guess: bool
 
 
@@ -206,9 +217,48 @@ def parse_cos_response(text: str, grid_size: int | None = None) -> CosTurn:
         guess=guess,
         guess_raw=guess_raw,
         action=action,
-        action_text=action.to_text(),
         malformed_guess=malformed,
     )
+
+
+def ask_until(
+    client: ChatClient,
+    messages: list[ChatMessage],
+    accept: Callable[[str], tuple[T | None, str | None]],
+    *,
+    role: str,
+    max_parse_retries: int,
+) -> tuple[T | None, list[CompletionLog], list[str]]:
+    """Ask up to ``max_parse_retries + 1`` times until ``accept(content)``
+    returns ``(result, None)`` rather than ``(None, flag)``.
+
+    Returns the result (None if every reply was refused), the calls and the
+    refusal flags. An endpoint error becomes :class:`EpisodeProtocolFailure`
+    carrying the calls made so far.
+    """
+    calls: list[CompletionLog] = []
+    flags: list[str] = []
+    for _ in range(max_parse_retries + 1):
+        try:
+            content, usage = client.complete(messages)
+        except (TransportError, ProtocolError) as exc:
+            raise EpisodeProtocolFailure(
+                f"{type(exc).__name__}: {exc}", calls=calls
+            ) from exc
+        calls.append(
+            CompletionLog(
+                role=role,
+                model=client.model,
+                messages=list(messages),
+                response=content,
+                usage=usage,
+            )
+        )
+        result, flag = accept(content)
+        if flag is None:
+            return result, calls, flags
+        flags.append(flag)
+    return None, calls, flags
 
 
 def run_cos_round(
@@ -228,45 +278,36 @@ def run_cos_round(
     Raises :class:`EpisodeProtocolFailure` when every attempt produced no
     usable (parseable and legal) action.
     """
-    messages = build_prompt(mechanism, obs, prev_guess, system_prompt)
-    calls: list[CompletionLog] = []
-    flags: list[str] = []
-    for _ in range(max_parse_retries + 1):
-        content, usage = client.complete(messages)
-        calls.append(
-            CompletionLog(
-                role=role,
-                model=client.model,
-                messages=list(messages),
-                response=content,
-                usage=usage,
-            )
-        )
+
+    def accept(content: str) -> tuple[CosTurn | None, str | None]:
         try:
             if mechanism == MECHANISM_COT:
-                action = parse_action(content)
                 turn = CosTurn(
                     analysis=content,
                     guess=EMPTY_GUESS,
                     guess_raw=None,
-                    action=action,
-                    action_text=action.to_text(),
+                    action=parse_action(content),
                     malformed_guess=False,
                 )
             else:
                 turn = parse_cos_response(content, grid_size)
         except ActionParseError:
-            flags.append("unparseable-action")
-            continue
-        if not is_action_legal(turn.action, obs):
-            flags.append("illegal-action")
-            continue
-        if turn.malformed_guess and mechanism == MECHANISM_COS:
-            flags.append("malformed-guess")
-        return turn, calls, flags
-    raise EpisodeProtocolFailure(
-        f"no usable action after {max_parse_retries + 1} completions", calls=calls
+            return None, "unparseable-action"
+        if turn.action not in legal_actions_from(obs):
+            return None, "illegal-action"
+        return turn, None
+
+    messages = build_prompt(mechanism, obs, prev_guess, system_prompt)
+    turn, calls, flags = ask_until(
+        client, messages, accept, role=role, max_parse_retries=max_parse_retries
     )
+    if turn is None:
+        raise EpisodeProtocolFailure(
+            f"no usable action after {max_parse_retries + 1} completions", calls=calls
+        )
+    if turn.malformed_guess:
+        flags.append("malformed-guess")
+    return turn, calls, flags
 
 
 class LlmAgent:
@@ -279,18 +320,13 @@ class LlmAgent:
         grid_size: int,
         *,
         mechanism: str = MECHANISM_COS,
-        system_prompt: str | None = None,
-        max_parse_retries: int = DEFAULT_MAX_PARSE_RETRIES,
     ):
         if mechanism not in (MECHANISM_COT, MECHANISM_COS):
             raise ValueError(f"unsupported mechanism {mechanism!r}")
         self.client = client
         self.grid_size = grid_size
         self.mechanism = mechanism
-        self.system_prompt = system_prompt or default_system_prompt(
-            mechanism, grid_size
-        )
-        self.max_parse_retries = max_parse_retries
+        self.system_prompt = default_system_prompt(mechanism, grid_size)
         self.prev_guess: str | None = None
 
     def decide(self, obs: Observation) -> Decision:
@@ -301,10 +337,8 @@ class LlmAgent:
             mechanism=self.mechanism,
             system_prompt=self.system_prompt,
             grid_size=self.grid_size,
-            max_parse_retries=self.max_parse_retries,
         )
-        if self.mechanism == MECHANISM_COS:
-            self.prev_guess = turn.guess_raw
+        self.prev_guess = turn.guess_raw  # always None under ``cot``
         return Decision(
             action=turn.action,
             provenance="model",

@@ -9,6 +9,12 @@ above the threshold executes the planner's action; strictly below it, the
 critic's alternative is executed instead. A critic whose verdict stays
 unparseable after retries is treated as fully confident (no intervention)
 and flagged, so model noncompliance never blocks an episode.
+
+Both roles call the model through :func:`wumpusbench.llm.ask_until`; the
+critic's refusals flag ``unparseable-verdict`` or
+``missing-or-illegal-alternative`` (asked again) and exhaustion
+``critic-parse-failure``. :func:`arbitrate` guards against a missing
+alternative too, for verdicts that do not come from :func:`critique`.
 """
 
 from __future__ import annotations
@@ -16,13 +22,18 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .agents import CompletionLog, Decision, is_action_legal
+from .agents import CompletionLog, Decision, legal_actions_from
 from .chat import ChatClient, ChatMessage
-from .errors import ActionParseError, ArbitrationError, ConfigurationError
+from .errors import (
+    ActionParseError,
+    ArbitrationError,
+    ConfigurationError,
+    EpisodeProtocolFailure,
+)
 from .llm import (
-    CosTurn,
     DEFAULT_MAX_PARSE_RETRIES,
     MECHANISM_COS,
+    ask_until,
     default_system_prompt,
     environment_rules,
     run_cos_round,
@@ -135,28 +146,6 @@ def parse_critic_verdict(text: str) -> CriticVerdict:
     )
 
 
-def plan(
-    client: ChatClient,
-    obs: Observation,
-    prev_guess: str | None,
-    *,
-    grid_size: int,
-    system_prompt: str | None = None,
-    max_parse_retries: int = DEFAULT_MAX_PARSE_RETRIES,
-) -> tuple[CosTurn, list[CompletionLog], list[str]]:
-    """One planner round: a chained-guess proposal against the planner model."""
-    return run_cos_round(
-        client,
-        obs,
-        prev_guess,
-        mechanism=MECHANISM_COS,
-        system_prompt=system_prompt or default_system_prompt(MECHANISM_COS, grid_size),
-        grid_size=grid_size,
-        max_parse_retries=max_parse_retries,
-        role="planner",
-    )
-
-
 def critique(
     client: ChatClient,
     obs: Observation,
@@ -164,7 +153,6 @@ def critique(
     *,
     threshold: float,
     grid_size: int,
-    system_prompt: str | None = None,
     max_parse_retries: int = DEFAULT_MAX_PARSE_RETRIES,
 ) -> tuple[CriticVerdict, list[CompletionLog], list[str]]:
     """One critic review of ``proposal``.
@@ -173,36 +161,25 @@ def critique(
     overrule the planner - names a legal alternative. Retries exhausted means
     confidence 1.0 (no intervention), flagged as ``critic-parse-failure``.
     """
-    prompt = build_critic_prompt(
-        obs, proposal, system_prompt or critic_system_prompt(grid_size)
-    )
-    calls: list[CompletionLog] = []
-    flags: list[str] = []
-    for _ in range(max_parse_retries + 1):
-        content, usage = client.complete(prompt)
-        calls.append(
-            CompletionLog(
-                role="critic",
-                model=client.model,
-                messages=list(prompt),
-                response=content,
-                usage=usage,
-            )
-        )
+    legal = legal_actions_from(obs)
+
+    def accept(content: str) -> tuple[CriticVerdict | None, str | None]:
         try:
             verdict = parse_critic_verdict(content)
         except ActionParseError:
-            flags.append("unparseable-verdict")
-            continue
-        if verdict.confidence < threshold:
-            if verdict.alternative is None or not is_action_legal(
-                verdict.alternative, obs
-            ):
-                flags.append("missing-or-illegal-alternative")
-                continue
-        return verdict, calls, flags
-    flags.append("critic-parse-failure")
-    return CriticVerdict(confidence=1.0, alternative=None, rationale=""), calls, flags
+            return None, "unparseable-verdict"
+        if verdict.confidence < threshold and verdict.alternative not in legal:
+            return None, "missing-or-illegal-alternative"
+        return verdict, None
+
+    messages = build_critic_prompt(obs, proposal, critic_system_prompt(grid_size))
+    verdict, calls, flags = ask_until(
+        client, messages, accept, role="critic", max_parse_retries=max_parse_retries
+    )
+    if verdict is None:
+        flags.append("critic-parse-failure")
+        verdict = CriticVerdict(confidence=1.0, alternative=None, rationale="")
+    return verdict, calls, flags
 
 
 class PlannerCriticAgent:
@@ -216,38 +193,35 @@ class PlannerCriticAgent:
         *,
         critic_client: ChatClient | None = None,
         arbitration: ArbitrationConfig | None = None,
-        planner_prompt: str | None = None,
-        critic_prompt: str | None = None,
-        max_parse_retries: int = DEFAULT_MAX_PARSE_RETRIES,
     ):
         self.planner_client = planner_client
         self.critic_client = critic_client or planner_client
         self.grid_size = grid_size
         self.arbitration = arbitration or ArbitrationConfig()
-        self.planner_prompt = planner_prompt
-        self.critic_prompt = critic_prompt
-        self.max_parse_retries = max_parse_retries
+        self.planner_prompt = default_system_prompt(MECHANISM_COS, grid_size)
         self.prev_guess: str | None = None
 
     def decide(self, obs: Observation) -> Decision:
-        turn, planner_calls, flags = plan(
+        turn, planner_calls, flags = run_cos_round(
             self.planner_client,
             obs,
             self.prev_guess,
-            grid_size=self.grid_size,
             system_prompt=self.planner_prompt,
-            max_parse_retries=self.max_parse_retries,
+            grid_size=self.grid_size,
+            role="planner",
         )
         self.prev_guess = turn.guess_raw
-        verdict, critic_calls, critic_flags = critique(
-            self.critic_client,
-            obs,
-            turn.action,
-            threshold=self.arbitration.threshold,
-            grid_size=self.grid_size,
-            system_prompt=self.critic_prompt,
-            max_parse_retries=self.max_parse_retries,
-        )
+        try:
+            verdict, critic_calls, critic_flags = critique(
+                self.critic_client,
+                obs,
+                turn.action,
+                threshold=self.arbitration.threshold,
+                grid_size=self.grid_size,
+            )
+        except EpisodeProtocolFailure as exc:
+            exc.calls = planner_calls + exc.calls
+            raise
         action, provenance = arbitrate(turn.action, verdict, self.arbitration)
         return Decision(
             action=action,

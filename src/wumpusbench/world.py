@@ -76,8 +76,6 @@ class Status(str, Enum):
     PROTOCOL_FAILURE = "protocol_failure"
 
 
-TERMINAL_STATUSES = frozenset(s for s in Status if s is not Status.RUNNING)
-
 START_CELL = Cell(1, 1)
 
 
@@ -182,7 +180,6 @@ class WorldState:
 
 @dataclass(frozen=True)
 class TransitionResult:
-    new_state: WorldState
     reward_delta: int
     percept: Percept
     terminal: bool
@@ -455,7 +452,6 @@ def apply_action(state: WorldState, action: Action) -> TransitionResult:
         state.status = Status.TIMEOUT
 
     return TransitionResult(
-        new_state=state,
         reward_delta=delta,
         percept=percept,
         terminal=state.status is not Status.RUNNING,

@@ -15,6 +15,7 @@ from wumpusbench import (
     MockChatServer,
     MockReply,
     OracleAgent,
+    PlannerCriticAgent,
     Price,
     ReplayMismatchError,
     ScriptedAgent,
@@ -240,6 +241,43 @@ def test_verify_record_detects_tampered_score():
     record.score += 1
     with pytest.raises(ReplayMismatchError):
         verify_record(record)
+
+
+def _kill_and_success_records():
+    # Seed 0 puts the wumpus at (1,3), in line with a shot up from the start.
+    shot = WorldConfig(grid_size=3, num_pits=0, num_wumpus=1, seed=0)
+    killed = run_episode(shot, ScriptedAgent(["<shootup>", "<exit>"]))
+    won = WorldConfig(grid_size=3, num_pits=0, num_wumpus=1, seed=42)
+    success = run_episode(won, oracle_factory(won), agent_kind="oracle")
+    assert (killed.success, killed.wumpus_killed) == (False, True)
+    assert (success.success, success.wumpus_killed) == (True, False)
+    return killed, success
+
+
+@pytest.mark.parametrize("field", ["success", "wumpus_killed"])
+def test_verify_record_detects_tampered_outcome_flags(field):
+    for record in _kill_and_success_records():
+        verify_record(record)
+        tampered = dataclasses.replace(record, **{field: not getattr(record, field)})
+        with pytest.raises(ReplayMismatchError, match=field):
+            verify_record(tampered)
+
+
+def test_endpoint_failure_keeps_the_spend_of_the_failed_round():
+    config = WorldConfig(grid_size=3, num_pits=0, num_wumpus=0, seed=9)
+    planner = 'Analysis: a\nGuess: {"wumpus": [], "pits": []}\nAction: <exit>'
+    # The critic's request finds the script exhausted and gets a 500.
+    with MockChatServer([MockReply(planner, 12, 4)]) as server:
+        agent = PlannerCriticAgent(ChatClient(server.url, "m", max_retries=0), 3)
+        record = run_episode(config, agent, agent_kind="llm")
+    assert record.status == "protocol_failure"
+    assert record.error.startswith("TransportError:")
+    [failed] = record.rounds
+    assert failed.flags == ["protocol-failure"]
+    assert [c.role for c in failed.calls] == ["planner"]
+    assert failed.calls[0].response == planner
+    assert (record.prompt_tokens(), record.completion_tokens()) == (12, 4)
+    verify_record(record)
 
 
 def test_persist_and_replay_round_trip(tmp_path):

@@ -86,7 +86,7 @@ def test_client_rejects_malformed_body():
             self.wfile.write(raw)
 
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), BadHandler)
-    thread = _threading.Thread(target=server.serve_forever, daemon=True)
+    thread = _threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     try:
         url = f"http://127.0.0.1:{server.server_address[1]}/"
@@ -256,6 +256,16 @@ def test_run_cos_round_exhaustion_is_protocol_failure():
                 max_parse_retries=2,
             )
     assert len(excinfo.value.calls) == 3
+
+
+def test_run_cos_round_endpoint_error_keeps_the_calls_made():
+    # The retry after the unparseable reply finds the script exhausted.
+    with MockChatServer([MockReply("no action here", 5, 5)]) as server:
+        client = ChatClient(server.url, "m", max_retries=0)
+        with pytest.raises(EpisodeProtocolFailure) as excinfo:
+            run_cos_round(client, fresh_obs(), None, system_prompt="S", grid_size=3)
+    assert str(excinfo.value).startswith("TransportError: ")
+    assert [c.response for c in excinfo.value.calls] == ["no action here"]
 
 
 def test_llm_agent_propagates_guess_between_rounds():
