@@ -10,21 +10,53 @@ exponential backoff.
 Credentials are never taken from config files: the client reads
 ``WUMPUSBENCH_API_KEY`` (falling back to ``OPENAI_API_KEY``) unless a key is
 passed explicitly.
+
+The environment is read once, when a client is built. A ``requests`` session
+that trusts the environment scans it on every request for proxies, a CA
+bundle and netrc credentials; on a small local call that scan costs more CPU
+than the rest of the post. The client resolves the same settings for its
+endpoint up front, turns the session's own lookup off and passes them with
+each post.
 """
 
 from __future__ import annotations
 
 import os
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
 import requests
+from requests.utils import get_environ_proxies, get_netrc_auth
 
 from .errors import ProtocolError, TransportError
 
 API_KEY_ENV = "WUMPUSBENCH_API_KEY"
 _FALLBACK_KEY_ENV = "OPENAI_API_KEY"
+
+# Sessions whose environment lookup a client turned off: they still trusted
+# the environment, so every later client on them reads it too.
+_ENV_READ_BY_CLIENT: weakref.WeakSet[requests.Session] = weakref.WeakSet()
+
+
+def _environment_settings(session: requests.Session, url: str) -> dict:
+    """The proxies, CA bundle and netrc credentials that ``session`` would
+    read from the environment for each request to ``url``, resolved now; the
+    session stops reading them itself."""
+    if not (session.trust_env or session in _ENV_READ_BY_CLIENT):
+        return {}
+    _ENV_READ_BY_CLIENT.add(session)
+    session.trust_env = False
+    settings = {
+        "proxies": get_environ_proxies(url),
+        "verify": os.environ.get("REQUESTS_CA_BUNDLE")
+        or os.environ.get("CURL_CA_BUNDLE")
+        or None,
+    }
+    if not session.auth:
+        settings["auth"] = get_netrc_auth(url)
+    return settings
 
 
 @dataclass(frozen=True)
@@ -53,7 +85,13 @@ class UsageRecord:
 
 
 class ChatClient:
-    """One model behind one endpoint; safe to share across threads."""
+    """One model behind one endpoint; safe to share across threads.
+
+    The environment (proxies, ``REQUESTS_CA_BUNDLE``/``CURL_CA_BUNDLE``,
+    netrc) is read when the client is built, as a default session would read
+    it for each request, and not again: set it before building the client.
+    A session passed in with ``trust_env = False`` keeps ignoring it.
+    """
 
     def __init__(
         self,
@@ -77,6 +115,7 @@ class ChatClient:
             _FALLBACK_KEY_ENV
         )
         self._session = session or requests.Session()
+        self._settings = _environment_settings(self._session, endpoint)
 
     def complete(self, messages: Sequence[ChatMessage]) -> tuple[str, UsageRecord]:
         """Run one completion; returns the assistant text and its usage."""
@@ -96,7 +135,11 @@ class ChatClient:
             started = time.perf_counter()
             try:
                 response = self._session.post(
-                    self.endpoint, json=payload, headers=headers, timeout=self.timeout
+                    self.endpoint,
+                    json=payload,
+                    headers=headers,
+                    timeout=self.timeout,
+                    **self._settings,
                 )
             except requests.RequestException as exc:
                 last_error = exc

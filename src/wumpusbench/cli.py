@@ -21,7 +21,7 @@ import time
 
 from .agents import ScriptedAgent
 from .chat import ChatClient
-from .errors import SummaryError, WumpusBenchError
+from .errors import WumpusBenchError
 from .harness import (
     EpisodeRecord,
     TrialMatrix,
@@ -145,11 +145,7 @@ def cmd_run(args) -> int:
         write_records(args.out, records)
         print(f"wrote {len(records)} episode records to {args.out}", file=sys.stderr)
     prices = price_table_from_dict(config.get("prices", {}))
-    try:
-        print(summarize(records, prices).format_text())
-    except SummaryError:
-        failures = sum(r.status == "protocol_failure" for r in records)
-        print(f"no completed episodes to summarize ({failures} protocol failures)")
+    print(summarize(records, prices).format_text())
     return 0
 
 

@@ -27,11 +27,15 @@ class ProtocolError(WumpusBenchError):
 
 class EpisodeProtocolFailure(WumpusBenchError):
     """An agent could not produce a usable action; the episode ends as
-    ``protocol_failure`` instead of a game outcome."""
+    ``protocol_failure`` instead of a game outcome. Carries the round's calls
+    and the flags of the replies refused so far."""
 
-    def __init__(self, message: str, calls: list | None = None):
+    def __init__(
+        self, message: str, calls: list | None = None, flags: list[str] | None = None
+    ):
         super().__init__(message)
         self.calls = calls or []
+        self.flags = flags or []
 
 
 class InconsistentPerceptsError(WumpusBenchError):

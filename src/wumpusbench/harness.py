@@ -212,7 +212,8 @@ def run_episode(
     An agent's :class:`EpisodeProtocolFailure` (exhausted parse retries, or a
     transport or protocol error from the endpoint) ends the episode with
     status ``protocol_failure``. The rounds executed so far stay logged, and
-    the failed round is logged with the calls it made.
+    the failed round is logged with the calls it made and the flags of the
+    replies refused in it.
     """
     state = generate_world(config)
     rounds: list[RoundRecord] = []
@@ -233,7 +234,7 @@ def run_episode(
                     action=Action.exit(),
                     provenance="none",
                     reward_delta=0,
-                    flags=["protocol-failure"],
+                    flags=[*exc.flags, "protocol-failure"],
                     calls=list(exc.calls),
                 )
             )

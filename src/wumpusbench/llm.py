@@ -234,7 +234,7 @@ def ask_until(
 
     Returns the result (None if every reply was refused), the calls and the
     refusal flags. An endpoint error becomes :class:`EpisodeProtocolFailure`
-    carrying the calls made so far.
+    carrying the calls and flags so far.
     """
     calls: list[CompletionLog] = []
     flags: list[str] = []
@@ -243,7 +243,7 @@ def ask_until(
             content, usage = client.complete(messages)
         except (TransportError, ProtocolError) as exc:
             raise EpisodeProtocolFailure(
-                f"{type(exc).__name__}: {exc}", calls=calls
+                f"{type(exc).__name__}: {exc}", calls=calls, flags=flags
             ) from exc
         calls.append(
             CompletionLog(
@@ -303,7 +303,9 @@ def run_cos_round(
     )
     if turn is None:
         raise EpisodeProtocolFailure(
-            f"no usable action after {max_parse_retries + 1} completions", calls=calls
+            f"no usable action after {max_parse_retries + 1} completions",
+            calls=calls,
+            flags=flags,
         )
     if turn.malformed_guess:
         flags.append("malformed-guess")

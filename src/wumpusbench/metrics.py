@@ -3,7 +3,9 @@
 Steps are the moves and shots an episode executed; exits do not count toward
 per-step averages. Protocol-failure episodes are excluded from every average
 and rate and reported as a separate count, so model noncompliance never
-masquerades as a game outcome. Reward per step is the per-episode mean of
+masquerades as a game outcome; their spend still counts in the token and cost
+totals, which cover every episode. A log of protocol failures only summarizes
+to zero runs and zero averages. Reward per step is the per-episode mean of
 score over steps (zero-step episodes are skipped). Cost uses a per-1000-token
 price table keyed by model name with a ``default`` fallback; tokens-per-second
 is total completion tokens over total measured latency.
@@ -64,6 +66,10 @@ class MetricsSummary:
     avg_total_tokens: float
     avg_cost_per_step: float
     tps: float  # completion tokens per second of generation latency
+    # Spend over every episode, protocol failures included.
+    total_prompt_tokens: int
+    total_completion_tokens: int
+    total_cost: float
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -83,8 +89,25 @@ class MetricsSummary:
             f"Avg total tokens        {self.avg_total_tokens:.1f}",
             f"Avg cost per step       {self.avg_cost_per_step:.6f}",
             f"TPS (tokens/s)          {self.tps:.2f}",
+            f"Total prompt tokens     {self.total_prompt_tokens}",
+            f"Total completion tokens {self.total_completion_tokens}",
+            f"Total cost              {self.total_cost:.6f}",
         ]
         return "\n".join(lines)
+
+
+def _cost(record: "EpisodeRecord", prices: PriceTable | None) -> float:
+    cost = 0.0
+    for model, prompt_toks, completion_toks in record.usage_by_model():
+        price = _price_for(model, prices)
+        cost += (
+            prompt_toks * price.input_per_1k + completion_toks * price.output_per_1k
+        ) / 1000.0
+    return cost
+
+
+def _per(total: float, count: float) -> float:
+    return total / count if count else 0.0
 
 
 def summarize(
@@ -95,43 +118,34 @@ def summarize(
         raise SummaryError("cannot summarize an empty record set")
     failures = [r for r in records if r.status == "protocol_failure"]
     completed = [r for r in records if r.status != "protocol_failure"]
-    if not completed:
-        raise SummaryError("no completed episodes to summarize")
+    completed_cost = sum(_cost(r, prices) for r in completed)
 
     scores = [r.score for r in completed]
     steps = [r.step_count() for r in completed]
     per_step = [s / k for s, k in zip(scores, steps) if k > 0]
 
     total_steps = sum(steps)
-    total_prompt = sum(r.prompt_tokens() for r in completed)
     total_completion = sum(r.completion_tokens() for r in completed)
-    total_tokens = sum(r.total_tokens() for r in completed)
     total_latency = sum(r.total_latency() for r in completed)
-    total_cost = 0.0
-    for record in completed:
-        for model, prompt_toks, completion_toks in record.usage_by_model():
-            price = _price_for(model, prices)
-            total_cost += (
-                prompt_toks * price.input_per_1k
-                + completion_toks * price.output_per_1k
-            ) / 1000.0
-
     n = len(completed)
     return MetricsSummary(
         runs=n,
         protocol_failures=len(failures),
-        avg_total_reward=statistics.mean(scores),
+        avg_total_reward=statistics.mean(scores) if n else 0.0,
         reward_std=statistics.stdev(scores) if n > 1 else 0.0,
-        avg_steps=statistics.mean(steps),
-        min_steps=min(steps),
-        max_steps=max(steps),
+        avg_steps=statistics.mean(steps) if n else 0.0,
+        min_steps=min(steps, default=0),
+        max_steps=max(steps, default=0),
         avg_reward_per_step=statistics.mean(per_step) if per_step else 0.0,
-        success_rate=100.0 * sum(r.success for r in completed) / n,
-        wumpus_kill_rate=100.0 * sum(r.wumpus_killed for r in completed) / n,
-        avg_latency_per_step=total_latency / total_steps if total_steps else 0.0,
-        avg_prompt_tokens=total_prompt / n,
-        avg_completion_tokens=total_completion / n,
-        avg_total_tokens=total_tokens / n,
-        avg_cost_per_step=total_cost / total_steps if total_steps else 0.0,
-        tps=total_completion / total_latency if total_latency > 0 else 0.0,
+        success_rate=100.0 * _per(sum(r.success for r in completed), n),
+        wumpus_kill_rate=100.0 * _per(sum(r.wumpus_killed for r in completed), n),
+        avg_latency_per_step=_per(total_latency, total_steps),
+        avg_prompt_tokens=_per(sum(r.prompt_tokens() for r in completed), n),
+        avg_completion_tokens=_per(total_completion, n),
+        avg_total_tokens=_per(sum(r.total_tokens() for r in completed), n),
+        avg_cost_per_step=_per(completed_cost, total_steps),
+        tps=_per(total_completion, total_latency),
+        total_prompt_tokens=sum(r.prompt_tokens() for r in records),
+        total_completion_tokens=sum(r.completion_tokens() for r in records),
+        total_cost=completed_cost + sum(_cost(r, prices) for r in failures),
     )

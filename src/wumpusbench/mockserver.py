@@ -5,13 +5,23 @@ script and are dequeued in request order under a lock, each carrying scripted
 usage counts and an optional injected delay so the metrics path can be
 exercised with known numbers. An exhausted script answers with a protocol
 error; malformed requests get a 400. Every accepted request body is kept in
-``requests`` for assertions about prompt content.
+``requests``, and the client address it came from in ``peers``, for
+assertions about prompt content and connection reuse.
+
+The endpoint speaks HTTP/1.1 and keeps connections alive, so a client that
+pools connections pays for one TCP connection and one handler thread, not one
+per call. Nagle's algorithm is off and each response leaves in one write:
+otherwise a small body written after its headers waits for the client's
+delayed ACK, which adds tens of milliseconds to a call. ``stop()`` closes
+every open connection and waits for its handler to exit.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -30,6 +40,42 @@ class MockReply:
         return self.prompt_tokens + self.completion_tokens
 
 
+class _Server(ThreadingHTTPServer):
+    """Threaded HTTP server that knows each open connection's handler thread."""
+
+    def __init__(self, address, handler_class):
+        super().__init__(address, handler_class)
+        self._open: dict[socket.socket, threading.Thread] = {}
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            daemon=True,
+        )
+        with self._open_lock:
+            self._open[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request):
+        with self._open_lock:
+            self._open.pop(request, None)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """Shut every open connection down and wait for its handler to exit."""
+        with self._open_lock:
+            open_now = list(self._open.items())
+        for request, _ in open_now:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:  # the client closed it first
+                pass
+        for _, thread in open_now:
+            thread.join()
+
+
 class MockChatServer:
     """Context-managed scripted endpoint bound to an ephemeral local port."""
 
@@ -39,7 +85,8 @@ class MockChatServer:
         self._queue = deque(script)
         self._lock = threading.Lock()
         self.requests: list[dict] = []
-        self._server = ThreadingHTTPServer(("127.0.0.1", port), self._handler_class())
+        self.peers: list[tuple[str, int]] = []
+        self._server = _Server(("127.0.0.1", port), self._handler_class())
         # A short poll interval bounds how long stop() waits for the loop.
         self._thread = threading.Thread(
             target=self._server.serve_forever, args=(0.05,), daemon=True
@@ -57,6 +104,8 @@ class MockChatServer:
     def stop(self) -> None:
         self._server.shutdown()
         self._server.server_close()
+        self._server.close_connections()
+        self._thread.join()
 
     def __enter__(self) -> "MockChatServer":
         return self.start()
@@ -68,6 +117,12 @@ class MockChatServer:
         server = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            disable_nagle_algorithm = True
+            # Buffer the response: its headers and body leave in one write
+            # when the request is done (up to 64 KiB).
+            wbufsize = 1 << 16
+
             def log_message(self, *args):  # keep test output clean
                 pass
 
@@ -93,12 +148,13 @@ class MockChatServer:
                     return
                 with server._lock:
                     server.requests.append(payload)
+                    server.peers.append(self.client_address)
                     reply = server._queue.popleft() if server._queue else None
                 if reply is None:
                     self._respond(500, {"error": {"message": "mock script exhausted"}})
                     return
                 if reply.delay > 0:
-                    threading.Event().wait(reply.delay)
+                    time.sleep(reply.delay)
                 self._respond(
                     200,
                     {

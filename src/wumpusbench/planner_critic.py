@@ -221,6 +221,7 @@ class PlannerCriticAgent:
             )
         except EpisodeProtocolFailure as exc:
             exc.calls = planner_calls + exc.calls
+            exc.flags = flags + exc.flags
             raise
         action, provenance = arbitrate(turn.action, verdict, self.arbitration)
         return Decision(

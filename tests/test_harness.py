@@ -280,6 +280,41 @@ def test_endpoint_failure_keeps_the_spend_of_the_failed_round():
     verify_record(record)
 
 
+def test_failed_round_keeps_the_flags_of_refused_replies():
+    config = WorldConfig(grid_size=3, num_pits=0, num_wumpus=0, seed=9)
+    # The retry after the reply without an action finds the script exhausted.
+    with MockChatServer([MockReply("Analysis: no idea", 5, 1)]) as server:
+        agent = LlmAgent(ChatClient(server.url, "m", max_retries=0), 3)
+        record = run_episode(config, agent, agent_kind="llm", mechanism="cos")
+    assert record.status == "protocol_failure"
+    [failed] = record.rounds
+    assert failed.flags == ["unparseable-action", "protocol-failure"]
+    assert [c.response for c in failed.calls] == ["Analysis: no idea"]
+    verify_record(record)
+
+
+def test_failed_round_puts_the_planner_flags_first():
+    config = WorldConfig(grid_size=3, num_pits=0, num_wumpus=0, seed=9)
+    planner = "Analysis: a\nGuess: none\nAction: <exit>"  # malformed guess
+    script = [MockReply(planner, 12, 4), MockReply("no verdict", 3, 1)]
+    with MockChatServer(script) as server:
+        agent = PlannerCriticAgent(ChatClient(server.url, "m", max_retries=0), 3)
+        record = run_episode(config, agent, agent_kind="llm")
+    [failed] = record.rounds
+    assert failed.flags == ["malformed-guess", "unparseable-verdict", "protocol-failure"]
+    assert [c.role for c in failed.calls] == ["planner", "critic"]
+
+
+def test_failed_round_after_exhausted_parse_retries_keeps_every_flag():
+    config = WorldConfig(grid_size=3, num_pits=0, num_wumpus=0, seed=9)
+    with MockChatServer([MockReply("nothing", 1, 1)] * 4) as server:
+        agent = LlmAgent(ChatClient(server.url, "m", max_retries=0), 3)
+        record = run_episode(config, agent, agent_kind="llm", mechanism="cos")
+    [failed] = record.rounds
+    assert failed.flags == ["unparseable-action"] * 4 + ["protocol-failure"]
+    assert record.error == "no usable action after 4 completions"
+
+
 def test_persist_and_replay_round_trip(tmp_path):
     config = WorldConfig(grid_size=3, num_pits=0, num_wumpus=1, seed=42)
     record = run_episode(config, oracle_factory(config), agent_kind="oracle")
@@ -363,6 +398,53 @@ def test_summary_excludes_protocol_failures_from_rates():
     assert summary.runs == 1
     assert summary.protocol_failures == 1
     assert summary.success_rate == pytest.approx(100.0)
+
+
+def spend_record(status, prompt_tokens, completion_tokens, steps=1):
+    from wumpusbench import ChatMessage, CompletionLog, RoundRecord, UsageRecord
+
+    call = CompletionLog(
+        role="model",
+        model="m",
+        messages=[ChatMessage("user", "x")],
+        response="y",
+        usage=UsageRecord(
+            prompt_tokens, completion_tokens, prompt_tokens + completion_tokens, 1.0
+        ),
+    )
+    record = make_record(50 - steps, steps, status=status)
+    record.rounds[0].calls.append(call)
+    return record
+
+
+def test_summary_of_only_protocol_failures_reports_their_spend():
+    records = [
+        spend_record("protocol_failure", 100, 10),
+        spend_record("protocol_failure", 300, 30),
+    ]
+    summary = summarize(records, {"m": Price(input_per_1k=1.0, output_per_1k=2.0)})
+    assert (summary.runs, summary.protocol_failures) == (0, 2)
+    assert (summary.total_prompt_tokens, summary.total_completion_tokens) == (400, 40)
+    assert summary.total_cost == pytest.approx((400 * 1.0 + 40 * 2.0) / 1000)
+    assert summary.avg_total_reward == summary.success_rate == summary.tps == 0.0
+    assert (summary.min_steps, summary.max_steps) == (0, 0)
+    text = summary.format_text()
+    assert "Total runs              0" in text
+    assert "Total prompt tokens     400" in text
+
+
+def test_summary_totals_cover_every_episode_and_averages_only_completed():
+    records = [
+        spend_record("success", 1000, 500, steps=2),
+        spend_record("protocol_failure", 200, 0),
+    ]
+    summary = summarize(records, {"m": Price(input_per_1k=1.0, output_per_1k=2.0)})
+    assert (summary.runs, summary.protocol_failures) == (1, 1)
+    assert summary.avg_prompt_tokens == 1000
+    assert summary.avg_cost_per_step == pytest.approx(2.0 / 2)
+    assert (summary.total_prompt_tokens, summary.total_completion_tokens) == (1200, 500)
+    assert summary.total_cost == pytest.approx(2.0 + 0.2)
+    assert summary.to_dict()["total_cost"] == summary.total_cost
 
 
 def test_summary_rejects_empty_input():

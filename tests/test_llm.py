@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import os
+import socket
 import threading
 
 import pytest
+import requests
 
 from helpers import make_world
 from wumpusbench import (
@@ -124,6 +127,141 @@ def test_mock_validates_requests():
         assert bad.status_code == 400
         bad = requests.post(server.url, json={"messages": []})
         assert bad.status_code == 400
+
+
+def test_mock_stop_closes_kept_alive_connections():
+    before = set(threading.enumerate())
+    server = MockChatServer([MockReply("a"), MockReply("b")]).start()
+    client = ChatClient(server.url, "test-model", max_retries=0)
+    client.complete([ChatMessage("user", "hi")])
+    server.stop()
+    assert [t for t in threading.enumerate() if t not in before] == []
+    # The pooled connection is gone with its handler: the second scripted
+    # reply is never served.
+    with pytest.raises(TransportError):
+        client.complete([ChatMessage("user", "hi")])
+    assert len(server.requests) == 1
+
+
+def test_client_reuses_one_connection_to_the_mock():
+    with MockChatServer([MockReply(str(i)) for i in range(5)]) as server:
+        client = ChatClient(server.url, "test-model", max_retries=0)
+        for _ in range(5):
+            client.complete([ChatMessage("user", "hi")])
+    assert len(server.peers) == 5
+    assert len(set(server.peers)) == 1
+
+
+class CountingPostSession(requests.Session):
+    def __init__(self):
+        super().__init__()
+        self.posts = 0
+
+    def post(self, *args, **kwargs):
+        self.posts += 1
+        return super().post(*args, **kwargs)
+
+
+class RecordingSession(requests.Session):
+    """Keeps what would be sent instead of sending it."""
+
+    def send(self, request, **kwargs):
+        self.sent = (request, kwargs)
+        raise requests.ConnectionError("not sent")
+
+
+@pytest.fixture
+def clean_environment(monkeypatch):
+    """No proxy, CA bundle, netrc or API key settings from the outside."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy") or name in (
+            "REQUESTS_CA_BUNDLE",
+            "CURL_CA_BUNDLE",
+            "WUMPUSBENCH_API_KEY",
+            "OPENAI_API_KEY",
+        ):
+            monkeypatch.delenv(name)
+    monkeypatch.setenv("NETRC", os.devnull)
+    return monkeypatch
+
+
+def closed_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def test_client_reads_proxies_from_the_environment_when_built(clean_environment):
+    clean_environment.setenv("HTTP_PROXY", f"http://127.0.0.1:{closed_port()}")
+    with MockChatServer([MockReply("ok")]) as server:
+        session = CountingPostSession()
+        client = ChatClient(
+            server.url, "test-model", max_retries=1, backoff=0.01, session=session
+        )
+        with pytest.raises(TransportError):
+            client.complete([ChatMessage("user", "hi")])
+        assert session.posts == 2  # one per attempt
+        # A second client on the same session reads the environment too.
+        with pytest.raises(TransportError):
+            ChatClient(server.url, "m", max_retries=0, session=session).complete(
+                [ChatMessage("user", "hi")]
+            )
+        assert session.posts == 3
+        assert server.requests == []
+
+        clean_environment.setenv("NO_PROXY", "127.0.0.1")
+        session = CountingPostSession()
+        client = ChatClient(server.url, "test-model", max_retries=0, session=session)
+        assert client.complete([ChatMessage("user", "hi")])[0] == "ok"
+        assert session.posts == 1
+
+
+def test_client_ignores_environment_changes_after_it_is_built(clean_environment):
+    with MockChatServer([MockReply("ok")]) as server:
+        client = ChatClient(server.url, "test-model", max_retries=0)
+        clean_environment.setenv("HTTP_PROXY", f"http://127.0.0.1:{closed_port()}")
+        assert client.complete([ChatMessage("user", "hi")])[0] == "ok"
+
+
+def test_client_keeps_a_session_that_does_not_trust_the_environment(clean_environment):
+    clean_environment.setenv("HTTP_PROXY", f"http://127.0.0.1:{closed_port()}")
+    session = requests.Session()
+    session.trust_env = False
+    with MockChatServer([MockReply("ok")]) as server:
+        client = ChatClient(server.url, "test-model", max_retries=0, session=session)
+        assert client.complete([ChatMessage("user", "hi")])[0] == "ok"
+
+
+def test_client_sends_what_a_default_session_would(clean_environment, tmp_path):
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine api.example login user password secret\n")
+    clean_environment.setenv("NETRC", str(netrc))
+    clean_environment.setenv("HTTPS_PROXY", "http://127.0.0.1:3128")
+    clean_environment.setenv("REQUESTS_CA_BUNDLE", str(tmp_path / "ca.pem"))
+    url = "https://api.example/v1/chat/completions"
+    client_session = RecordingSession()
+    client = ChatClient(url, "m", max_retries=0, timeout=7.0, session=client_session)
+    with pytest.raises(TransportError):
+        client.complete([ChatMessage("user", "hi")])
+    reference = RecordingSession()
+    with pytest.raises(requests.ConnectionError):
+        reference.post(
+            url,
+            json={
+                "model": "m",
+                "messages": [{"role": "user", "content": "hi"}],
+                "temperature": 0.0,
+            },
+            headers={"Content-Type": "application/json"},
+            timeout=7.0,
+        )
+    (sent, sent_kwargs), (expected, expected_kwargs) = client_session.sent, reference.sent
+    assert sent_kwargs == expected_kwargs
+    assert expected_kwargs["proxies"] == {"https": "http://127.0.0.1:3128"}
+    assert expected_kwargs["verify"] == str(tmp_path / "ca.pem")
+    assert sent.headers == expected.headers
+    assert expected.headers["Authorization"].startswith("Basic ")
+    assert sent.body == expected.body
 
 
 # ---------------------------------------------------------------------------
