@@ -28,15 +28,6 @@ class CompletionLog:
     response: str
     usage: UsageRecord
 
-    def to_dict(self) -> dict:
-        return {
-            "role": self.role,
-            "model": self.model,
-            "messages": [m.to_dict() for m in self.messages],
-            "response": self.response,
-            "usage": self.usage.to_dict(),
-        }
-
 
 @dataclass
 class Decision:

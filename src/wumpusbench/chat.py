@@ -75,14 +75,6 @@ class UsageRecord:
     total_tokens: int
     latency: float  # seconds of wall clock around the request
 
-    def to_dict(self) -> dict:
-        return {
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-            "total_tokens": self.total_tokens,
-            "latency": self.latency,
-        }
-
 
 class ChatClient:
     """One model behind one endpoint; safe to share across threads.

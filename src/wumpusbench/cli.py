@@ -53,7 +53,7 @@ def _load_json(path: str) -> dict:
 def _build_matrix(args, config: dict) -> TrialMatrix:
     if args.matrix and args.matrix != "default":
         return matrix_from_dict(_load_json(args.matrix))
-    if "matrix" in config:
+    if args.matrix is None and "matrix" in config:
         return matrix_from_dict(config["matrix"])
     return default_matrix(master_seed=args.seed, step_limit=args.step_limit)
 

@@ -14,13 +14,15 @@ import json
 import random
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cache
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, get_args, get_origin, get_type_hints
 
 from .agents import Agent, CompletionLog
-from .chat import UsageRecord
-from .errors import EpisodeProtocolFailure, LogCorruptionError, ReplayMismatchError
+from .errors import (
+    EpisodeProtocolFailure, LogCorruptionError, ReplayMismatchError, WumpusBenchError
+)
 from .observation import build_observation, observation_to_dict, parse_action
 from .world import (
     Action,
@@ -52,55 +54,6 @@ class RoundRecord:
     guess_raw: str | None = None
     flags: list[str] = field(default_factory=list)
     calls: list[CompletionLog] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "observation": self.observation,
-            "action": self.action.to_text(),
-            "provenance": self.provenance,
-            "reward_delta": self.reward_delta,
-            "analysis": self.analysis,
-            "guess": self.guess,
-            "guess_raw": self.guess_raw,
-            "flags": self.flags,
-            "calls": [c.to_dict() for c in self.calls],
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "RoundRecord":
-        from .chat import ChatMessage
-
-        calls = [
-            CompletionLog(
-                role=c["role"],
-                model=c["model"],
-                messages=[ChatMessage(**m) for m in c["messages"]],
-                response=c["response"],
-                usage=UsageRecord(**c["usage"]),
-            )
-            for c in data.get("calls", [])
-        ]
-        return RoundRecord(
-            index=data["index"],
-            observation=data["observation"],
-            action=parse_action(data["action"]),
-            provenance=data["provenance"],
-            reward_delta=data["reward_delta"],
-            analysis=data.get("analysis"),
-            guess=data.get("guess"),
-            guess_raw=data.get("guess_raw"),
-            flags=list(data.get("flags", [])),
-            calls=calls,
-        )
-
-
-def config_to_dict(config: WorldConfig) -> dict:
-    return dict(config.__dict__)
-
-
-def config_from_dict(data: dict) -> WorldConfig:
-    return WorldConfig(**data)
 
 
 @dataclass
@@ -149,41 +102,24 @@ class EpisodeRecord:
         ]
 
     def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "config": config_to_dict(self.config),
-            "seed": self.seed,
-            "agent_kind": self.agent_kind,
-            "mechanism": self.mechanism,
-            "models": self.models,
-            "condition": self.condition,
-            "status": self.status,
-            "score": self.score,
-            "success": self.success,
-            "wumpus_killed": self.wumpus_killed,
-            "error": self.error,
-            "rounds": [r.to_dict() for r in self.rounds],
-        }
+        """The JSON object :func:`write_records` writes for this record."""
+        return json.loads(_ENCODER.encode(self))
 
     @staticmethod
     def from_dict(data: dict) -> "EpisodeRecord":
-        if data.get("schema") != SCHEMA_VERSION:
+        """Decode one log line's object; the top-level ``seed`` must mirror
+        ``config.seed``."""
+        rest = {**data}
+        schema = rest.pop("schema", None)
+        if schema != SCHEMA_VERSION:
+            raise LogCorruptionError(f"unsupported record schema {schema!r}")
+        seed = rest.pop("seed", None)
+        record = _decoder(EpisodeRecord)(rest)
+        if seed != record.seed:
             raise LogCorruptionError(
-                f"unsupported record schema {data.get('schema')!r}"
+                f"top-level seed {seed!r} != config.seed {record.seed!r}"
             )
-        return EpisodeRecord(
-            config=config_from_dict(data["config"]),
-            agent_kind=data["agent_kind"],
-            mechanism=data.get("mechanism"),
-            models=dict(data.get("models", {})),
-            condition=data.get("condition"),
-            rounds=[RoundRecord.from_dict(r) for r in data["rounds"]],
-            status=data["status"],
-            score=data["score"],
-            success=data["success"],
-            wumpus_killed=data["wumpus_killed"],
-            error=data.get("error"),
-        )
+        return record
 
     def core_fingerprint(self) -> str:
         """Deterministic JSON of everything except wall-clock latencies."""
@@ -368,12 +304,9 @@ def matrix_from_dict(data: dict) -> TrialMatrix:
     ``master_seed`` deterministically."""
     master_seed = int(data.get("master_seed", 0))
     step_limit = int(data.get("step_limit", 50))
+    trials = int(data.get("trials_per_condition", DEFAULT_TRIALS_PER_CONDITION))
     if "conditions" not in data:
-        return default_matrix(
-            master_seed,
-            int(data.get("trials_per_condition", DEFAULT_TRIALS_PER_CONDITION)),
-            step_limit,
-        )
+        return default_matrix(master_seed, trials, step_limit)
     entries = []
     for i, entry in enumerate(data["conditions"]):
         condition = Condition(
@@ -384,7 +317,7 @@ def matrix_from_dict(data: dict) -> TrialMatrix:
         if "seeds" in entry:
             seeds = tuple(int(s) for s in entry["seeds"])
         else:
-            seeds = _draw_seeds(master_seed, i, int(entry.get("trials", 25)))
+            seeds = _draw_seeds(master_seed, i, int(entry.get("trials", trials)))
         entries.append((condition, seeds))
     return TrialMatrix(entries=entries, step_limit=step_limit)
 
@@ -447,6 +380,60 @@ def run_trials(
 # Persistence and replay
 
 
+def _value_decoder(hint) -> Callable | None:
+    """How to rebuild a value annotated ``hint`` (a dataclass or an action,
+    alone or as list items) from its JSON form; None to keep the JSON value."""
+    if hint is Action:
+        # Looked up per call, so a wrapper set on this module's attribute sees it.
+        return lambda text: parse_action(text)
+    if is_dataclass(hint):
+        return _decoder(hint)
+    if get_origin(hint) is list and (item := _value_decoder(get_args(hint)[0])):
+        return lambda values: [item(value) for value in values]
+    return None
+
+
+@cache
+def _decoder(cls: type) -> Callable[[dict], object]:
+    """Rebuild a ``cls`` from its JSON object, nested values by the field
+    annotations, resolved once per class. The constructor rejects an unknown
+    key or a missing required one, and fills in a missing optional one."""
+    hints = get_type_hints(cls)
+    nested = [
+        (f.name, decode)
+        for f in fields(cls)
+        if (decode := _value_decoder(hints[f.name])) is not None
+    ]
+    if not nested:
+        return lambda data: cls(**data)
+
+    def decode(data: dict):
+        kwargs = {**data}
+        for name, decode_value in nested:
+            if name in kwargs:
+                kwargs[name] = decode_value(kwargs[name])
+        return cls(**kwargs)
+
+    return decode
+
+
+def _to_json(obj) -> object:
+    """``json`` hook: an action as its canonical text, any other dataclass as
+    its instance dictionary, which holds exactly its fields; an episode also
+    gets its ``schema`` and ``seed``."""
+    if isinstance(obj, Action):
+        return obj.to_text()
+    if not is_dataclass(obj):
+        raise TypeError(f"{type(obj).__name__} is not part of a record")
+    if isinstance(obj, EpisodeRecord):
+        return {"schema": SCHEMA_VERSION, "seed": obj.seed, **vars(obj)}
+    return vars(obj)
+
+
+# Records are trees, so the encoder skips its reference-cycle bookkeeping.
+_ENCODER = json.JSONEncoder(default=_to_json, check_circular=False)
+
+
 def write_records(
     path: str | Path, records: Iterable[EpisodeRecord], *, append: bool = True
 ) -> None:
@@ -454,10 +441,12 @@ def write_records(
     mode = "a" if append else "w"
     with open(path, mode, encoding="utf-8") as handle:
         for record in records:
-            handle.write(json.dumps(record.to_dict()) + "\n")
+            handle.write(_ENCODER.encode(record) + "\n")
 
 
 def read_records(path: str | Path) -> list[EpisodeRecord]:
+    """Every record in a JSONL log; a line that does not decode raises
+    :class:`LogCorruptionError` naming the file and the line."""
     records = []
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -465,9 +454,25 @@ def read_records(path: str | Path) -> list[EpisodeRecord]:
                 continue
             try:
                 records.append(EpisodeRecord.from_dict(json.loads(line)))
-            except (ValueError, KeyError, TypeError, LogCorruptionError) as exc:
+            except (ValueError, TypeError, WumpusBenchError) as exc:
                 raise LogCorruptionError(f"{path}: line {lineno}: {exc}") from exc
     return records
+
+
+def _replay(
+    record: EpisodeRecord,
+) -> Iterator[tuple[WorldState, RoundRecord | None, dict | None, int]]:
+    """Re-simulate ``record`` from its seed: ``(state, None, None, 0)`` for the
+    fresh world, then ``(state, round, observation before the action, reward)``
+    per executed round, up to a protocol failure. One state steps in place."""
+    state = generate_world(record.config)
+    yield state, None, None, 0
+    for round_record in record.rounds:
+        if "protocol-failure" in round_record.flags:
+            return
+        observation = observation_to_dict(build_observation(state))
+        reward = apply_action(state, round_record.action).reward_delta
+        yield state, round_record, observation, reward
 
 
 def verify_record(record: EpisodeRecord) -> WorldState:
@@ -476,19 +481,16 @@ def verify_record(record: EpisodeRecord) -> WorldState:
     Returns the final state; raises :class:`ReplayMismatchError` on the first
     divergence (wrong observation, reward, score, status, success or kill).
     """
-    state = generate_world(record.config)
-    for round_record in record.rounds:
-        if "protocol-failure" in round_record.flags:
-            break
-        obs = observation_to_dict(build_observation(state))
-        if obs != round_record.observation:
+    for state, round_record, observation, reward in _replay(record):
+        if round_record is None:
+            continue
+        if observation != round_record.observation:
             raise ReplayMismatchError(
                 f"round {round_record.index}: observation diverges from the log"
             )
-        result = apply_action(state, round_record.action)
-        if result.reward_delta != round_record.reward_delta:
+        if reward != round_record.reward_delta:
             raise ReplayMismatchError(
-                f"round {round_record.index}: reward {result.reward_delta} != "
+                f"round {round_record.index}: reward {reward} != "
                 f"logged {round_record.reward_delta}"
             )
     for name, replayed in (
@@ -536,19 +538,20 @@ def render_board(state: WorldState, *, reveal: bool = True) -> str:
 def render_frames(record: EpisodeRecord) -> list[str]:
     """One ASCII frame per round (plus the initial board), re-simulated from
     the seed with hazards revealed."""
-    state = generate_world(record.config)
-    frames = [f"{render_board(state)}\nround 0: start  score {state.score}"]
-    for round_record in record.rounds:
-        if "protocol-failure" in round_record.flags:
-            frames.append(f"round {round_record.index + 1}: protocol failure")
-            break
-        apply_action(state, round_record.action)
+    frames = []
+    for state, round_record, _, _ in _replay(record):
+        if round_record is None:
+            frames.append(f"{render_board(state)}\nround 0: start  score {state.score}")
+            continue
         frames.append(
             f"{render_board(state)}\n"
             f"round {round_record.index + 1}: {round_record.action.to_text()} "
             f"({round_record.provenance})  reward {round_record.reward_delta:+d}  "
             f"score {state.score}  status {state.status.value}"
         )
+    if len(frames) <= len(record.rounds):  # the replay stopped at a protocol failure
+        failed = record.rounds[len(frames) - 1]
+        frames.append(f"round {failed.index + 1}: protocol failure")
     return frames
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -125,3 +126,39 @@ def test_cli_reports_package_errors_cleanly(tmp_path, capsys):
     code = main(["summarize", "--log", str(missing)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_matrix_default_flag_wins_over_the_config_matrix(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "matrix": {
+                    "conditions": [
+                        {"grid_size": 3, "num_pits": 0, "num_wumpus": 1, "seeds": [1, 2]}
+                    ]
+                }
+            }
+        )
+    )
+    out = tmp_path / "episodes.jsonl"
+    args = ["run", "--config", str(config), "--out", str(out), "--quiet"]
+    assert main(args) == 0
+    assert len(read_records(out)) == 2
+    out.unlink()
+    assert main([*args, "--matrix", "default"]) == 0
+    assert len(read_records(out)) == 150
+
+
+V1_LOG = Path(__file__).resolve().parent / "fixtures" / "v1.jsonl"
+
+
+@pytest.mark.parametrize("episode", range(len(V1_LOG.read_text().splitlines())))
+def test_replay_verifies_every_v1_fixture_episode(episode, capsys):
+    assert main(["replay", "--log", str(V1_LOG), "--episode", str(episode)]) == 0
+    assert f"episode {episode}:" in capsys.readouterr().out
+
+
+def test_summarize_reads_the_v1_fixture(capsys):
+    assert main(["summarize", "--log", str(V1_LOG)]) == 0
+    assert "Total runs" in capsys.readouterr().out

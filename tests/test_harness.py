@@ -34,7 +34,7 @@ from wumpusbench import (
     verify_record,
     write_records,
 )
-from wumpusbench.harness import Condition
+from wumpusbench.harness import DEFAULT_TRIALS_PER_CONDITION, Condition
 from wumpusbench.mockserver import script_from_json
 
 
@@ -535,3 +535,20 @@ def test_script_from_json_accepts_both_shapes():
     assert replies[0].content == "a"
     replies = script_from_json([{"content": "b", "delay": 0.5}])
     assert replies[0].delay == 0.5
+
+
+def test_matrix_from_dict_listed_conditions_default_to_the_top_level_trials():
+    matrix = matrix_from_dict(
+        {
+            "trials_per_condition": 4,
+            "conditions": [
+                {"grid_size": 3, "num_pits": 0, "num_wumpus": 1},
+                {"grid_size": 4, "num_pits": 1, "num_wumpus": 1, "trials": 2},
+            ],
+        }
+    )
+    assert [len(seeds) for _, seeds in matrix.entries] == [4, 2]
+    listed = matrix_from_dict(
+        {"conditions": [{"grid_size": 3, "num_pits": 0, "num_wumpus": 1}]}
+    )
+    assert listed.total_trials() == DEFAULT_TRIALS_PER_CONDITION
