@@ -404,8 +404,6 @@ def _decoder(cls: type) -> Callable[[dict], object]:
         for f in fields(cls)
         if (decode := _value_decoder(hints[f.name])) is not None
     ]
-    if not nested:
-        return lambda data: cls(**data)
 
     def decode(data: dict):
         kwargs = {**data}
@@ -460,19 +458,17 @@ def read_records(path: str | Path) -> list[EpisodeRecord]:
 
 
 def _replay(
-    record: EpisodeRecord,
-) -> Iterator[tuple[WorldState, RoundRecord | None, dict | None, int]]:
-    """Re-simulate ``record`` from its seed: ``(state, None, None, 0)`` for the
-    fresh world, then ``(state, round, observation before the action, reward)``
-    per executed round, up to a protocol failure. One state steps in place."""
-    state = generate_world(record.config)
-    yield state, None, None, 0
+    state: WorldState, record: EpisodeRecord
+) -> Iterator[tuple[RoundRecord, dict, int]]:
+    """Step ``state``, fresh from ``record``'s seed, through the record's
+    executed rounds, up to a protocol failure: per round, the round, the
+    observation before its action, and the action's reward."""
     for round_record in record.rounds:
         if "protocol-failure" in round_record.flags:
             return
         observation = observation_to_dict(build_observation(state))
         reward = apply_action(state, round_record.action).reward_delta
-        yield state, round_record, observation, reward
+        yield round_record, observation, reward
 
 
 def verify_record(record: EpisodeRecord) -> WorldState:
@@ -480,10 +476,11 @@ def verify_record(record: EpisodeRecord) -> WorldState:
 
     Returns the final state; raises :class:`ReplayMismatchError` on the first
     divergence (wrong observation, reward, score, status, success or kill).
+    A logged action that is illegal in the replayed world raises
+    :class:`IllegalActionError` before its round's observation is compared.
     """
-    for state, round_record, observation, reward in _replay(record):
-        if round_record is None:
-            continue
+    state = generate_world(record.config)
+    for round_record, observation, reward in _replay(state, record):
         if observation != round_record.observation:
             raise ReplayMismatchError(
                 f"round {round_record.index}: observation diverges from the log"
@@ -538,19 +535,17 @@ def render_board(state: WorldState, *, reveal: bool = True) -> str:
 def render_frames(record: EpisodeRecord) -> list[str]:
     """One ASCII frame per round (plus the initial board), re-simulated from
     the seed with hazards revealed."""
-    frames = []
-    for state, round_record, _, _ in _replay(record):
-        if round_record is None:
-            frames.append(f"{render_board(state)}\nround 0: start  score {state.score}")
-            continue
+    state = generate_world(record.config)
+    frames = [f"{render_board(state)}\nround 0: start  score {state.score}"]
+    for round_record, _, _ in _replay(state, record):
         frames.append(
             f"{render_board(state)}\n"
             f"round {round_record.index + 1}: {round_record.action.to_text()} "
             f"({round_record.provenance})  reward {round_record.reward_delta:+d}  "
             f"score {state.score}  status {state.status.value}"
         )
-    if len(frames) <= len(record.rounds):  # the replay stopped at a protocol failure
-        failed = record.rounds[len(frames) - 1]
+    failed = next((r for r in record.rounds if "protocol-failure" in r.flags), None)
+    if failed is not None:
         frames.append(f"round {failed.index + 1}: protocol failure")
     return frames
 
@@ -562,7 +557,7 @@ def persist_and_replay(
     the replay, and return the reloaded record with its rendered frames."""
     write_records(path, [record])
     reloaded = read_records(path)[-1]
-    if reloaded.to_dict() != record.to_dict():
+    if reloaded != record:
         raise ReplayMismatchError("record changed across the write/read round trip")
     verify_record(reloaded)
     return reloaded, render_frames(reloaded)

@@ -19,9 +19,15 @@ from pathlib import Path
 import pytest
 
 from wumpusbench import (
+    ChatClient,
     LogCorruptionError,
+    MockChatServer,
+    MockReply,
+    PlannerCriticAgent,
+    WorldConfig,
     read_records,
     render_frames,
+    run_episode,
     verify_record,
     write_records,
 )
@@ -58,6 +64,39 @@ def test_every_v1_line_reads_verifies_and_encodes_back_unchanged(tmp_path):
         assert record.to_dict() == json.loads(line)
         assert json.loads(rewritten) == json.loads(line)
         assert len(rewritten) == len(line)
+
+
+def test_played_episode_reads_back_as_the_record_that_was_written(tmp_path):
+    # Dataclass equality compares nested types too, so a message left as a
+    # dict or an action left as text would not read back equal.
+    script = [
+        MockReply("Analysis: thinking about it\nGuess: none", 210, 9),
+        MockReply(
+            "Analysis: start\nGuess: not json\nAction: move to position (2,1)", 230, 14
+        ),
+        MockReply(
+            "Confidence: 0.3\nAlternative: move to position (1,2)\nRationale: safer",
+            180,
+            12,
+        ),
+        MockReply(
+            'Analysis: quiet\nGuess: {"wumpus": [[3, 1]], "pits": [[2, 3]]}\n'
+            "Action: move to position (2,2)",
+            260,
+            21,
+        ),
+        MockReply("Confidence: 0.9\nAlternative: none\nRationale: fine", 190, 8),
+    ]
+    with MockChatServer(script) as server:
+        agent = PlannerCriticAgent(ChatClient(server.url, "m", max_retries=0), 3)
+        record = run_episode(
+            WorldConfig(3, 1, 1, 6), agent, agent_kind="llm", mechanism="planner_critic"
+        )
+    assert [c.role for c in record.rounds[0].calls] == ["planner", "planner", "critic"]
+    assert record.rounds[1].guess is not None
+    path = tmp_path / "played.jsonl"
+    write_records(path, [record])
+    assert read_records(path) == [record]
 
 
 def test_frames_of_v1_episodes_are_unchanged():
