@@ -335,7 +335,12 @@ def run_trials(
     """Run every (condition, seed) episode; failures never abort the batch.
 
     Results come back in matrix order regardless of the degree of
-    parallelism, and each episode gets a fresh agent from the factory.
+    parallelism, and each episode gets a fresh agent from the factory. An
+    episode that raises is logged with no rounds and the error text. A
+    package error (inconsistent percepts, an illegal action, a bad
+    configuration) is the harness failing its own checks, which no model
+    reply can cause, so it gets status ``harness_error``; any other exception
+    is the agent failing to act and gets ``protocol_failure``.
     """
     jobs = matrix.configs()
 
@@ -351,6 +356,11 @@ def run_trials(
                 condition=condition.label,
             )
         except Exception as exc:  # defensive: record, never abort the batch
+            status = (
+                Status.HARNESS_ERROR
+                if isinstance(exc, WumpusBenchError)
+                else Status.PROTOCOL_FAILURE
+            )
             record = EpisodeRecord(
                 config=config,
                 agent_kind=agent_kind,
@@ -358,7 +368,7 @@ def run_trials(
                 models=models or {},
                 condition=condition.label,
                 rounds=[],
-                status=Status.PROTOCOL_FAILURE.value,
+                status=status.value,
                 score=config.base_score,
                 success=False,
                 wumpus_killed=False,
@@ -384,13 +394,23 @@ def _value_decoder(hint) -> Callable | None:
     """How to rebuild a value annotated ``hint`` (a dataclass or an action,
     alone or as list items) from its JSON form; None to keep the JSON value."""
     if hint is Action:
-        # Looked up per call, so a wrapper set on this module's attribute sees it.
-        return lambda text: parse_action(text)
+        return _decode_action
     if is_dataclass(hint):
         return _decoder(hint)
     if get_origin(hint) is list and (item := _value_decoder(get_args(hint)[0])):
         return lambda values: [item(value) for value in values]
     return None
+
+
+def _decode_action(text: str) -> Action:
+    """The action a log wrote as ``text``, which must be its canonical text:
+    :func:`parse_action` also reads free-text replies, and a line it accepts
+    but would write back differently was not written by this codec."""
+    # Looked up per call, so a wrapper set on this module's attribute sees it.
+    action = parse_action(text)
+    if action.to_text() != text:
+        raise LogCorruptionError(f"non-canonical action text {text!r}")
+    return action
 
 
 @cache
@@ -477,7 +497,8 @@ def verify_record(record: EpisodeRecord) -> WorldState:
     Returns the final state; raises :class:`ReplayMismatchError` on the first
     divergence (wrong observation, reward, score, status, success or kill).
     A logged action that is illegal in the replayed world raises
-    :class:`IllegalActionError` before its round's observation is compared.
+    :class:`IllegalActionError` before its round's observation is compared. A
+    ``harness_error`` record never verifies: its replay is left running.
     """
     state = generate_world(record.config)
     for round_record, observation, reward in _replay(state, record):

@@ -1,14 +1,15 @@
 """Aggregate statistics over a set of episode records.
 
 Steps are the moves and shots an episode executed; exits do not count toward
-per-step averages. Protocol-failure episodes are excluded from every average
-and rate and reported as a separate count, so model noncompliance never
-masquerades as a game outcome; their spend still counts in the token and cost
-totals, which cover every episode. A log of protocol failures only summarizes
-to zero runs and zero averages. Reward per step is the per-episode mean of
-score over steps (zero-step episodes are skipped). Cost uses a per-1000-token
-price table keyed by model name with a ``default`` fallback; tokens-per-second
-is total completion tokens over total measured latency.
+per-step averages. Protocol-failure and harness-error episodes are excluded
+from every average and rate and reported as separate counts, so neither model
+noncompliance nor a crash of the harness masquerades as a game outcome; their
+spend still counts in the token and cost totals, which cover every episode. A
+log of such episodes only summarizes to zero runs and zero averages. Reward
+per step is the per-episode mean of score over steps (zero-step episodes are
+skipped). Cost uses a per-1000-token price table keyed by model name with a
+``default`` fallback; tokens-per-second is total completion tokens over total
+measured latency.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ def _price_for(model: str, prices: PriceTable | None) -> Price:
 class MetricsSummary:
     runs: int
     protocol_failures: int
+    harness_errors: int
     avg_total_reward: float
     reward_std: float  # sample (n-1) standard deviation
     avg_steps: float
@@ -78,6 +80,7 @@ class MetricsSummary:
         lines = [
             f"Total runs              {self.runs}",
             f"Protocol failures       {self.protocol_failures}",
+            f"Harness errors          {self.harness_errors}",
             f"Avg total reward        {self.avg_total_reward:.2f} (±{self.reward_std:.2f})",
             f"Avg steps               {self.avg_steps:.2f} (range: {self.min_steps}-{self.max_steps})",
             f"Avg reward per step     {self.avg_reward_per_step:.2f}",
@@ -106,6 +109,10 @@ def _cost(record: "EpisodeRecord", prices: PriceTable | None) -> float:
     return cost
 
 
+# Statuses of episodes that ended without a game outcome.
+_NOT_GAMES = ("protocol_failure", "harness_error")
+
+
 def _per(total: float, count: float) -> float:
     return total / count if count else 0.0
 
@@ -116,8 +123,8 @@ def summarize(
     """Aggregate ``records`` into one summary."""
     if not records:
         raise SummaryError("cannot summarize an empty record set")
-    failures = [r for r in records if r.status == "protocol_failure"]
-    completed = [r for r in records if r.status != "protocol_failure"]
+    not_games = [r for r in records if r.status in _NOT_GAMES]
+    completed = [r for r in records if r.status not in _NOT_GAMES]
     completed_cost = sum(_cost(r, prices) for r in completed)
 
     scores = [r.score for r in completed]
@@ -130,7 +137,8 @@ def summarize(
     n = len(completed)
     return MetricsSummary(
         runs=n,
-        protocol_failures=len(failures),
+        protocol_failures=sum(r.status == "protocol_failure" for r in not_games),
+        harness_errors=sum(r.status == "harness_error" for r in not_games),
         avg_total_reward=statistics.mean(scores) if n else 0.0,
         reward_std=statistics.stdev(scores) if n > 1 else 0.0,
         avg_steps=statistics.mean(steps) if n else 0.0,
@@ -147,5 +155,5 @@ def summarize(
         tps=_per(total_completion, total_latency),
         total_prompt_tokens=sum(r.prompt_tokens() for r in records),
         total_completion_tokens=sum(r.completion_tokens() for r in records),
-        total_cost=completed_cost + sum(_cost(r, prices) for r in failures),
+        total_cost=completed_cost + sum(_cost(r, prices) for r in not_games),
     )

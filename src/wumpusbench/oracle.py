@@ -1,15 +1,19 @@
 """Deterministic logical agent used as a safety oracle and non-LLM baseline.
 
 Inference is exact model counting over every hazard layout consistent with
-the placement rules and the recorded percepts. Pits and the wumpus interact
-only through the rule that the wumpus is not in a pit, so the two sides are
-enumerated separately: the pit sets that explain the breezes, and the wumpus
-cells that explain the stenches and the shots. Their counts are then combined
-exactly, without building the pit-set x wumpus-cell product. A cell is
-*certain* for a hazard when it carries it in every consistent layout,
-*impossible* when in none. The policy is risk-neutral: it only ever enters
-provably safe cells, shoots only a pinpointed wumpus, and exits rather than
-gamble.
+the placement rules and the recorded percepts, without listing the layouts.
+Pits and the wumpus interact only through the rule that the wumpus is not in
+a pit, so the two sides are counted separately and combined exactly: the
+wumpus cells that explain the stenches and the shots, and the pit sets that
+explain the breezes. Pit sets are enumerated over the frontier only, the
+cells next to a breezy record (the "frontier" of AIMA §13.6). No percept
+constrains the other cells that may hold a pit, so they are exchangeable
+apart from being wumpus candidates or not, and the pits left for them are
+counted with binomial coefficients. A round's cost thus follows the size of
+the frontier, not the area of the grid. A cell is *certain* for a hazard
+when it carries it in every consistent layout, *impossible* when in none.
+The policy is risk-neutral: it only ever enters provably safe cells, shoots
+only a pinpointed wumpus, and exits rather than gamble.
 
 Stench records are timestamped against the wumpus being alive: a cell visited
 after a kill shows no stench even next to the corpse, and consistency checking
@@ -20,12 +24,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from types import MappingProxyType
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .agents import Decision
 from .errors import InconsistentPerceptsError
@@ -201,22 +206,34 @@ def _grid(n: int) -> _Grid:
     )
 
 
-def _pit_sets(
+def _frontier_pit_sets(
     kb: KnowledgeBase, grid: _Grid
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Pit sets, as (cell bits, mask), that explain every breeze record."""
+) -> tuple[list[int], list[tuple[tuple[int, ...], int]]]:
+    """Split the cells that may hold a pit into the frontier, next to a breezy
+    record, and the unconstrained rest. Returns the unconstrained cell bits
+    and the frontier pit sets, as (cell bits, mask), that put a pit next to
+    every breeze and leave at most as many pits as there are unconstrained
+    cells; the remaining pits go to any of those cells."""
     pool = grid.hazard_zone
     breezy = []
+    near_breeze = 0
     for cell, record in kb.records.items():
         pool &= ~grid.bit[cell]  # the agent survived this cell
         if record.breeze:
             breezy.append(grid.neighbors[cell])
+            near_breeze |= grid.neighbors[cell]
         else:
             pool &= ~grid.neighbors[cell]
-    for combo in itertools.combinations(grid.members(pool), kb.num_pits):
-        pits = sum(combo)
-        if all(map(pits.__and__, breezy)):  # a pit next to every breeze
-            yield combo, pits
+    frontier, free = [], []
+    for b in grid.members(pool):
+        (frontier if near_breeze & b else free).append(b)
+    pit_sets = []
+    for size in range(max(0, kb.num_pits - len(free)), kb.num_pits + 1):
+        for combo in itertools.combinations(frontier, size):
+            pits = sum(combo)
+            if all(map(pits.__and__, breezy)):  # a pit next to every breeze
+                pit_sets.append((combo, pits))
+    return free, pit_sets
 
 
 def _wumpus_cells(kb: KnowledgeBase, grid: _Grid) -> list[int | None]:
@@ -246,31 +263,68 @@ def consistent_layouts(kb: KnowledgeBase) -> list[tuple[frozenset[Cell], Cell | 
     grid = _grid(kb.grid_size)
     cell_of = {b: c for c, b in grid.bit.items()}
     wumpus_cells = _wumpus_cells(kb, grid)
-    return [
-        (frozenset(cell_of[b] for b in combo), None if w is None else cell_of[w])
-        for combo, pits in _pit_sets(kb, grid)
-        for w in wumpus_cells
-        if w is None or not pits & w
-    ]
+    free, frontier_sets = _frontier_pit_sets(kb, grid)
+    layouts = []
+    for combo, frontier_pits in frontier_sets:
+        for rest in itertools.combinations(free, kb.num_pits - len(combo)):
+            pits = frontier_pits | sum(rest)
+            pit_cells = frozenset(cell_of[b] for b in (*combo, *rest))
+            layouts += [
+                (pit_cells, None if w is None else cell_of[w])
+                for w in wumpus_cells
+                if w is None or not pits & w
+            ]
+    return layouts
+
+
+def _choose(n: int, k: int) -> int:
+    return math.comb(n, k) if 0 <= k <= n else 0
 
 
 def hazard_counts(kb: KnowledgeBase) -> HazardCounts:
     """Exact per-cell counts over :func:`consistent_layouts`, without listing
-    them: a pit set ``P`` completes one layout with each wumpus candidate
-    outside ``P``, and the wumpus in ``w`` with each pit set not holding ``w``."""
+    them.
+
+    A pit set ``P`` completes one layout with each wumpus candidate outside
+    ``P``, and the wumpus in ``w`` with each pit set not holding ``w``. Each
+    frontier pit set ``P_F`` stands for the ``C(u, m)`` pit sets that add
+    ``m`` pits among the ``u`` unconstrained cells. Those cells are
+    exchangeable apart from being wumpus candidates or not, so their share
+    is counted in closed form: with ``base`` the wumpus candidates outside
+    ``P_F`` and ``w_u`` those among the unconstrained cells, ``P_F`` gives
+    ``C(u, m)·base - w_u·C(u-1, m-1)`` layouts, and an unconstrained cell
+    has a pit in ``C(u-1, m-1)·base - w_u·C(u-2, m-2)`` of them, or in
+    ``C(u-1, m-1)·(base-1) - (w_u-1)·C(u-2, m-2)`` when it is a wumpus
+    candidate itself.
+    """
     grid = _grid(kb.grid_size)
     wumpus_cells = _wumpus_cells(kb, grid)
     wumpus_mask = sum(w for w in wumpus_cells if w is not None)
+    free, frontier_sets = _frontier_pit_sets(kb, grid)
+    u = len(free)
+    w_u = (sum(free) & wumpus_mask).bit_count()
     pit = dict.fromkeys(grid.bit.values(), 0)
     holding = dict.fromkeys(grid.bit.values(), 0)  # pit sets with a pit in each cell
     total = num_sets = 0
-    for combo, pits in _pit_sets(kb, grid):
-        layouts = len(wumpus_cells) - (pits & wumpus_mask).bit_count()
+    # Per unconstrained cell, the same for each one apart from wumpus candidacy.
+    free_pit = free_wumpus_pit = free_holding = 0
+    for combo, pits in frontier_sets:
+        m = kb.num_pits - len(combo)  # pits left for the unconstrained cells
+        sets = _choose(u, m)
+        with_one, with_two = _choose(u - 1, m - 1), _choose(u - 2, m - 2)
+        base = len(wumpus_cells) - (pits & wumpus_mask).bit_count()
+        layouts = sets * base - w_u * with_one
         total += layouts
-        num_sets += 1
+        num_sets += sets
         for b in combo:
             pit[b] += layouts
-            holding[b] += 1
+            holding[b] += sets
+        free_pit += with_one * base - w_u * with_two
+        free_wumpus_pit += with_one * (base - 1) - (w_u - 1) * with_two
+        free_holding += with_one
+    for b in free:
+        pit[b] = free_wumpus_pit if wumpus_mask & b else free_pit
+        holding[b] = free_holding
     return HazardCounts(
         total=total,
         pit={c: pit[b] for c, b in grid.bit.items()},

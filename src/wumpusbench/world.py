@@ -74,6 +74,7 @@ class Status(str, Enum):
     EXITED = "exited"
     TIMEOUT = "timeout"
     PROTOCOL_FAILURE = "protocol_failure"
+    HARNESS_ERROR = "harness_error"
 
 
 START_CELL = Cell(1, 1)

@@ -130,3 +130,81 @@ def make_world(
         Cell(*wumpus) if wumpus else None,
         Cell(*gold),
     )
+
+
+def pit_pool_split(
+    n: int, records: dict[tuple[int, int], tuple[bool, bool, bool]]
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """(frontier, unconstrained): the cells that may hold a pit under
+    ``records``, split by whether they are next to a breezy record."""
+    cells = [(x, y) for y in range(1, n + 1) for x in range(1, n + 1)]
+    start_zone = {(1, 1)} | set(brute_adjacent((1, 1), n))
+    excluded = start_zone | set(records)
+    near_breeze = set()
+    for cell, (breeze, _, _) in records.items():
+        (near_breeze if breeze else excluded).update(brute_adjacent(cell, n))
+    pool = [c for c in cells if c not in excluded]
+    frontier = [c for c in pool if c in near_breeze]
+    return frontier, [c for c in pool if c not in near_breeze]
+
+
+def reference_hazard_counts(
+    n: int,
+    num_pits: int,
+    num_wumpus: int,
+    records: dict[tuple[int, int], tuple[bool, bool, bool]],
+    shots: list[tuple[tuple[int, int], str, bool]],
+) -> tuple[int, dict, dict]:
+    """(total, pit counts, wumpus counts per cell) over every layout that
+    explains ``records`` and ``shots`` (in :func:`layout_explains` form).
+
+    Unfactored: it goes through every ``num_pits``-subset of the pit pool,
+    frontier and unconstrained cells alike, and keeps those with a pit next
+    to every breeze. Pits and the wumpus interact only through the wumpus not
+    sitting in a pit, so a pit set ``P`` completes one layout with each
+    wumpus cell outside ``P``.
+    """
+    cells = [(x, y) for y in range(1, n + 1) for x in range(1, n + 1)]
+    start_zone = {(1, 1)} | set(brute_adjacent((1, 1), n))
+    frontier, unconstrained = pit_pool_split(n, records)
+    breezy = [
+        set(brute_adjacent(c, n)) for c, (breeze, _, _) in records.items() if breeze
+    ]
+    # bit i of covers[c]: a pit in c explains breezy record i
+    covers = {
+        c: sum(1 << i for i, near in enumerate(breezy) if c in near)
+        for c in frontier + unconstrained
+    }
+    every_breeze = (1 << len(breezy)) - 1
+
+    def explains_wumpus(w) -> bool:
+        for cell, (_, stench, alive) in records.items():
+            if alive and cell == w:
+                return False
+            if brute_percepts(cell, n, set(), w, alive, None)[1] != stench:
+                return False
+        return all(
+            scream == (w in brute_trajectory(origin, direction, n))
+            for origin, direction, scream in shots
+        )
+
+    options = [c for c in cells if c not in start_zone] if num_wumpus else [None]
+    wumpus_cells = {w for w in options if explains_wumpus(w)}
+
+    total = num_sets = 0
+    pit = dict.fromkeys(cells, 0)
+    holding = dict.fromkeys(cells, 0)
+    for pits in itertools.combinations(frontier + unconstrained, num_pits):
+        covered = 0
+        for p in pits:
+            covered |= covers[p]
+        if covered != every_breeze:
+            continue
+        layouts = len(wumpus_cells) - sum(p in wumpus_cells for p in pits)
+        total += layouts
+        num_sets += 1
+        for p in pits:
+            pit[p] += layouts
+            holding[p] += 1
+    wumpus = {c: num_sets - holding[c] if c in wumpus_cells else 0 for c in cells}
+    return total, pit, wumpus

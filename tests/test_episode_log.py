@@ -25,6 +25,7 @@ from wumpusbench import (
     MockReply,
     PlannerCriticAgent,
     WorldConfig,
+    parse_action,
     read_records,
     render_frames,
     run_episode,
@@ -140,6 +141,22 @@ def test_undecodable_line_is_named_as_log_corruption(tmp_path, path, value, mess
     bad = tmp_path / "bad.jsonl"
     bad.write_text(f"{lines[0]}\n{json.dumps(data)}\n", encoding="utf-8")
     with pytest.raises(LogCorruptionError, match=rf"bad\.jsonl: line 2: .*{message}"):
+        read_records(bad)
+
+
+def test_non_canonical_action_text_is_log_corruption(tmp_path):
+    # The reply parser reads this as a shot up, which the log would write
+    # back as "<shootup>": a different line, so not one the log wrote.
+    text = "I will not <exit> but <shootup>"
+    assert parse_action(text).to_text() == "<shootup>"
+    lines = v1_lines()
+    data = json.loads(lines[1])
+    data["rounds"][0]["action"] = text
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(f"{lines[0]}\n{json.dumps(data)}\n", encoding="utf-8")
+    with pytest.raises(
+        LogCorruptionError, match=r"bad\.jsonl: line 2: non-canonical action text"
+    ):
         read_records(bad)
 
 

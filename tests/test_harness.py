@@ -194,6 +194,34 @@ def test_run_trials_records_agent_crashes_without_aborting():
     assert all("boom" in r.error for r in records)
 
 
+def test_run_trials_logs_an_inference_crash_as_a_harness_error(tmp_path):
+    # Told there are no pits, the oracle cannot explain the breeze it meets
+    # on seed 1 and raises InconsistentPerceptsError; on seed 0 it meets none
+    # and wins. The crash is a check of the package failing, not the agent
+    # failing to act, so it is neither a game nor a protocol failure.
+    condition = {"grid_size": 4, "num_pits": 1, "num_wumpus": 1, "seeds": [0, 1]}
+    won, crashed = run_trials(
+        matrix_from_dict({"conditions": [condition]}),
+        lambda cfg: OracleAgent(cfg.grid_size, 0, 1),
+        agent_kind="oracle",
+    )
+    assert won.status == "success"
+    assert crashed.status == "harness_error" and crashed.rounds == []
+    assert crashed.error.startswith("wumpusbench.errors.InconsistentPerceptsError")
+    path = tmp_path / "log.jsonl"
+    write_records(path, [won, crashed])
+    assert read_records(path) == [won, crashed]
+    verify_record(won)
+    with pytest.raises(ReplayMismatchError, match="harness_error"):
+        verify_record(crashed)
+    summary = summarize([won, crashed])
+    assert summary.runs == summary.harness_errors == 1
+    assert summary.protocol_failures == 0
+    assert summary.success_rate == 100.0
+    assert summary.avg_total_reward == won.score
+    assert "Harness errors          1" in summary.format_text()
+
+
 # ---------------------------------------------------------------------------
 # Persistence and replay
 
