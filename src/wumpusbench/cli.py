@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``run`` - execute a trial matrix with an oracle, model-driven or scripted
-  agent and append episode records to a JSONL log.
+  agent and append each episode's record to a JSONL log as it finishes.
 * ``replay`` - re-simulate one logged episode and print its board frames.
 * ``summarize`` - aggregate a log into the metrics table.
 * ``mock-serve`` - serve a scripted chat endpoint for offline runs.
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import threading
 import time
 
 from .agents import ScriptedAgent
@@ -122,15 +123,22 @@ def cmd_run(args) -> int:
     factory, mechanism, models = _agent_factory(args, config)
     total = matrix.total_trials()
     done = 0
+    lock = threading.Lock()
 
-    def progress(record: EpisodeRecord) -> None:
+    def on_episode(record: EpisodeRecord) -> None:
+        # Each record is appended as soon as its episode ends, so a crash or an
+        # interrupt keeps every finished one. Workers are threads, hence the lock.
         nonlocal done
-        done += 1
-        print(
-            f"[{done}/{total}] {record.condition} seed={record.seed} "
-            f"status={record.status} score={record.score}",
-            file=sys.stderr,
-        )
+        with lock:
+            done += 1
+            if args.out:
+                write_records(args.out, [record])
+            if not args.quiet:
+                print(
+                    f"[{done}/{total}] {record.condition} seed={record.seed} "
+                    f"status={record.status} score={record.score}",
+                    file=sys.stderr,
+                )
 
     records = run_trials(
         matrix,
@@ -139,10 +147,9 @@ def cmd_run(args) -> int:
         mechanism=mechanism,
         models=models,
         parallelism=args.parallelism,
-        on_episode=progress if not args.quiet else None,
+        on_episode=on_episode,
     )
     if args.out:
-        write_records(args.out, records)
         print(f"wrote {len(records)} episode records to {args.out}", file=sys.stderr)
     prices = price_table_from_dict(config.get("prices", {}))
     print(summarize(records, prices).format_text())

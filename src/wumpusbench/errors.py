@@ -5,7 +5,7 @@ class WumpusBenchError(Exception):
     """Base class for all package errors."""
 
 
-class ConfigurationError(WumpusBenchError):
+class ConfigurationError(WumpusBenchError, ValueError):
     """Invalid world or run configuration (e.g. infeasible hazard placement)."""
 
 

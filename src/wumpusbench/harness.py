@@ -17,11 +17,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cache
 from pathlib import Path
+from types import NoneType, UnionType
 from typing import Callable, Iterable, Iterator, get_args, get_origin, get_type_hints
 
 from .agents import Agent, CompletionLog
 from .errors import (
-    EpisodeProtocolFailure, LogCorruptionError, ReplayMismatchError, WumpusBenchError
+    ConfigurationError, EpisodeProtocolFailure, LogCorruptionError, ReplayMismatchError,
+    WumpusBenchError,
 )
 from .observation import build_observation, observation_to_dict, parse_action
 from .world import (
@@ -248,9 +250,11 @@ class TrialMatrix:
     step_limit: int = 50
 
     def __post_init__(self):
-        for condition, seeds in self.entries:
+        for i, (condition, seeds) in enumerate(self.entries):
             if len(set(seeds)) != len(seeds):
-                raise ValueError(f"duplicate seeds in condition {condition.label}")
+                raise ConfigurationError(
+                    f"condition {i} ({condition.label}) has duplicate seeds"
+                )
 
     def configs(self) -> list[tuple[Condition, WorldConfig]]:
         out = []
@@ -301,7 +305,8 @@ def default_matrix(
 
 def matrix_from_dict(data: dict) -> TrialMatrix:
     """Load a matrix from config JSON; omitted seeds are drawn from
-    ``master_seed`` deterministically."""
+    ``master_seed`` deterministically. A condition with a missing or malformed
+    field raises :class:`ConfigurationError` naming its index."""
     master_seed = int(data.get("master_seed", 0))
     step_limit = int(data.get("step_limit", 50))
     trials = int(data.get("trials_per_condition", DEFAULT_TRIALS_PER_CONDITION))
@@ -309,15 +314,21 @@ def matrix_from_dict(data: dict) -> TrialMatrix:
         return default_matrix(master_seed, trials, step_limit)
     entries = []
     for i, entry in enumerate(data["conditions"]):
-        condition = Condition(
-            grid_size=int(entry["grid_size"]),
-            num_pits=int(entry["num_pits"]),
-            num_wumpus=int(entry["num_wumpus"]),
-        )
-        if "seeds" in entry:
-            seeds = tuple(int(s) for s in entry["seeds"])
-        else:
-            seeds = _draw_seeds(master_seed, i, int(entry.get("trials", trials)))
+        try:
+            condition = Condition(
+                grid_size=int(entry["grid_size"]),
+                num_pits=int(entry["num_pits"]),
+                num_wumpus=int(entry["num_wumpus"]),
+            )
+            if "seeds" in entry:
+                seeds = tuple(int(s) for s in entry["seeds"])
+            else:
+                seeds = _draw_seeds(master_seed, i, int(entry.get("trials", trials)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"condition {i}: missing or malformed field "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
         entries.append((condition, seeds))
     return TrialMatrix(entries=entries, step_limit=step_limit)
 
@@ -413,12 +424,31 @@ def _decode_action(text: str) -> Action:
     return action
 
 
+_SCALARS = (bool, int, float, str, NoneType)
+
+
+def _scalar_types(hint) -> tuple[type, ...] | None:
+    """The JSON value types a field annotated ``hint`` accepts, if it is a
+    scalar (``int``, ``bool``, ``str`` or ``float``, alone or ``| None``):
+    a bool is not an int, and an int is a float."""
+    types = get_args(hint) if isinstance(hint, UnionType) else (hint,)
+    if not all(t in _SCALARS for t in types):
+        return None
+    return (*types, int) if float in types else types
+
+
 @cache
 def _decoder(cls: type) -> Callable[[dict], object]:
     """Rebuild a ``cls`` from its JSON object, nested values by the field
-    annotations, resolved once per class. The constructor rejects an unknown
-    key or a missing required one, and fills in a missing optional one."""
+    annotations, resolved once per class. A scalar of the wrong type raises
+    :class:`LogCorruptionError`. The constructor rejects an unknown key or a
+    missing required one, and fills in a missing optional one."""
     hints = get_type_hints(cls)
+    scalars = [
+        (f.name, types, getattr(hint, "__name__", str(hint)))
+        for f in fields(cls)
+        if (types := _scalar_types(hint := hints[f.name])) is not None
+    ]
     nested = [
         (f.name, decode)
         for f in fields(cls)
@@ -427,6 +457,11 @@ def _decoder(cls: type) -> Callable[[dict], object]:
 
     def decode(data: dict):
         kwargs = {**data}
+        for name, types, label in scalars:
+            if name in kwargs and type(kwargs[name]) not in types:
+                raise LogCorruptionError(
+                    f"{cls.__name__}.{name} must be {label}, not {kwargs[name]!r}"
+                )
         for name, decode_value in nested:
             if name in kwargs:
                 kwargs[name] = decode_value(kwargs[name])
@@ -531,13 +566,12 @@ def render_board(state: WorldState, *, reveal: bool = True) -> str:
     """ASCII board: A agent, P pit, W/w live/dead wumpus, G gold, . explored,
     ? unexplored."""
     n = state.config.grid_size
-    explored = set(state.explored)
     lines = []
     for y in range(n, 0, -1):
         row = []
         for x in range(1, n + 1):
             cell = Cell(x, y)
-            symbol = "." if cell in explored else "?"
+            symbol = "." if cell in state.percept_log else "?"
             if reveal:
                 if cell == state.gold_cell:
                     symbol = "G"

@@ -100,8 +100,7 @@ def build_observation(state: WorldState) -> Observation:
     appears in both lists.
     """
     quiet, breeze, stench = [], [], []
-    for cell in state.explored:
-        percept = state.percept_log[cell]
+    for cell, percept in state.percept_log.items():
         if percept.breeze:
             breeze.append(cell)
         if percept.stench:

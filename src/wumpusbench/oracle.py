@@ -37,7 +37,6 @@ from .errors import InconsistentPerceptsError
 from .observation import Observation
 from .world import (
     Action,
-    ActionKind,
     Cell,
     Direction,
     Percept,
@@ -393,26 +392,25 @@ def oracle_policy(kb: KnowledgeBase, obs: Observation) -> Action:
 
 class OracleAgent:
     """Harness-facing wrapper: feeds observations into the knowledge base and
-    plays :func:`oracle_policy`. One instance per episode."""
+    plays :func:`oracle_policy`. One instance per episode. The shot is read
+    from the observation's arrow status, fired from the current position: a
+    shot does not move the agent, and the next round's decide follows it."""
 
     def __init__(self, grid_size: int, num_pits: int, num_wumpus: int):
         # Candidates are derived by the first decide, which records a percept.
         self.kb = KnowledgeBase(grid_size, num_pits, num_wumpus)
-        self._pending_shot: tuple[Cell, Direction] | None = None
 
     def decide(self, obs: Observation) -> Decision:
         # This round's scream, shot outcome and percept go into the knowledge
         # base together, so inference runs once per round.
         kb = self.kb
-        scream = obs.arrow_status.scream_heard
-        dead = kb.wumpus_known_dead or scream
+        arrow = obs.arrow_status
+        dead = kb.wumpus_known_dead or arrow.scream_heard
         shots = kb.shots
-        if self._pending_shot is not None:
-            origin, direction = self._pending_shot
-            shots = [*shots, ShotRecord(origin, direction, scream)]
-            self._pending_shot = None
-        records = kb.records
         pos = obs.current_position
+        if arrow.direction is not None and not shots:
+            shots = [ShotRecord(pos, arrow.direction, arrow.scream_heard)]
+        records = kb.records
         if pos not in records:
             records = {
                 **records,
@@ -424,10 +422,7 @@ class OracleAgent:
             }
         self.kb = replace(kb, records=records, shots=shots, wumpus_known_dead=dead)
         _recompute(self.kb)
-        action = oracle_policy(self.kb, obs)
-        if action.kind is ActionKind.SHOOT:
-            self._pending_shot = (pos, action.direction)
-        return Decision(action=action, provenance="oracle")
+        return Decision(action=oracle_policy(self.kb, obs), provenance="oracle")
 
 
 def full_info_solvable(world: WorldState) -> bool:

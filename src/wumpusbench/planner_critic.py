@@ -109,7 +109,7 @@ def build_critic_prompt(
 
 
 _CONFIDENCE_RE = re.compile(
-    r"confidence\s*[:=]?\s*([01](?:\.\d+)?|\.\d+)", re.IGNORECASE
+    r"confidence\s*[:=]?\s*(\d+(?:[.,]\d+)?|\.\d+)([ \t]*%)?", re.IGNORECASE
 )
 _ALTERNATIVE_RE = re.compile(
     r"alternative\s*[:=]\s*(.*?)(?=^\s*(?:confidence|rationale)\s*[:=]|\Z)",
@@ -118,12 +118,16 @@ _ALTERNATIVE_RE = re.compile(
 
 
 def parse_critic_verdict(text: str) -> CriticVerdict:
-    """Parse a critic reply; raises :class:`ActionParseError` when no
-    in-range confidence can be found."""
+    """Parse a critic reply; the last confidence stated wins. Raises
+    :class:`ActionParseError` when there is none, or when it is a percentage,
+    has a decimal comma or lies outside [0, 1]."""
     matches = list(_CONFIDENCE_RE.finditer(text))
     if not matches:
         raise ActionParseError(f"no confidence score in: {text!r:.200}")
-    confidence = float(matches[-1].group(1))
+    number, percent = matches[-1].groups()
+    if percent or "," in number:
+        raise ActionParseError(f"{matches[-1].group(0)!r} is not a decimal number")
+    confidence = float(number)
     if not 0.0 <= confidence <= 1.0:
         raise ActionParseError(f"confidence {confidence} outside [0, 1]")
 

@@ -22,6 +22,9 @@ it, so nothing recomputes or re-sorts neighbors per call. One predicate,
 :func:`_on_frontier`, decides whether a cell is a legal move target; the
 frontier listed in observations and the legality check in :func:`apply_action`
 both use it.
+
+:class:`WorldState` stores the layout, the percept log, the arrow report, the
+status and the reward ledger; its other attributes are read-only views of them.
 """
 
 from __future__ import annotations
@@ -161,22 +164,42 @@ class ArrowReport:
 
 @dataclass
 class WorldState:
-    """Full hidden state of one episode. Owned by exactly one episode runner."""
+    """Full hidden state of one episode, owned by one episode runner. Only the
+    eight fields are stored; the six properties are read-only views of them."""
 
     config: WorldConfig
     pit_cells: frozenset[Cell]
     wumpus_cell: Cell | None
-    wumpus_alive: bool
     gold_cell: Cell | None
-    agent_cell: Cell
-    explored: list[Cell]
-    percept_log: dict[Cell, Percept]
-    arrow_available: bool
+    percept_log: dict[Cell, Percept]  # in visit order; the last is the agent's
     arrow_report: ArrowReport | None
-    steps_taken: int
-    score: int
     status: Status
     reward_ledger: list[int] = field(default_factory=list)
+
+    @property
+    def explored(self) -> list[Cell]:
+        return list(self.percept_log)
+
+    @property
+    def agent_cell(self) -> Cell:
+        return next(reversed(self.percept_log))
+
+    @property
+    def steps_taken(self) -> int:
+        return len(self.reward_ledger)
+
+    @property
+    def score(self) -> int:
+        return episode_score(self.reward_ledger, self.config.base_score)
+
+    @property
+    def arrow_available(self) -> bool:
+        return self.arrow_report is None
+
+    @property
+    def wumpus_alive(self) -> bool:
+        report = self.arrow_report
+        return self.wumpus_cell is not None and not (report and report.scream)
 
 
 @dataclass(frozen=True)
@@ -313,17 +336,10 @@ def world_from_layout(
         config=config,
         pit_cells=pit_set,
         wumpus_cell=wumpus,
-        wumpus_alive=wumpus is not None,
         gold_cell=gold,
-        agent_cell=START_CELL,
-        explored=[START_CELL],
         percept_log={},
-        arrow_available=True,
         arrow_report=None,
-        steps_taken=0,
-        score=config.base_score,
         status=Status.RUNNING,
-        reward_ledger=[],
     )
     state.percept_log[START_CELL] = percepts_at(state, START_CELL)
     return state
@@ -352,7 +368,7 @@ def _on_frontier(cell: Cell, explored: AbstractSet[Cell], geo: Geometry) -> bool
 def frontier(state: WorldState) -> list[Cell]:
     """Unexplored cells adjacent to at least one explored cell, (y, x)-sorted."""
     geo = geometry(state.config.grid_size)
-    explored = set(state.explored)
+    explored = state.percept_log.keys()
     return [c for c in geo.cells if _on_frontier(c, explored, geo)]
 
 
@@ -400,14 +416,11 @@ def apply_action(state: WorldState, action: Action) -> TransitionResult:
         target = action.target
         if target is None or not in_grid(target, n):
             raise IllegalActionError(f"move target {target} outside the {n}x{n} grid")
-        if not _on_frontier(target, set(state.explored), geometry(n)):
+        if not _on_frontier(target, state.percept_log.keys(), geometry(n)):
             raise IllegalActionError(
                 f"move target {tuple(target)} is not an unexplored cell adjacent "
                 "to explored territory"
             )
-        state.steps_taken += 1
-        state.explored.append(target)
-        state.agent_cell = target
         percept = percepts_at(state, target)
         state.percept_log[target] = percept
         delta = cfg.move_penalty
@@ -427,19 +440,13 @@ def apply_action(state: WorldState, action: Action) -> TransitionResult:
             raise IllegalActionError("the arrow has already been fired")
         if action.direction is None:
             raise IllegalActionError("shoot requires a direction")
-        state.steps_taken += 1
-        state.arrow_available = False
         trajectory = shoot_trajectory(state.agent_cell, action.direction, n)
         scream = state.wumpus_alive and state.wumpus_cell in trajectory
-        delta = 0
-        if scream:
-            state.wumpus_alive = False
-            delta += cfg.kill_bonus
+        delta = cfg.kill_bonus if scream else 0
         state.arrow_report = ArrowReport(direction=action.direction, scream=scream)
         percept = replace(percepts_at(state, state.agent_cell), scream=scream)
 
     elif action.kind is ActionKind.EXIT:
-        state.steps_taken += 1
         delta = 0
         state.status = Status.EXITED
         percept = percepts_at(state, state.agent_cell)
@@ -448,7 +455,6 @@ def apply_action(state: WorldState, action: Action) -> TransitionResult:
         raise IllegalActionError(f"unknown action kind {action.kind}")
 
     state.reward_ledger.append(delta)
-    state.score += delta
     if state.status is Status.RUNNING and state.steps_taken >= cfg.step_limit:
         state.status = Status.TIMEOUT
 

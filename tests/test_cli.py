@@ -1,11 +1,21 @@
 from __future__ import annotations
 
 import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-from wumpusbench import MockChatServer, MockReply, read_records
+from wumpusbench import (
+    MockChatServer,
+    MockReply,
+    OracleAgent,
+    cli,
+    matrix_from_dict,
+    read_records,
+    verify_record,
+)
 from wumpusbench.cli import main
 
 
@@ -126,6 +136,84 @@ def test_cli_reports_package_errors_cleanly(tmp_path, capsys):
     code = main(["summarize", "--log", str(missing)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_run_keeps_the_finished_episodes_of_an_interrupted_run(
+    tiny_matrix, tmp_path, monkeypatch
+):
+    started = 0
+
+    def interrupted_after_two(*args):
+        nonlocal started
+        started += 1
+        if started == 3:
+            raise KeyboardInterrupt
+        return OracleAgent(*args)
+
+    monkeypatch.setattr(cli, "OracleAgent", interrupted_after_two)
+    out = tmp_path / "episodes.jsonl"
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", "--matrix", tiny_matrix, "--out", str(out), "--quiet"])
+    records = read_records(out)
+    assert [r.seed for r in records] == [1, 2]
+    for record in records:
+        verify_record(record)
+
+
+def test_parallel_run_appends_every_record_once_and_whole(tmp_path, capsys):
+    data = {
+        "conditions": [
+            {"grid_size": 3, "num_pits": 1, "num_wumpus": 1, "trials": 20},
+            {"grid_size": 4, "num_pits": 2, "num_wumpus": 1, "trials": 20},
+        ]
+    }
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps(data))
+    out = tmp_path / "episodes.jsonl"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, to expose a lost update
+    try:
+        code = main(
+            ["run", "--matrix", str(matrix), "--parallelism", "8", "--out", str(out)]
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert code == 0
+    records = read_records(out)
+    for record in records:
+        verify_record(record)
+    expected = [(c.label, cfg.seed) for c, cfg in matrix_from_dict(data).configs()]
+    assert sorted((r.condition, r.seed) for r in records) == sorted(expected)
+    progress = re.findall(r"^\[(\d+)/40\]", capsys.readouterr().err, re.MULTILINE)
+    assert sorted(map(int, progress)) == list(range(1, 41))
+
+
+@pytest.mark.parametrize(
+    "conditions, message",
+    [
+        (
+            [{"grid_size": 3, "num_pits": 0, "num_wumpus": 1, "seeds": [4, 4]}],
+            "condition 0 .*duplicate seeds",
+        ),
+        (
+            [
+                {"grid_size": 3, "num_pits": 0, "num_wumpus": 1, "seeds": [1]},
+                {"num_pits": 0, "num_wumpus": 1, "seeds": [2]},
+            ],
+            "condition 1: .*grid_size",
+        ),
+    ],
+    ids=["duplicate-seeds", "missing-grid-size"],
+)
+def test_run_reports_a_bad_matrix_file_as_an_error(
+    tmp_path, capsys, conditions, message
+):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"conditions": conditions}))
+    assert main(["run", "--matrix", str(matrix), "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert re.search(f"^error: {message}", captured.err)
+    assert "Traceback" not in captured.err
 
 
 def test_matrix_default_flag_wins_over_the_config_matrix(tmp_path, capsys):

@@ -160,6 +160,52 @@ def test_non_canonical_action_text_is_log_corruption(tmp_path):
         read_records(bad)
 
 
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({("rounds", 0, "index"): "zero"}, "RoundRecord.index must be int"),
+        ({("rounds", 0, "reward_delta"): -1.0}, "RoundRecord.reward_delta must be int"),
+        ({("success",): 1}, "EpisodeRecord.success must be bool"),
+        ({("config", "seed"): True}, "WorldConfig.seed must be int"),
+        ({("error",): 3}, "EpisodeRecord.error must be str | None"),
+        (
+            {
+                ("rounds", 0, "index"): "zero",
+                ("rounds", 0, "reward_delta"): -1.0,
+                ("success",): 1,
+            },
+            "must be",
+        ),
+    ],
+    ids=[
+        "str-for-int",
+        "float-for-int",
+        "int-for-bool",
+        "bool-for-int",
+        "int-for-str",
+        "all-three",
+    ],
+)
+def test_wrongly_typed_scalar_is_log_corruption(tmp_path, edits, message):
+    data = json.loads(v1_lines()[0])
+    for (*parents, key), value in edits.items():
+        reduce(getitem, parents, data)[key] = value
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(data) + "\n", encoding="utf-8")
+    with pytest.raises(LogCorruptionError, match=rf"bad\.jsonl: line 1: .*{message}"):
+        read_records(bad)
+
+
+def test_integer_is_read_where_a_float_is_annotated(tmp_path):
+    data = next(json.loads(line) for line in v1_lines() if '"latency"' in line)
+    call = next(c for r in data["rounds"] for c in r["calls"])
+    call["usage"]["latency"] = 2
+    path = tmp_path / "int-latency.jsonl"
+    path.write_text(json.dumps(data) + "\n", encoding="utf-8")
+    [record] = read_records(path)
+    assert next(c for r in record.rounds for c in r.calls).usage.latency == 2
+
+
 def test_missing_optional_key_takes_its_default(tmp_path):
     data = json.loads(v1_lines()[0])
     del data["error"]

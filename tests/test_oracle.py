@@ -31,11 +31,13 @@ from wumpusbench import (
     generate_world,
     new_kb,
     oracle_policy,
+    parse_action,
     run_episode,
     update_kb,
 )
 from wumpusbench.oracle import (
     CandidateStatus,
+    ShotRecord,
     consistent_layouts,
     hazard_counts,
     mark_wumpus_dead,
@@ -352,6 +354,38 @@ def test_oracle_agent_collects_gold_sitting_under_the_wumpus():
     assert world.status is Status.SUCCESS
     assert not world.wumpus_alive
     assert world.score == 50 - 7 + 20 + 50  # 7 moves, kill bonus, gold
+
+
+@pytest.mark.parametrize(
+    "script, shot",
+    [
+        (
+            ["move to position (2,1)", "<shootup>", "move to position (2,2)"],
+            ShotRecord(Cell(2, 1), Direction.UP, scream=False),
+        ),
+        (
+            [
+                "move to position (2,1)",
+                "move to position (2,2)",
+                "<shootright>",
+                "move to position (2,3)",
+            ],
+            ShotRecord(Cell(2, 2), Direction.RIGHT, scream=True),
+        ),
+    ],
+    ids=["missed", "screamed"],
+)
+def test_oracle_reads_a_shot_it_did_not_fire_from_the_observations(script, shot):
+    # A scripted agent plays; the oracle only watches every round.
+    world = make_world(n=3, wumpus=(3, 2), gold=(3, 3))
+    agent = OracleAgent(3, 0, 1)
+    for text in script:
+        agent.decide(build_observation(world))
+        apply_action(world, parse_action(text))
+    agent.decide(build_observation(world))
+    assert world.status is Status.RUNNING
+    assert agent.kb.shots == [shot]
+    assert agent.kb.wumpus_known_dead is shot.scream
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,13 @@ def test_parse_verdict_last_confidence_wins():
     assert parse_critic_verdict(text).confidence == 0.8
 
 
+@pytest.mark.parametrize("number", ["15%", "10", "05", "0,8"])
+def test_parse_verdict_reads_the_whole_number(number):
+    # Each starts with a digit that alone would be an in-range confidence.
+    with pytest.raises(ActionParseError):
+        parse_critic_verdict(verdict_reply(number))
+
+
 # ---------------------------------------------------------------------------
 # Critique orchestration
 
@@ -193,6 +200,23 @@ def test_critique_falls_back_to_full_confidence_after_malformed_verdicts():
     assert verdict.alternative is None
     assert "critic-parse-failure" in flags
     assert len(calls) == 3
+
+
+def test_critique_asks_again_after_a_percentage_confidence():
+    obs = build_observation(make_world(n=3, gold=(3, 3)))
+    script = [
+        MockReply(verdict_reply("15%", "move to position (1,2)"), 1, 1),
+        MockReply(verdict_reply(0.15, "move to position (1,2)"), 1, 1),
+    ]
+    with MockChatServer(script) as server:
+        client = ChatClient(server.url, "critic-model", max_retries=0)
+        verdict, calls, flags = critique(
+            client, obs, Action.move(2, 1), threshold=0.7, grid_size=3
+        )
+    assert verdict.confidence == 0.15
+    assert verdict.alternative == Action.move(1, 2)
+    assert len(calls) == 2
+    assert flags == ["unparseable-verdict"]
 
 
 # ---------------------------------------------------------------------------

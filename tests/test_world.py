@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from wumpusbench import (
     RandomLegalAgent,
     Status,
     WorldConfig,
+    WorldState,
     adjacent_cells,
     apply_action,
     build_observation,
@@ -422,3 +424,31 @@ def test_random_walks_preserve_ledger_and_exploration_invariants(seed, walk):
     assert kills <= 1
     assert gold_pickups <= 1
     assert world.steps_taken <= world.config.step_limit
+
+
+def test_world_state_stores_each_fact_once():
+    assert [f.name for f in dataclasses.fields(WorldState)] == [
+        "config",
+        "pit_cells",
+        "wumpus_cell",
+        "gold_cell",
+        "percept_log",
+        "arrow_report",
+        "status",
+        "reward_ledger",
+    ]
+    world = make_world(n=3, wumpus=(3, 2), gold=(3, 3))
+    for action in (Action.move(2, 1), Action.move(2, 2), Action.shoot("right")):
+        apply_action(world, action)
+    views = {
+        "explored": [Cell(1, 1), Cell(2, 1), Cell(2, 2)],
+        "agent_cell": Cell(2, 2),
+        "steps_taken": 3,
+        "score": 50 - 2 + 20,
+        "arrow_available": False,
+        "wumpus_alive": False,
+    }
+    for name, value in views.items():
+        assert getattr(world, name) == value
+        with pytest.raises(AttributeError):
+            setattr(world, name, value)
