@@ -66,15 +66,10 @@ from .observation import (
     parse_action,
 )
 from .oracle import (
-    CandidateStatus,
-    CellClassification,
     KnowledgeBase,
     OracleAgent,
-    classify_cells,
     full_info_solvable,
-    new_kb,
     oracle_policy,
-    update_kb,
 )
 from .planner_critic import (
     ArbitrationConfig,

@@ -147,11 +147,13 @@ def run_episode(
 ) -> EpisodeRecord:
     """Run one episode: observe, decide, act, until a terminal status.
 
-    An agent's :class:`EpisodeProtocolFailure` (exhausted parse retries, or a
-    transport or protocol error from the endpoint) ends the episode with
-    status ``protocol_failure``. The rounds executed so far stay logged, and
-    the failed round is logged with the calls it made and the flags of the
-    replies refused in it.
+    An exception from the agent or from the step ends the episode, and the
+    rounds executed so far stay logged with the score they earned. An agent's
+    :class:`EpisodeProtocolFailure` (exhausted parse retries, or a transport
+    or protocol error from the endpoint) gives status ``protocol_failure``,
+    and the failed round is logged with the calls it made and the flags of
+    the replies refused in it. Any other exception gets the status and error
+    text of :func:`_failure`.
     """
     state = generate_world(config)
     rounds: list[RoundRecord] = []
@@ -162,6 +164,7 @@ def run_episode(
         obs_dict = observation_to_dict(obs)
         try:
             decision = agent.decide(obs)
+            result = apply_action(state, decision.action)
         except EpisodeProtocolFailure as exc:
             state.status = Status.PROTOCOL_FAILURE
             error = str(exc)
@@ -177,7 +180,9 @@ def run_episode(
                 )
             )
             break
-        result = apply_action(state, decision.action)
+        except Exception as exc:  # record, never abort the batch
+            state.status, error = _failure(exc)
+            break
         rounds.append(
             RoundRecord(
                 index=len(rounds),
@@ -208,6 +213,20 @@ def run_episode(
         wumpus_killed=_wumpus_killed(state),
         error=error,
     )
+
+
+def _failure(exc: Exception) -> tuple[Status, str]:
+    """Status and error text of an episode ended by ``exc``. A package error
+    (inconsistent percepts, an illegal action, a bad configuration) is the
+    harness failing its own checks, which no model reply can cause, so it
+    gets ``harness_error``; any other exception is the agent failing to act
+    and gets ``protocol_failure``."""
+    status = (
+        Status.HARNESS_ERROR
+        if isinstance(exc, WumpusBenchError)
+        else Status.PROTOCOL_FAILURE
+    )
+    return status, "".join(traceback.format_exception_only(type(exc), exc)).strip()
 
 
 def _wumpus_killed(state: WorldState) -> bool:
@@ -305,11 +324,21 @@ def default_matrix(
 
 def matrix_from_dict(data: dict) -> TrialMatrix:
     """Load a matrix from config JSON; omitted seeds are drawn from
-    ``master_seed`` deterministically. A condition with a missing or malformed
-    field raises :class:`ConfigurationError` naming its index."""
-    master_seed = int(data.get("master_seed", 0))
-    step_limit = int(data.get("step_limit", 50))
-    trials = int(data.get("trials_per_condition", DEFAULT_TRIALS_PER_CONDITION))
+    ``master_seed`` deterministically. A malformed top-level field raises
+    :class:`ConfigurationError` naming it, and a condition with a missing or
+    malformed field one naming its index."""
+
+    def top_level(name: str, default: int) -> int:
+        try:
+            return int(data.get(name, default))
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"{name}: malformed field ({type(exc).__name__}: {exc})"
+            ) from exc
+
+    master_seed = top_level("master_seed", 0)
+    step_limit = top_level("step_limit", 50)
+    trials = top_level("trials_per_condition", DEFAULT_TRIALS_PER_CONDITION)
     if "conditions" not in data:
         return default_matrix(master_seed, trials, step_limit)
     entries = []
@@ -346,12 +375,10 @@ def run_trials(
     """Run every (condition, seed) episode; failures never abort the batch.
 
     Results come back in matrix order regardless of the degree of
-    parallelism, and each episode gets a fresh agent from the factory. An
-    episode that raises is logged with no rounds and the error text. A
-    package error (inconsistent percepts, an illegal action, a bad
-    configuration) is the harness failing its own checks, which no model
-    reply can cause, so it gets status ``harness_error``; any other exception
-    is the agent failing to act and gets ``protocol_failure``.
+    parallelism, and each episode gets a fresh agent from the factory.
+    :func:`run_episode` logs an episode that its agent ends. An episode whose
+    agent factory or world generation raises is logged with no rounds, and
+    the status and error text of :func:`_failure`.
     """
     jobs = matrix.configs()
 
@@ -366,12 +393,8 @@ def run_trials(
                 models=models,
                 condition=condition.label,
             )
-        except Exception as exc:  # defensive: record, never abort the batch
-            status = (
-                Status.HARNESS_ERROR
-                if isinstance(exc, WumpusBenchError)
-                else Status.PROTOCOL_FAILURE
-            )
+        except Exception as exc:  # record, never abort the batch
+            status, error = _failure(exc)
             record = EpisodeRecord(
                 config=config,
                 agent_kind=agent_kind,
@@ -383,9 +406,7 @@ def run_trials(
                 score=config.base_score,
                 success=False,
                 wumpus_killed=False,
-                error="".join(
-                    traceback.format_exception_only(type(exc), exc)
-                ).strip(),
+                error=error,
             )
         if on_episode is not None:
             on_episode(record)

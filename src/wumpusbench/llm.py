@@ -174,7 +174,7 @@ def _parse_guess_block(block: str) -> Guess | None:
     for candidate in (block, block.replace("(", "[").replace(")", "]")):
         try:
             data = json.loads(candidate)
-        except ValueError:
+        except (ValueError, RecursionError):  # too deep a nesting is malformed too
             continue
         if not isinstance(data, dict):
             return None

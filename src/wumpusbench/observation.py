@@ -180,7 +180,13 @@ def observation_from_json(text: str) -> Observation:
     return observation_from_dict(json.loads(text))
 
 
-_MOVE_RE = re.compile(r"move[^()<>]*?\(\s*(\d+)\s*,\s*(\d+)\s*\)", re.IGNORECASE)
+# A move's cell is read at the first of "()<>" after the word, which every
+# "move" before that character shares. One match takes the whole run and
+# leaves the cell groups empty when no cell follows; trying each "move" of
+# the run again would take quadratic time.
+_MOVE_RE = re.compile(
+    r"move[^()<>]*(?:\(\s*(\d+)\s*,\s*(\d+)\s*\))?", re.IGNORECASE
+)
 _TOKEN_RE = re.compile(
     r"<\s*(shootup|shootdown|shootleft|shootright|exit)\s*>", re.IGNORECASE
 )
@@ -194,7 +200,7 @@ def parse_action(text: str) -> Action:
     best_pos = -1
     best: Action | None = None
     for match in _MOVE_RE.finditer(text):
-        if match.start() > best_pos:
+        if match.group(1) is not None and match.start() > best_pos:
             best_pos = match.start()
             best = Action.move(int(match.group(1)), int(match.group(2)))
     for match in _TOKEN_RE.finditer(text):

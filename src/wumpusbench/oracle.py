@@ -10,8 +10,15 @@ cells next to a breezy record (the "frontier" of AIMA §13.6). No percept
 constrains the other cells that may hold a pit, so they are exchangeable
 apart from being wumpus candidates or not, and the pits left for them are
 counted with binomial coefficients. A round's cost thus follows the size of
-the frontier, not the area of the grid. A cell is *certain* for a hazard
-when it carries it in every consistent layout, *impossible* when in none.
+the frontier, not the area of the grid.
+
+:func:`observe` is the one update: it folds an observation into a
+:class:`KnowledgeBase` and derives ``kb.counts``, the :class:`HazardCounts`
+that are the exact posterior (``count / total``). A cell is *certain* for a
+hazard when its count equals ``total``, *impossible* when it is 0. Folding a
+logged episode's observations with ``functools.reduce(observe, ...)`` gives
+the oracle's knowledge at each round.
+
 The policy is risk-neutral: it only ever enters provably safe cells, shoots
 only a pinpointed wumpus, and exits rather than gamble.
 
@@ -26,10 +33,7 @@ import functools
 import itertools
 import math
 from collections import deque
-from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from enum import Enum
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .agents import Decision
@@ -39,21 +43,13 @@ from .world import (
     Action,
     Cell,
     Direction,
-    Percept,
     START_CELL,
     WorldState,
     adjacent_cells,
     geometry,
-    grid_cells,
     shoot_trajectory,
     sort_key,
 )
-
-
-class CandidateStatus(str, Enum):
-    IMPOSSIBLE = "impossible"
-    POSSIBLE = "possible"
-    CERTAIN = "certain"
 
 
 @dataclass(frozen=True)
@@ -88,19 +84,6 @@ class HazardCounts(NamedTuple):
         return not self.pit[cell] and (wumpus_dead or not self.wumpus[cell])
 
 
-def _statuses(counts: dict[Cell, int], total: int) -> Mapping[Cell, CandidateStatus]:
-    """Read-only :class:`CandidateStatus` of every cell for one hazard."""
-
-    def status(count: int) -> CandidateStatus:
-        if count == 0:
-            return CandidateStatus.IMPOSSIBLE
-        if count == total:
-            return CandidateStatus.CERTAIN
-        return CandidateStatus.POSSIBLE
-
-    return MappingProxyType({c: status(n) for c, n in counts.items()})
-
-
 @dataclass
 class KnowledgeBase:
     grid_size: int
@@ -109,17 +92,8 @@ class KnowledgeBase:
     records: dict[Cell, PerceptRecord] = field(default_factory=dict)
     shots: list[ShotRecord] = field(default_factory=list)
     wumpus_known_dead: bool = False
-    # Derived from the fields above by _recompute. The properties below are
-    # read-only views of it, derived on access.
+    # Derived from the fields above by observe.
     counts: HazardCounts | None = field(default=None, init=False, repr=False)
-
-    @property
-    def pit_candidates(self) -> Mapping[Cell, CandidateStatus]:
-        return _statuses(self.counts.pit, self.counts.total)
-
-    @property
-    def wumpus_candidates(self) -> Mapping[Cell, CandidateStatus]:
-        return _statuses(self.counts.wumpus, self.counts.total)
 
     @property
     def safe_cells(self) -> frozenset[Cell]:
@@ -127,56 +101,6 @@ class KnowledgeBase:
         is known dead, no wumpus either."""
         dead = self.wumpus_known_dead
         return frozenset(c for c in self.counts.pit if self.counts.is_safe(c, dead))
-
-
-@dataclass(frozen=True)
-class CellClassification:
-    safe: frozenset[Cell]
-    fatal: frozenset[Cell]
-    unknown: frozenset[Cell]
-
-
-def new_kb(grid_size: int, num_pits: int, num_wumpus: int) -> KnowledgeBase:
-    """A knowledge base holding only the game's placement rules."""
-    kb = KnowledgeBase(grid_size=grid_size, num_pits=num_pits, num_wumpus=num_wumpus)
-    _recompute(kb)
-    return kb
-
-
-def update_kb(kb: KnowledgeBase, cell: Cell, percept: Percept) -> KnowledgeBase:
-    """Record the percept observed in ``cell`` and re-derive all candidates.
-
-    Raises :class:`InconsistentPerceptsError` when no layout explains the
-    records, which indicates an environment bug.
-    """
-    record = PerceptRecord(
-        breeze=percept.breeze,
-        stench=percept.stench,
-        wumpus_alive=not kb.wumpus_known_dead,
-    )
-    out = replace(kb, records={**kb.records, cell: record})
-    _recompute(out)
-    return out
-
-
-def record_shot(
-    kb: KnowledgeBase, origin: Cell, direction: Direction, scream: bool
-) -> KnowledgeBase:
-    """Record an arrow shot and its outcome; a scream marks the wumpus dead."""
-    shot = ShotRecord(origin=origin, direction=direction, scream=scream)
-    out = replace(
-        kb,
-        shots=[*kb.shots, shot],
-        wumpus_known_dead=kb.wumpus_known_dead or scream,
-    )
-    _recompute(out)
-    return out
-
-
-def mark_wumpus_dead(kb: KnowledgeBase) -> KnowledgeBase:
-    out = replace(kb, wumpus_known_dead=True)
-    _recompute(out)
-    return out
 
 
 class _Grid(NamedTuple):
@@ -334,28 +258,39 @@ def hazard_counts(kb: KnowledgeBase) -> HazardCounts:
     )
 
 
-def _recompute(kb: KnowledgeBase) -> None:
-    counts = hazard_counts(kb)
-    if not counts.total:
+def observe(kb: KnowledgeBase, obs: Observation) -> KnowledgeBase:
+    """A new knowledge base that adds ``obs`` to ``kb``: its scream, its shot
+    and the percept at its position, with the counts derived once.
+
+    The shot is read from the arrow status, fired from the current position:
+    a shot does not move the agent, and the next observation reports it. A
+    position already recorded keeps its first record. Raises
+    :class:`InconsistentPerceptsError` when no layout explains the records,
+    which indicates an environment bug.
+    """
+    arrow = obs.arrow_status
+    dead = kb.wumpus_known_dead or arrow.scream_heard
+    shots = kb.shots
+    pos = obs.current_position
+    if arrow.direction is not None and not shots:
+        shots = [ShotRecord(pos, arrow.direction, arrow.scream_heard)]
+    records = kb.records
+    if pos not in records:
+        records = {
+            **records,
+            pos: PerceptRecord(
+                breeze=pos in obs.breeze_locations,
+                stench=pos in obs.stench_locations,
+                wumpus_alive=not dead,
+            ),
+        }
+    out = replace(kb, records=records, shots=shots, wumpus_known_dead=dead)
+    out.counts = hazard_counts(out)
+    if not out.counts.total:
         raise InconsistentPerceptsError(
             "no hazard layout is consistent with the recorded percepts"
         )
-    kb.counts = counts
-
-
-def classify_cells(kb: KnowledgeBase) -> CellClassification:
-    """Partition the grid into provably safe, provably fatal and unknown."""
-    cells = grid_cells(kb.grid_size)
-    safe = kb.safe_cells
-    pits, wumpus = kb.pit_candidates, kb.wumpus_candidates
-    fatal = frozenset(
-        c
-        for c in cells
-        if pits[c] is CandidateStatus.CERTAIN
-        or (not kb.wumpus_known_dead and wumpus[c] is CandidateStatus.CERTAIN)
-    )
-    unknown = frozenset(c for c in cells if c not in safe and c not in fatal)
-    return CellClassification(safe=safe, fatal=fatal - safe, unknown=unknown)
+    return out
 
 
 def _direction_toward(origin: Cell, target: Cell) -> Direction | None:
@@ -391,37 +326,16 @@ def oracle_policy(kb: KnowledgeBase, obs: Observation) -> Action:
 
 
 class OracleAgent:
-    """Harness-facing wrapper: feeds observations into the knowledge base and
-    plays :func:`oracle_policy`. One instance per episode. The shot is read
-    from the observation's arrow status, fired from the current position: a
-    shot does not move the agent, and the next round's decide follows it."""
+    """Harness-facing wrapper: folds each observation into the knowledge base
+    with :func:`observe` and plays :func:`oracle_policy`. One instance per
+    episode."""
 
     def __init__(self, grid_size: int, num_pits: int, num_wumpus: int):
-        # Candidates are derived by the first decide, which records a percept.
+        # Counts are derived by the first decide, which records a percept.
         self.kb = KnowledgeBase(grid_size, num_pits, num_wumpus)
 
     def decide(self, obs: Observation) -> Decision:
-        # This round's scream, shot outcome and percept go into the knowledge
-        # base together, so inference runs once per round.
-        kb = self.kb
-        arrow = obs.arrow_status
-        dead = kb.wumpus_known_dead or arrow.scream_heard
-        shots = kb.shots
-        pos = obs.current_position
-        if arrow.direction is not None and not shots:
-            shots = [ShotRecord(pos, arrow.direction, arrow.scream_heard)]
-        records = kb.records
-        if pos not in records:
-            records = {
-                **records,
-                pos: PerceptRecord(
-                    breeze=pos in obs.breeze_locations,
-                    stench=pos in obs.stench_locations,
-                    wumpus_alive=not dead,
-                ),
-            }
-        self.kb = replace(kb, records=records, shots=shots, wumpus_known_dead=dead)
-        _recompute(self.kb)
+        self.kb = observe(self.kb, obs)
         return Decision(action=oracle_policy(self.kb, obs), provenance="oracle")
 
 

@@ -111,8 +111,11 @@ def build_critic_prompt(
 _CONFIDENCE_RE = re.compile(
     r"confidence\s*[:=]?\s*(\d+(?:[.,]\d+)?|\.\d+)([ \t]*%)?", re.IGNORECASE
 )
+# The next label ends the alternative. Indentation before a label stays on
+# its line: a blank-line run before it is left to strip(), as a lookahead
+# that skipped it would rescan the run from every line start.
 _ALTERNATIVE_RE = re.compile(
-    r"alternative\s*[:=]\s*(.*?)(?=^\s*(?:confidence|rationale)\s*[:=]|\Z)",
+    r"alternative\s*[:=]\s*(.*?)(?=^[^\S\n]*(?:confidence|rationale)\s*[:=]|\Z)",
     re.IGNORECASE | re.MULTILINE | re.DOTALL,
 )
 

@@ -8,6 +8,7 @@ for the package under test.
 from __future__ import annotations
 
 import itertools
+import re
 
 from wumpusbench import Cell, WorldConfig, WorldState, world_from_layout
 
@@ -208,3 +209,15 @@ def reference_hazard_counts(
             holding[p] += 1
     wumpus = {c: num_sets - holding[c] if c in wumpus_cells else 0 for c in cells}
     return total, pit, wumpus
+
+
+# The reply parsers' patterns before they were made linear. They take
+# quadratic time on long runs of "move" or of blank lines, but they define
+# the matches the parsers keep.
+REFERENCE_MOVE_RE = re.compile(
+    r"move[^()<>]*?\(\s*(\d+)\s*,\s*(\d+)\s*\)", re.IGNORECASE
+)
+REFERENCE_ALTERNATIVE_RE = re.compile(
+    r"alternative\s*[:=]\s*(.*?)(?=^\s*(?:confidence|rationale)\s*[:=]|\Z)",
+    re.IGNORECASE | re.MULTILINE | re.DOTALL,
+)

@@ -216,6 +216,19 @@ def test_run_reports_a_bad_matrix_file_as_an_error(
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "field, value", [("step_limit", "x"), ("master_seed", [1])], ids=["text", "list"]
+)
+def test_run_reports_a_malformed_top_level_matrix_field(tmp_path, capsys, field, value):
+    conditions = [{"grid_size": 3, "num_pits": 0, "num_wumpus": 1}]
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({field: value, "conditions": conditions}))
+    assert main(["run", "--matrix", str(matrix), "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert re.search(f"^error: {field}: malformed field", captured.err)
+    assert "Traceback" not in captured.err
+
+
 def test_matrix_default_flag_wins_over_the_config_matrix(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(

@@ -8,6 +8,7 @@ import pytest
 from wumpusbench import (
     Action,
     ChatClient,
+    CompletionLog,
     Decision,
     EpisodeRecord,
     LlmAgent,
@@ -21,6 +22,7 @@ from wumpusbench import (
     ScriptedAgent,
     SummaryError,
     TrialMatrix,
+    UsageRecord,
     WorldConfig,
     default_matrix,
     generate_world,
@@ -206,7 +208,8 @@ def test_run_trials_logs_an_inference_crash_as_a_harness_error(tmp_path):
         agent_kind="oracle",
     )
     assert won.status == "success"
-    assert crashed.status == "harness_error" and crashed.rounds == []
+    assert crashed.status == "harness_error"
+    assert len(crashed.rounds) == 1 and crashed.score == 49  # the move before the crash
     assert crashed.error.startswith("wumpusbench.errors.InconsistentPerceptsError")
     path = tmp_path / "log.jsonl"
     write_records(path, [won, crashed])
@@ -220,6 +223,42 @@ def test_run_trials_logs_an_inference_crash_as_a_harness_error(tmp_path):
     assert summary.success_rate == 100.0
     assert summary.avg_total_reward == won.score
     assert "Harness errors          1" in summary.format_text()
+
+
+def test_an_agent_crash_keeps_the_rounds_and_tokens_already_spent(tmp_path):
+    # Round 1 makes one model call and moves; round 2 raises.
+    class CrashesInRoundTwo:
+        def __init__(self):
+            self.rounds = 0
+
+        def decide(self, obs):
+            self.rounds += 1
+            if self.rounds == 2:
+                raise RuntimeError("boom")
+            call = CompletionLog(
+                role="model",
+                model="m",
+                messages=[],
+                response="move to position (2,1)",
+                usage=UsageRecord(100, 20, 120, latency=0.5),
+            )
+            return Decision(action=Action.move(2, 1), provenance="model", calls=[call])
+
+    matrix = matrix_from_dict(
+        {"conditions": [{"grid_size": 3, "num_pits": 0, "num_wumpus": 1, "seeds": [1]}]}
+    )
+    (record,) = run_trials(matrix, lambda cfg: CrashesInRoundTwo(), agent_kind="custom")
+    assert record.status == "protocol_failure"
+    assert record.error == "RuntimeError: boom"
+    assert [r.action for r in record.rounds] == [Action.move(2, 1)]
+    assert record.score == 49
+    path = tmp_path / "log.jsonl"
+    write_records(path, [record])
+    assert read_records(path) == [record]
+    verify_record(record)
+    summary = summarize([record])
+    assert summary.protocol_failures == 1
+    assert (summary.total_prompt_tokens, summary.total_completion_tokens) == (100, 20)
 
 
 # ---------------------------------------------------------------------------

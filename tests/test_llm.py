@@ -338,6 +338,18 @@ def test_parse_cos_response_rejects_out_of_grid_guess():
     assert turn.guess_raw is None
 
 
+def test_a_too_deeply_nested_guess_is_malformed():
+    # json.loads raises RecursionError on this guess, not ValueError.
+    text = 'Analysis: x\nGuess: {"wumpus": ' + "[" * 100_000 + "}\nAction: <exit>"
+    turn = parse_cos_response(text, grid_size=3)
+    assert turn.malformed_guess and turn.guess_raw is None
+    with MockChatServer([MockReply(text, 5, 5)]) as server:
+        agent = LlmAgent(ChatClient(server.url, "m", max_retries=0), 3)
+        decision = agent.decide(fresh_obs())
+    assert decision.action == Action.exit()
+    assert decision.flags == ["malformed-guess"]
+
+
 def test_parse_cos_response_without_action_raises():
     with pytest.raises(ActionParseError):
         parse_cos_response('Analysis: hmm\nGuess: {"wumpus": []}\n', grid_size=3)

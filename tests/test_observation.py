@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_world
+from helpers import REFERENCE_MOVE_RE, make_world
 from wumpusbench import (
     Action,
     ActionParseError,
@@ -25,6 +25,7 @@ from wumpusbench import (
     WorldConfig,
 )
 from wumpusbench.observation import (
+    _MOVE_RE,
     KEY_ARROW,
     KEY_BREEZE,
     KEY_POSITION,
@@ -248,3 +249,21 @@ def test_canonical_rendering_round_trips(action):
 )
 def test_rendering_survives_leading_noise(prefix, action):
     assert parse_action(prefix + " " + action.to_text()) == action
+
+
+MOVE_PIECES = [
+    "move", "MoVe", "mo", "ve", " to ", "(", ")", "<", ">", ",", " ", "\n",
+    "2", "13", "x", "<exit>", "move to position (2,1)", "( 3 , 4 )",
+]
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(MOVE_PIECES), max_size=30).map("".join))
+def test_move_matches_equal_the_reference_pattern(text):
+    found = [(m.start(), m.groups()) for m in _MOVE_RE.finditer(text) if m.group(1)]
+    assert found == [(m.start(), m.groups()) for m in REFERENCE_MOVE_RE.finditer(text)]
+
+
+def test_parse_action_reads_past_a_long_run_of_moves():
+    # Every "move" of the run reads its cell at the "<" of the exit token.
+    assert parse_action("move " * 16_000 + "<exit>") == Action.exit()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 
 import pytest
@@ -16,60 +17,76 @@ from wumpusbench import (
     ActionKind,
     ArrowStatus,
     Cell,
+    DIRECTIONS,
     Direction,
     InconsistentPerceptsError,
     Observation,
     OracleAgent,
-    Percept,
+    ScriptedAgent,
     Status,
     Suggestions,
     WorldConfig,
     apply_action,
     build_observation,
-    classify_cells,
     full_info_solvable,
     generate_world,
-    new_kb,
     oracle_policy,
     parse_action,
     run_episode,
-    update_kb,
 )
+from wumpusbench.observation import observation_from_dict
 from wumpusbench.oracle import (
-    CandidateStatus,
+    KnowledgeBase,
     ShotRecord,
     consistent_layouts,
     hazard_counts,
-    mark_wumpus_dead,
-    record_shot,
+    observe,
 )
 
-
-def quiet():
-    return Percept(breeze=False, stench=False, glitter=False)
-
-
-def percept(breeze=False, stench=False):
-    return Percept(breeze=breeze, stench=stench, glitter=False)
+ZONE = {Cell(1, 1), Cell(1, 2), Cell(2, 1)}
+ALL_3X3 = {Cell(x, y) for x in range(1, 4) for y in range(1, 4)}
 
 
-def synthetic_obs(position, frontier_cells, arrow=True):
-    """A policy-level observation; content beyond frontier/arrow is unused."""
+def seen(position, breeze=False, stench=False, shot=None, scream=False, frontier=()):
+    """An observation at ``position`` perceiving ``breeze`` and ``stench``
+    there; ``shot`` is the direction of the arrow already fired. Content the
+    knowledge base and the policy do not read is left empty."""
+    cell = Cell(*position)
     return Observation(
         num_wumpus=1,
         num_pits=1,
-        current_position=Cell(*position),
+        current_position=cell,
         quiet_locations=(),
-        breeze_locations=(),
-        stench_locations=(),
+        breeze_locations=(cell,) if breeze else (),
+        stench_locations=(cell,) if stench else (),
         suggestions=Suggestions(
-            frontier_cells=tuple(Cell(*c) for c in frontier_cells),
-            shoot_options=(Direction.UP, Direction.DOWN, Direction.LEFT, Direction.RIGHT)
-            if arrow
-            else (),
+            frontier_cells=tuple(Cell(*c) for c in frontier),
+            shoot_options=() if shot else DIRECTIONS,
         ),
-        arrow_status=ArrowStatus(fired=not arrow, direction=None, scream_heard=False),
+        arrow_status=ArrowStatus(
+            fired=shot is not None,
+            direction=None if shot is None else Direction(shot),
+            scream_heard=scream,
+        ),
     )
+
+
+def walk(n, num_pits, num_wumpus, *observations):
+    """The knowledge base after observing ``observations`` in order."""
+    return functools.reduce(
+        observe, observations, KnowledgeBase(n, num_pits, num_wumpus)
+    )
+
+
+def certain(kb):
+    """Cells holding a pit, or the live wumpus, in every consistent layout."""
+    counts = kb.counts
+    return {
+        c
+        for c in counts.pit
+        if counts.pit[c] == counts.total
+        or (not kb.wumpus_known_dead and counts.wumpus[c] == counts.total)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -77,53 +94,45 @@ def synthetic_obs(position, frontier_cells, arrow=True):
 
 
 def test_quiet_start_marks_neighbors_safe():
-    kb = new_kb(3, num_pits=1, num_wumpus=1)
-    kb = update_kb(kb, Cell(1, 1), quiet())
-    assert {Cell(1, 1), Cell(1, 2), Cell(2, 1)} <= kb.safe_cells
+    kb = walk(3, 1, 1, seen((1, 1)))
+    assert ZONE <= kb.safe_cells
 
 
 def test_two_stenches_pinpoint_the_wumpus():
-    kb = new_kb(3, num_pits=0, num_wumpus=1)
-    kb = update_kb(kb, Cell(1, 1), quiet())
-    kb = update_kb(kb, Cell(1, 2), percept(stench=True))
-    kb = update_kb(kb, Cell(2, 1), percept(stench=True))
-    assert kb.wumpus_candidates[Cell(2, 2)] is CandidateStatus.CERTAIN
-    assert classify_cells(kb).fatal == {Cell(2, 2)}
+    kb = walk(3, 0, 1, seen((1, 1)), seen((1, 2), stench=True), seen((2, 1), stench=True))
+    assert kb.counts.wumpus[Cell(2, 2)] == kb.counts.total
+    assert certain(kb) == {Cell(2, 2)}
 
 
 def test_single_breeze_leaves_two_pit_candidates():
-    kb = new_kb(3, num_pits=1, num_wumpus=0)
-    kb = update_kb(kb, Cell(1, 1), quiet())
-    kb = update_kb(kb, Cell(2, 1), percept(breeze=True))
-    possible = {
-        c for c, s in kb.pit_candidates.items() if s is CandidateStatus.POSSIBLE
-    }
+    kb = walk(3, 1, 0, seen((1, 1)), seen((2, 1), breeze=True))
+    counts = kb.counts
+    possible = {c for c, n in counts.pit.items() if 0 < n < counts.total}
     assert possible == {Cell(3, 1), Cell(2, 2)}
-    assert not any(
-        s is CandidateStatus.CERTAIN for s in kb.pit_candidates.values()
-    )
+    assert counts.total not in counts.pit.values()
 
 
 def test_inconsistent_percepts_raise():
-    kb = new_kb(3, num_pits=0, num_wumpus=0)
-    kb = update_kb(kb, Cell(1, 1), quiet())
+    kb = walk(3, 0, 0, seen((1, 1)))
     with pytest.raises(InconsistentPerceptsError):
-        update_kb(kb, Cell(2, 1), percept(breeze=True))  # breeze with zero pits
+        observe(kb, seen((2, 1), breeze=True))  # breeze with zero pits
 
 
 def test_stench_without_a_live_wumpus_is_inconsistent():
-    dead = mark_wumpus_dead(update_kb(new_kb(3, 0, 1), Cell(1, 1), quiet()))
-    absent = update_kb(new_kb(3, 0, 0), Cell(1, 1), quiet())
+    # The scream of an upward shot from the start kills the wumpus in (1,3).
+    dead = walk(3, 0, 1, seen((1, 1)), seen((1, 1), shot="up", scream=True))
+    absent = walk(3, 0, 0, seen((1, 1)))
+    assert dead.wumpus_known_dead
     for kb in (dead, absent):
         with pytest.raises(InconsistentPerceptsError):
-            update_kb(kb, Cell(2, 1), percept(stench=True))
+            observe(kb, seen((2, 1), stench=True))
 
 
 def test_kb_update_is_functional():
-    kb = new_kb(3, num_pits=1, num_wumpus=1)
-    kb2 = update_kb(kb, Cell(1, 1), quiet())
-    assert Cell(1, 1) not in kb.records
-    assert Cell(1, 1) in kb2.records
+    kb = KnowledgeBase(3, num_pits=1, num_wumpus=1)
+    kb2 = observe(kb, seen((1, 1)))
+    assert Cell(1, 1) not in kb.records and kb.counts is None
+    assert Cell(1, 1) in kb2.records and kb2.counts.total
 
 
 # ---------------------------------------------------------------------------
@@ -131,25 +140,23 @@ def test_kb_update_is_functional():
 
 
 def test_fresh_kb_partitions_grid_into_safe_zone_and_unknown():
-    kb = new_kb(3, num_pits=1, num_wumpus=1)
-    classification = classify_cells(kb)
-    zone = {Cell(1, 1), Cell(1, 2), Cell(2, 1)}
-    assert classification.safe >= zone
-    assert classification.fatal == frozenset()
-    all_cells = classification.safe | classification.fatal | classification.unknown
-    assert all_cells == {Cell(x, y) for x in range(1, 4) for y in range(1, 4)}
+    # The start cell borders only the hazard-free start zone, so it is always
+    # quiet: observing it adds nothing to the placement rules.
+    kb = walk(3, 1, 1, seen((1, 1)))
+    counts = kb.counts
+    assert kb.safe_cells == ZONE
+    assert certain(kb) == set()
+    assert {c for c in ALL_3X3 if counts.pit[c] or counts.wumpus[c]} == ALL_3X3 - ZONE
 
 
 def test_dead_wumpus_cell_becomes_safe():
-    kb = new_kb(3, num_pits=0, num_wumpus=1)
-    kb = update_kb(kb, Cell(1, 1), quiet())
-    kb = update_kb(kb, Cell(1, 2), percept(stench=True))
-    kb = update_kb(kb, Cell(2, 1), percept(stench=True))
-    assert Cell(2, 2) in classify_cells(kb).fatal
-    kb = mark_wumpus_dead(kb)
-    classification = classify_cells(kb)
-    assert Cell(2, 2) in classification.safe
-    assert classification.fatal == frozenset()
+    kb = walk(3, 0, 1, seen((1, 1)), seen((1, 2), stench=True), seen((2, 1), stench=True))
+    assert Cell(2, 2) in certain(kb)
+    # An upward shot from (2,1) screams: it crossed (2,2).
+    kb = observe(kb, seen((2, 1), stench=True, shot="up", scream=True))
+    assert kb.wumpus_known_dead
+    assert Cell(2, 2) in kb.safe_cells
+    assert certain(kb) == set()
 
 
 def test_safe_cells_sound_against_brute_force_enumeration():
@@ -163,15 +170,14 @@ def test_safe_cells_sound_against_brute_force_enumeration():
         ((4, 1, 0), ((4, 2),), None, [(1, 1), (2, 1), (1, 2), (2, 2)]),
     ]
     for (n, num_pits, num_wumpus), pits, wumpus, visits in scenarios:
-        kb = new_kb(n, num_pits=num_pits, num_wumpus=num_wumpus)
+        kb = KnowledgeBase(n, num_pits=num_pits, num_wumpus=num_wumpus)
         records = {}
         for cell in visits:
-            true_percept = percept(
-                breeze=any(p in brute_adjacent(cell, n) for p in pits),
-                stench=wumpus is not None and wumpus in brute_adjacent(cell, n),
+            records[cell] = (
+                any(p in brute_adjacent(cell, n) for p in pits),
+                wumpus is not None and wumpus in brute_adjacent(cell, n),
             )
-            records[cell] = true_percept
-            kb = update_kb(kb, Cell(*cell), true_percept)
+            kb = observe(kb, seen(cell, *records[cell]))
 
         consistent = []
         cells = [(x, y) for y in range(1, n + 1) for x in range(1, n + 1)]
@@ -186,7 +192,7 @@ def test_safe_cells_sound_against_brute_force_enumeration():
                 for cell, rec in records.items():
                     breeze = any(p in brute_adjacent(cell, n) for p in combo)
                     stench = w is not None and w in brute_adjacent(cell, n)
-                    if breeze != rec.breeze or stench != rec.stench:
+                    if (breeze, stench) != rec:
                         ok = False
                     if cell in combo or cell == w:
                         ok = False
@@ -259,9 +265,10 @@ def test_hazard_counts_match_brute_force_during_oracle_play():
                 if seed % 2 and world.steps_taken == 0:
                     assert action.kind is ActionKind.MOVE
                     apply_action(world, Action.shoot(Direction.UP))
-                    agent.kb = record_shot(
-                        agent.kb, Cell(1, 1), Direction.UP, world.arrow_report.scream
-                    )
+                    agent.kb = observe(agent.kb, build_observation(world))
+                    assert agent.kb.shots == [
+                        ShotRecord(Cell(1, 1), Direction.UP, world.arrow_report.scream)
+                    ]
                     layouts = assert_counts_exact(agent.kb, layouts)
                     continue
                 apply_action(world, action)
@@ -276,41 +283,34 @@ def test_hazard_counts_match_brute_force_during_oracle_play():
 
 def test_policy_moves_to_first_safe_frontier_cell():
     world = make_world(n=3, wumpus=(3, 3), gold=(3, 1))
-    kb = new_kb(3, num_pits=0, num_wumpus=1)
-    kb = update_kb(kb, Cell(1, 1), quiet())
-    action = oracle_policy(kb, build_observation(world))
-    assert action == Action.move(2, 1)  # (2,1) before (1,2) in (y, x) order
+    obs = build_observation(world)
+    kb = observe(KnowledgeBase(3, num_pits=0, num_wumpus=1), obs)
+    assert oracle_policy(kb, obs) == Action.move(2, 1)  # (2,1) before (1,2) in (y, x) order
+
+
+# Quiet records everywhere except a stench at (1,2) leave exactly one wumpus
+# cell, (1,3), and force the single pit to (3,3): no safe frontier remains.
+PINPOINTED = (seen((1, 1)), seen((2, 1)), seen((2, 2)), seen((1, 2), stench=True))
 
 
 def test_policy_shoots_pinpointed_wumpus_on_trajectory():
-    # Quiet records everywhere except a stench at (1,2) leave exactly one
-    # wumpus cell, (1,3), and force the single pit to (3,3): no safe frontier
-    # remains, and from (1,1) the up-trajectory covers the wumpus.
-    kb = new_kb(3, num_pits=1, num_wumpus=1)
-    kb = update_kb(kb, Cell(1, 1), quiet())
-    kb = update_kb(kb, Cell(2, 1), quiet())
-    kb = update_kb(kb, Cell(2, 2), quiet())
-    kb = update_kb(kb, Cell(1, 2), percept(stench=True))
-    assert kb.wumpus_candidates[Cell(1, 3)] is CandidateStatus.CERTAIN
-    assert kb.pit_candidates[Cell(3, 3)] is CandidateStatus.CERTAIN
-    obs = synthetic_obs((1, 1), frontier_cells=[(1, 3), (3, 3)])
+    # From (1,1) the up-trajectory covers the wumpus.
+    kb = walk(3, 1, 1, *PINPOINTED)
+    assert kb.counts.wumpus[Cell(1, 3)] == kb.counts.total
+    assert kb.counts.pit[Cell(3, 3)] == kb.counts.total
+    obs = seen((1, 1), frontier=[(1, 3), (3, 3)])
     assert oracle_policy(kb, obs) == Action.shoot("up")
 
 
 def test_policy_does_not_shoot_without_an_aligned_trajectory():
-    kb = new_kb(3, num_pits=1, num_wumpus=1)
-    kb = update_kb(kb, Cell(1, 1), quiet())
-    kb = update_kb(kb, Cell(2, 1), quiet())
-    kb = update_kb(kb, Cell(2, 2), quiet())
-    kb = update_kb(kb, Cell(1, 2), percept(stench=True))
-    obs = synthetic_obs((2, 1), frontier_cells=[(1, 3), (3, 3)])
+    kb = walk(3, 1, 1, *PINPOINTED)
+    obs = seen((2, 1), frontier=[(1, 3), (3, 3)])
     assert oracle_policy(kb, obs) == Action.exit()  # (1,3) off both rays
 
 
 def test_policy_exits_when_nothing_is_provably_safe():
-    kb = new_kb(3, num_pits=1, num_wumpus=1)
-    kb = update_kb(kb, Cell(1, 1), quiet())
-    obs = synthetic_obs((1, 1), frontier_cells=[(3, 3)])
+    kb = walk(3, 1, 1, seen((1, 1)))
+    obs = seen((1, 1), frontier=[(3, 3)])
     assert oracle_policy(kb, obs) == Action.exit()
 
 
@@ -386,6 +386,71 @@ def test_oracle_reads_a_shot_it_did_not_fire_from_the_observations(script, shot)
     assert world.status is Status.RUNNING
     assert agent.kb.shots == [shot]
     assert agent.kb.wumpus_known_dead is shot.scream
+
+
+def fold(record):
+    """The knowledge base that observing a logged episode's rounds builds.
+    Knowledge bases compare equal when their records, shots, wumpus_known_dead
+    and counts are."""
+    config = record.config
+    return functools.reduce(
+        observe,
+        (observation_from_dict(r.observation) for r in record.rounds),
+        KnowledgeBase(config.grid_size, config.num_pits, config.num_wumpus),
+    )
+
+
+def test_observe_folds_an_oracle_log():
+    kills = 0
+    for n, num_pits, seeds in [(3, 1, range(12)), (4, 2, range(6))]:
+        for seed in seeds:
+            config = WorldConfig(grid_size=n, num_pits=num_pits, num_wumpus=1, seed=seed)
+            agent = OracleAgent(n, num_pits, 1)
+            record = run_episode(config, agent, agent_kind="oracle")
+            assert fold(record) == agent.kb
+            kills += record.wumpus_killed
+    assert kills  # seed 1 of the 3x3 condition ends with a kill shot
+
+
+class Watched:
+    """Plays a script while an oracle watches every round."""
+
+    def __init__(self, script, oracle):
+        self.script = ScriptedAgent(script)
+        self.oracle = oracle
+
+    def decide(self, obs):
+        self.oracle.decide(obs)
+        return self.script.decide(obs)
+
+
+@pytest.mark.parametrize(
+    "script, scream",
+    [
+        (["move to position (2,1)", "<shootup>", "move to position (2,2)", "<exit>"], False),
+        (
+            [
+                "move to position (2,1)",
+                "move to position (2,2)",
+                "<shootright>",
+                "move to position (2,3)",
+                "<exit>",
+            ],
+            True,
+        ),
+    ],
+    ids=["missed", "screamed"],
+)
+def test_observe_folds_a_scripted_log(script, scream):
+    config = WorldConfig(grid_size=3, num_pits=0, num_wumpus=1, seed=7)
+    world = generate_world(config)
+    assert (world.wumpus_cell, world.gold_cell) == (Cell(3, 2), Cell(1, 2))
+    oracle = OracleAgent(3, 0, 1)
+    record = run_episode(config, Watched(script, oracle), agent_kind="scripted")
+    assert record.status == "exited" and record.wumpus_killed is scream
+    folded = fold(record)
+    assert [shot.scream for shot in folded.shots] == [scream]
+    assert folded == oracle.kb
 
 
 # ---------------------------------------------------------------------------

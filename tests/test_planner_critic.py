@@ -1,10 +1,10 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_world
+from helpers import REFERENCE_ALTERNATIVE_RE, make_world
 from wumpusbench import (
     Action,
     ActionParseError,
@@ -21,6 +21,7 @@ from wumpusbench import (
     critique,
     parse_critic_verdict,
 )
+from wumpusbench.planner_critic import _ALTERNATIVE_RE
 
 PLANNER_REPLY = (
     "Analysis: the frontier is quiet so far.\n"
@@ -152,6 +153,27 @@ def test_parse_verdict_reads_the_whole_number(number):
     # Each starts with a digit that alone would be an in-range confidence.
     with pytest.raises(ActionParseError):
         parse_critic_verdict(verdict_reply(number))
+
+
+ALTERNATIVE_PIECES = [
+    "Alternative:", "alternative =", "Confidence:", "rationale=", "confidence",
+    ":", "\n", "\n\n", " ", "\t", "\r", "\x0b", "\x85", "\u2028", "<exit>", "x",
+]
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(ALTERNATIVE_PIECES), max_size=30).map("".join))
+def test_alternative_matches_equal_the_reference_pattern(text):
+    def alternative(pattern):
+        match = pattern.search(text)
+        return match and match.group(1).strip()
+
+    assert alternative(_ALTERNATIVE_RE) == alternative(REFERENCE_ALTERNATIVE_RE)
+
+
+def test_parse_verdict_reads_an_alternative_before_many_blank_lines():
+    text = "Confidence: 0.5\nAlternative: <exit>" + "\n" * 32_000
+    assert parse_critic_verdict(text) == CriticVerdict(0.5, Action.exit(), "")
 
 
 # ---------------------------------------------------------------------------
