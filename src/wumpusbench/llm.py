@@ -140,7 +140,12 @@ class CosTurn:
     malformed_guess: bool
 
 
-_SECTION_RE = re.compile(r"^\s*(Analysis|Guess|Action)\s*:", re.IGNORECASE | re.MULTILINE)
+# Indentation before a label stays on its line: a blank-line run before it
+# is left to strip(), as a pattern that skipped it would rescan the run from
+# every line start.
+_SECTION_RE = re.compile(
+    r"^[^\S\n]*(Analysis|Guess|Action)\s*:", re.IGNORECASE | re.MULTILINE
+)
 
 
 def _split_sections(text: str) -> dict[str, str]:

@@ -10,7 +10,12 @@ cells next to a breezy record (the "frontier" of AIMA §13.6). No percept
 constrains the other cells that may hold a pit, so they are exchangeable
 apart from being wumpus candidates or not, and the pits left for them are
 counted with binomial coefficients. A round's cost thus follows the size of
-the frontier, not the area of the grid.
+the frontier, not the area of the grid. The bookkeeping follows suit:
+masks are read by walking their set bits, and the counts start as a zero
+for every cell (``dict.fromkeys``, one pass in C) and are written only for
+the frontier, the unconstrained cells and the wumpus candidates. So the
+Python-level work of a round is proportional to the recorded cells, the
+cells that may still hold a hazard and the frontier pit sets.
 
 :func:`observe` is the one update: it folds an observation into a
 :class:`KnowledgeBase` and derives ``kb.counts``, the :class:`HazardCounts`
@@ -33,7 +38,7 @@ import functools
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .agents import Decision
@@ -106,12 +111,20 @@ class KnowledgeBase:
 class _Grid(NamedTuple):
     """Bitmask view of an n x n grid, one bit per cell in canonical order."""
 
-    bit: dict[Cell, int]
+    bit: dict[Cell, int]  # keyed by every cell, in canonical order
+    cell: dict[int, Cell]  # the inverse of ``bit``
     neighbors: dict[Cell, int]  # mask of each cell's in-grid 4-neighbors
     hazard_zone: int  # mask of the cells outside the safe start zone
 
-    def members(self, mask: int) -> list[int]:
-        return [b for b in self.bit.values() if mask & b]
+    @staticmethod
+    def members(mask: int) -> list[int]:
+        """The set bits of ``mask``, lowest first: canonical cell order."""
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low)
+            mask ^= low
+        return out
 
 
 @functools.cache
@@ -124,6 +137,7 @@ def _grid(n: int) -> _Grid:
 
     return _Grid(
         bit=bit,
+        cell={b: c for c, b in bit.items()},
         neighbors={c: mask(geo.neighbors[c]) for c in geo.cells},
         hazard_zone=mask(geo.cells) & ~mask(geo.start_zone),
     )
@@ -147,9 +161,8 @@ def _frontier_pit_sets(
             near_breeze |= grid.neighbors[cell]
         else:
             pool &= ~grid.neighbors[cell]
-    frontier, free = [], []
-    for b in grid.members(pool):
-        (frontier if near_breeze & b else free).append(b)
+    frontier = grid.members(pool & near_breeze)
+    free = grid.members(pool & ~near_breeze)
     pit_sets = []
     for size in range(max(0, kb.num_pits - len(free)), kb.num_pits + 1):
         for combo in itertools.combinations(frontier, size):
@@ -184,7 +197,7 @@ def _wumpus_cells(kb: KnowledgeBase, grid: _Grid) -> list[int | None]:
 def consistent_layouts(kb: KnowledgeBase) -> list[tuple[frozenset[Cell], Cell | None]]:
     """All (pit set, wumpus cell) pairs consistent with rules and records."""
     grid = _grid(kb.grid_size)
-    cell_of = {b: c for c, b in grid.bit.items()}
+    cell_of = grid.cell
     wumpus_cells = _wumpus_cells(kb, grid)
     free, frontier_sets = _frontier_pit_sets(kb, grid)
     layouts = []
@@ -222,12 +235,15 @@ def hazard_counts(kb: KnowledgeBase) -> HazardCounts:
     """
     grid = _grid(kb.grid_size)
     wumpus_cells = _wumpus_cells(kb, grid)
-    wumpus_mask = sum(w for w in wumpus_cells if w is not None)
+    candidates = wumpus_cells if kb.num_wumpus else []  # not the absent [None]
+    wumpus_mask = sum(candidates)
     free, frontier_sets = _frontier_pit_sets(kb, grid)
     u = len(free)
-    w_u = (sum(free) & wumpus_mask).bit_count()
-    pit = dict.fromkeys(grid.bit.values(), 0)
-    holding = dict.fromkeys(grid.bit.values(), 0)  # pit sets with a pit in each cell
+    free_mask = sum(free)
+    w_u = (free_mask & wumpus_mask).bit_count()
+    cell = grid.cell
+    pit = dict.fromkeys(grid.bit, 0)
+    holding: dict[int, int] = {}  # frontier bit -> pit sets with a pit there
     total = num_sets = 0
     # Per unconstrained cell, the same for each one apart from wumpus candidacy.
     free_pit = free_wumpus_pit = free_holding = 0
@@ -240,22 +256,18 @@ def hazard_counts(kb: KnowledgeBase) -> HazardCounts:
         total += layouts
         num_sets += sets
         for b in combo:
-            pit[b] += layouts
-            holding[b] += sets
+            pit[cell[b]] += layouts
+            holding[b] = holding.get(b, 0) + sets
         free_pit += with_one * base - w_u * with_two
         free_wumpus_pit += with_one * (base - 1) - (w_u - 1) * with_two
         free_holding += with_one
     for b in free:
-        pit[b] = free_wumpus_pit if wumpus_mask & b else free_pit
-        holding[b] = free_holding
-    return HazardCounts(
-        total=total,
-        pit={c: pit[b] for c, b in grid.bit.items()},
-        wumpus={
-            c: num_sets - holding[b] if wumpus_mask & b else 0
-            for c, b in grid.bit.items()
-        },
-    )
+        pit[cell[b]] = free_wumpus_pit if wumpus_mask & b else free_pit
+    wumpus = dict.fromkeys(grid.bit, 0)
+    for w in candidates:
+        held = free_holding if free_mask & w else holding.get(w, 0)
+        wumpus[cell[w]] = num_sets - held
+    return HazardCounts(total=total, pit=pit, wumpus=wumpus)
 
 
 def observe(kb: KnowledgeBase, obs: Observation) -> KnowledgeBase:
@@ -284,7 +296,9 @@ def observe(kb: KnowledgeBase, obs: Observation) -> KnowledgeBase:
                 wumpus_alive=not dead,
             ),
         }
-    out = replace(kb, records=records, shots=shots, wumpus_known_dead=dead)
+    out = KnowledgeBase(
+        kb.grid_size, kb.num_pits, kb.num_wumpus, records, shots, dead
+    )
     out.counts = hazard_counts(out)
     if not out.counts.total:
         raise InconsistentPerceptsError(

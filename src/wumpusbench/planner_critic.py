@@ -108,8 +108,11 @@ def build_critic_prompt(
     return [ChatMessage("system", system_prompt), ChatMessage("user", user)]
 
 
+# One whitespace run before the number, split by the separator only when
+# there is one: two runs around an optional separator would try every split
+# of a long run.
 _CONFIDENCE_RE = re.compile(
-    r"confidence\s*[:=]?\s*(\d+(?:[.,]\d+)?|\.\d+)([ \t]*%)?", re.IGNORECASE
+    r"confidence\s*(?:[:=]\s*)?(\d+(?:[.,]\d+)?|\.\d+)([ \t]*%)?", re.IGNORECASE
 )
 # The next label ends the alternative. Indentation before a label stays on
 # its line: a blank-line run before it is left to strip(), as a lookahead

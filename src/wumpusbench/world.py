@@ -19,9 +19,11 @@ holds the cells in canonical order, the safe start zone and each cell's
 in-grid neighbors in canonical order. Adjacency, percepts, world generation and
 the frontier all read from that table, and the oracle builds its bitmasks from
 it, so nothing recomputes or re-sorts neighbors per call. One predicate,
-:func:`_on_frontier`, decides whether a cell is a legal move target; the
-frontier listed in observations and the legality check in :func:`apply_action`
-both use it.
+:func:`_on_frontier`, decides whether a cell is a legal move target, and
+:func:`apply_action`'s legality check uses it. The frontier listed in
+observations is built from the neighbors of the explored cells instead, so
+its cost follows the explored region, not the grid area; the tests pin that
+listing against the predicate, cell by cell, along seeded random play.
 
 :class:`WorldState` stores the layout, the percept log, the arrow report, the
 status and the reward ledger; its other attributes are read-only views of them.
@@ -30,6 +32,7 @@ status and the reward ledger; its other attributes are read-only views of them.
 from __future__ import annotations
 
 import functools
+import operator
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -43,9 +46,8 @@ class Cell(NamedTuple):
     y: int
 
 
-def sort_key(cell: Cell) -> tuple[int, int]:
-    """Canonical cell ordering used everywhere: lexicographic by (y, x)."""
-    return (cell.y, cell.x)
+# Canonical cell ordering used everywhere: lexicographic by (y, x).
+sort_key = operator.itemgetter(1, 0)
 
 
 class Direction(str, Enum):
@@ -367,9 +369,11 @@ def _on_frontier(cell: Cell, explored: AbstractSet[Cell], geo: Geometry) -> bool
 
 def frontier(state: WorldState) -> list[Cell]:
     """Unexplored cells adjacent to at least one explored cell, (y, x)-sorted."""
-    geo = geometry(state.config.grid_size)
+    neighbors = geometry(state.config.grid_size).neighbors
     explored = state.percept_log.keys()
-    return [c for c in geo.cells if _on_frontier(c, explored, geo)]
+    near = set().union(*map(neighbors.__getitem__, explored))
+    near.difference_update(explored)
+    return sorted(near, key=sort_key)
 
 
 def legal_actions(state: WorldState) -> set[Action]:

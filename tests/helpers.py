@@ -212,12 +212,18 @@ def reference_hazard_counts(
 
 
 # The reply parsers' patterns before they were made linear. They take
-# quadratic time on long runs of "move" or of blank lines, but they define
-# the matches the parsers keep.
+# quadratic time on long runs of "move", of blank lines or of whitespace, but
+# they define the matches the parsers keep.
 REFERENCE_MOVE_RE = re.compile(
     r"move[^()<>]*?\(\s*(\d+)\s*,\s*(\d+)\s*\)", re.IGNORECASE
 )
 REFERENCE_ALTERNATIVE_RE = re.compile(
     r"alternative\s*[:=]\s*(.*?)(?=^\s*(?:confidence|rationale)\s*[:=]|\Z)",
     re.IGNORECASE | re.MULTILINE | re.DOTALL,
+)
+REFERENCE_SECTION_RE = re.compile(
+    r"^\s*(Analysis|Guess|Action)\s*:", re.IGNORECASE | re.MULTILINE
+)
+REFERENCE_CONFIDENCE_RE = re.compile(
+    r"confidence\s*[:=]?\s*(\d+(?:[.,]\d+)?|\.\d+)([ \t]*%)?", re.IGNORECASE
 )

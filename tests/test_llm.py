@@ -6,8 +6,10 @@ import threading
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import make_world
+from helpers import REFERENCE_SECTION_RE, make_world
 from wumpusbench import (
     Action,
     ActionParseError,
@@ -27,7 +29,7 @@ from wumpusbench import (
     default_system_prompt,
     parse_cos_response,
 )
-from wumpusbench.llm import run_cos_round
+from wumpusbench.llm import _SECTION_RE, _split_sections, run_cos_round
 
 
 def fresh_obs(n=3):
@@ -362,6 +364,36 @@ def test_action_section_wins_over_candidates_in_analysis():
         "Action: move to position (2,1)"
     )
     assert parse_cos_response(text, grid_size=3).action == Action.move(2, 1)
+
+
+SECTION_PIECES = [
+    "Analysis", "analysis:", "Guess:", "ACTION :", "guess", ":", "\n", "\n\n",
+    " ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "x", "<exit>",
+]
+
+
+def sections(pattern, text):
+    """(label, stripped text) of each section that ``pattern`` finds."""
+    matches = list(pattern.finditer(text))
+    ends = [m.start() for m in matches[1:]] + [len(text)]
+    return [(m.group(1), text[m.end():end].strip()) for m, end in zip(matches, ends)]
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(SECTION_PIECES), max_size=30).map("".join))
+def test_sections_equal_those_of_the_reference_pattern(text):
+    expected = sections(REFERENCE_SECTION_RE, text)
+    assert sections(_SECTION_RE, text) == expected
+    first = {}
+    for label, body in expected:
+        first.setdefault(label.lower(), body)
+    assert _split_sections(text) == first
+
+
+def test_parse_cos_response_reads_a_section_before_many_blank_lines():
+    turn = parse_cos_response("Action: <exit>\nAnalysis: x" + "\n" * 32_000)
+    assert turn.analysis == "x"
+    assert turn.action == Action.exit()
 
 
 # ---------------------------------------------------------------------------

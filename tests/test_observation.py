@@ -169,6 +169,20 @@ def test_wire_values_are_plain_json():
     assert data[KEY_STENCH] == []
 
 
+def test_wire_directions_are_plain_strings_not_enum_members():
+    # Direction is a str subclass, so comparing with a logged dict would not
+    # tell the two apart; the wire form must hold exact str values.
+    world = make_world(n=3, wumpus=(3, 1), gold=(3, 3))
+    options = observation_to_dict(build_observation(world))[KEY_SUGGESTIONS]
+    assert options["shoot_options"] == ["up", "down", "left", "right"]
+    assert all(type(d) is str for d in options["shoot_options"])
+    apply_action(world, Action.shoot("right"))
+    data = observation_to_dict(build_observation(world))
+    assert data[KEY_SUGGESTIONS]["shoot_options"] == []
+    assert data[KEY_ARROW]["direction"] == "right"
+    assert type(data[KEY_ARROW]["direction"]) is str
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**31), moves=st.integers(0, 6))
 def test_round_trip_identity_over_random_histories(seed, moves):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 
 import pytest
 
@@ -38,6 +39,7 @@ from wumpusbench.observation import observation_from_dict
 from wumpusbench.oracle import (
     KnowledgeBase,
     ShotRecord,
+    _grid,
     consistent_layouts,
     hazard_counts,
     observe,
@@ -275,6 +277,22 @@ def test_hazard_counts_match_brute_force_during_oracle_play():
             assert world.status not in (Status.DEATH_PIT, Status.DEATH_WUMPUS)
             screams.update(shot.scream for shot in agent.kb.shots)
     assert screams == {True, False}
+
+
+def test_grid_members_equal_a_full_scan_on_random_masks():
+    rng = random.Random(0)
+    for n in range(3, 13):
+        grid = _grid(n)
+        area = n * n
+        masks = [0, (1 << area) - 1, 1, 1 << (area - 1)]
+        masks += [rng.getrandbits(area) for _ in range(40)]
+        masks += [
+            sum(1 << i for i in rng.sample(range(area), rng.randint(1, 5)))
+            for _ in range(40)
+        ]
+        for mask in masks:
+            # The old scan: every cell's bit, in canonical cell order.
+            assert grid.members(mask) == [b for b in grid.bit.values() if mask & b]
 
 
 # ---------------------------------------------------------------------------

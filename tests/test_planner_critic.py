@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import REFERENCE_ALTERNATIVE_RE, make_world
+from helpers import REFERENCE_ALTERNATIVE_RE, REFERENCE_CONFIDENCE_RE, make_world
 from wumpusbench import (
     Action,
     ActionParseError,
@@ -21,7 +21,7 @@ from wumpusbench import (
     critique,
     parse_critic_verdict,
 )
-from wumpusbench.planner_critic import _ALTERNATIVE_RE
+from wumpusbench.planner_critic import _ALTERNATIVE_RE, _CONFIDENCE_RE
 
 PLANNER_REPLY = (
     "Analysis: the frontier is quiet so far.\n"
@@ -169,6 +169,26 @@ def test_alternative_matches_equal_the_reference_pattern(text):
         return match and match.group(1).strip()
 
     assert alternative(_ALTERNATIVE_RE) == alternative(REFERENCE_ALTERNATIVE_RE)
+
+
+CONFIDENCE_PIECES = [
+    "Confidence", "confidence", ":", "=", " ", "\t", "\n", "\r", "\x0b",
+    "\u2028", "0", "0.8", ".5", "15", ",", "%", " %", "x",
+]
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(CONFIDENCE_PIECES), max_size=30).map("".join))
+def test_confidence_matches_equal_the_reference_pattern(text):
+    def found(pattern):
+        return [(m.span(), m.groups()) for m in pattern.finditer(text)]
+
+    assert found(_CONFIDENCE_RE) == found(REFERENCE_CONFIDENCE_RE)
+
+
+def test_parse_verdict_reads_past_a_long_run_of_whitespace():
+    text = "Confidence" + " " * 16_000 + "x\nConfidence: 0.5\nAlternative: none"
+    assert parse_critic_verdict(text) == CriticVerdict(0.5, None, "")
 
 
 def test_parse_verdict_reads_an_alternative_before_many_blank_lines():

@@ -124,11 +124,14 @@ def test_adjacent_cells_returns_a_fresh_list():
     assert adjacent_cells(Cell(2, 2), 4) == [Cell(2, 1), Cell(1, 2), Cell(3, 2), Cell(2, 3)]
 
 
-def random_play_states():
-    """Every running state of seeded random-legal play on 3x3 to 6x6 grids."""
-    conditions = [(3, 1, 1), (4, 2, 1), (5, 3, 1), (6, 2, 0), (6, 3, 1)]
+SMALL_GRIDS = ((3, 1, 1), (4, 2, 1), (5, 3, 1), (6, 2, 0), (6, 3, 1))
+
+
+def random_play_states(conditions=SMALL_GRIDS, seeds=16):
+    """Every running state of seeded random-legal play, by default on 3x3 to
+    6x6 grids; ``conditions`` holds (grid size, pits, wumpus) triples."""
     for n, pits, wumpus in conditions:
-        for seed in range(16):
+        for seed in range(seeds):
             world = generate_world(config(n=n, pits=pits, wumpus=wumpus, seed=seed))
             agent = RandomLegalAgent(seed)
             while world.status is Status.RUNNING:
@@ -139,6 +142,18 @@ def random_play_states():
 def test_frontier_matches_brute_force_along_random_play():
     rounds = 0
     for world in random_play_states():
+        explored = {tuple(c) for c in world.explored}
+        expected = yx_sorted(brute_frontier(explored, world.config.grid_size))
+        assert frontier(world) == expected
+        rounds += 1
+    assert rounds > 100
+
+
+def test_frontier_matches_brute_force_along_random_play_on_large_grids():
+    # The listing is built from the explored cells' neighbors; on these
+    # grids most cells are neither explored nor on the frontier.
+    rounds = 0
+    for world in random_play_states(((8, 3, 1), (10, 3, 1), (10, 0, 0)), seeds=12):
         explored = {tuple(c) for c in world.explored}
         expected = yx_sorted(brute_frontier(explored, world.config.grid_size))
         assert frontier(world) == expected
