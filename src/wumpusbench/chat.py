@@ -4,8 +4,9 @@ Speaks the prevailing commercial wire shape: POST a JSON body of
 ``{"model", "messages": [{"role", "content"}], "temperature"}`` and read
 ``choices[0].message.content`` plus the ``usage`` token counts back. Latency
 is measured locally around the successful request. Transient failures
-(connection errors, timeouts, 429 and 5xx statuses) are retried with
-exponential backoff.
+(connection errors, timeouts, a broken chunked body, 429 and 5xx statuses)
+are retried with exponential backoff; any other failure, such as an endpoint
+URL without a usable scheme or host, raises ``TransportError`` at once.
 
 Credentials are never taken from config files: the client reads
 ``WUMPUSBENCH_API_KEY`` (falling back to ``OPENAI_API_KEY``) unless a key is
@@ -34,6 +35,14 @@ from .errors import ProtocolError, TransportError
 
 API_KEY_ENV = "WUMPUSBENCH_API_KEY"
 _FALLBACK_KEY_ENV = "OPENAI_API_KEY"
+
+# Request failures that a later attempt can get past; any other one (a
+# malformed or unsupported URL, say) fails the call at once.
+_TRANSIENT = (
+    requests.ConnectionError,
+    requests.Timeout,
+    requests.exceptions.ChunkedEncodingError,
+)
 
 # Sessions whose environment lookup a client turned off: they still trusted
 # the environment, so every later client on them reads it too.
@@ -133,9 +142,11 @@ class ChatClient:
                     timeout=self.timeout,
                     **self._settings,
                 )
-            except requests.RequestException as exc:
+            except _TRANSIENT as exc:
                 last_error = exc
                 continue
+            except requests.RequestException as exc:
+                raise TransportError(f"chat request failed: {exc}") from exc
             if response.status_code == 429 or response.status_code >= 500:
                 last_error = TransportError(
                     f"endpoint returned {response.status_code}: {response.text[:200]}"

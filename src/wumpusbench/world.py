@@ -277,20 +277,20 @@ def generate_world(config: WorldConfig) -> WorldState:
     n = config.grid_size
     rng = random.Random(config.seed)
     geo = geometry(n)
-    hazard_pool = [c for c in geo.cells if c not in geo.start_zone]
+    # After each pop the pool still lists the undrawn cells in canonical
+    # order, which every seed's layout depends on.
+    pool = [c for c in geo.cells if c not in geo.start_zone]
 
     pits: list[Cell] = []
     for _ in range(config.num_pits):
-        pool = [c for c in hazard_pool if c not in pits]
         if not pool:
             raise ConfigurationError(
                 f"cannot place {config.num_pits} pits on a {n}x{n} grid"
             )
-        pits.append(pool[rng.randrange(len(pool))])
+        pits.append(pool.pop(rng.randrange(len(pool))))
 
     wumpus: Cell | None = None
     if config.num_wumpus:
-        pool = [c for c in hazard_pool if c not in pits]
         if not pool:
             raise ConfigurationError(f"no cell left for the wumpus on a {n}x{n} grid")
         wumpus = pool[rng.randrange(len(pool))]

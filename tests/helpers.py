@@ -8,9 +8,16 @@ for the package under test.
 from __future__ import annotations
 
 import itertools
+import random
 import re
 
-from wumpusbench import Cell, WorldConfig, WorldState, world_from_layout
+from wumpusbench import (
+    Cell,
+    ConfigurationError,
+    WorldConfig,
+    WorldState,
+    world_from_layout,
+)
 
 
 def brute_adjacent(cell: tuple[int, int], n: int) -> list[tuple[int, int]]:
@@ -70,6 +77,34 @@ def enumerate_layouts(n: int, num_pits: int, num_wumpus: int):
             if gold in pits or gold == (1, 1):
                 continue
             yield pits, wumpus, gold
+
+
+def reference_layout(config: WorldConfig):
+    """``(pits, wumpus, gold)`` drawn the plain way, each draw from a fresh
+    filtered copy of its pool; ``generate_world`` must draw the same."""
+    n = config.grid_size
+    rng = random.Random(config.seed)
+    cells = [(x, y) for y in range(1, n + 1) for x in range(1, n + 1)]
+    start_zone = {(1, 1)} | set(brute_adjacent((1, 1), n))
+    hazard_pool = [c for c in cells if c not in start_zone]
+    pits = []
+    for _ in range(config.num_pits):
+        pool = [c for c in hazard_pool if c not in pits]
+        if not pool:
+            raise ConfigurationError(
+                f"cannot place {config.num_pits} pits on a {n}x{n} grid"
+            )
+        pits.append(pool[rng.randrange(len(pool))])
+    wumpus = None
+    if config.num_wumpus:
+        pool = [c for c in hazard_pool if c not in pits]
+        if not pool:
+            raise ConfigurationError(f"no cell left for the wumpus on a {n}x{n} grid")
+        wumpus = pool[rng.randrange(len(pool))]
+    gold_pool = [c for c in cells if c not in pits and c != (1, 1)]
+    if not gold_pool:
+        raise ConfigurationError(f"no cell left for the gold on a {n}x{n} grid")
+    return pits, wumpus, gold_pool[rng.randrange(len(gold_pool))]
 
 
 BRUTE_DELTAS = {"up": (0, 1), "down": (0, -1), "left": (-1, 0), "right": (1, 0)}

@@ -1,0 +1,40 @@
+"""The benchmark's stored seed-0 digests must match the package's play.
+
+``perfbench/reference.json`` holds, per workload, the ``matrix_digest`` of the
+oracle's play of the workload's seed-0 matrix. The benchmark compares against
+it only when it runs at seed 0; this test replays the same matrices in
+process, so a change to world generation, the rules or the oracle that moves
+any episode fails here too. ``perfbench/`` is loaded read-only and never put
+on ``sys.path``.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+from wumpusbench import harness
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(monkeypatch, name: str):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # workloads.py imports checks.py by its bare name; drop both afterwards.
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_seed_zero_play_matches_the_stored_digests(monkeypatch):
+    checks = load(monkeypatch, "checks")
+    workloads = load(monkeypatch, "workloads")
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    assert set(reference["digests"]) == {"oracle-paper", "oracle-large", "llm-mock"}
+    for workload, digest in reference["digests"].items():
+        matrix = workloads.build_matrix(workload, reference["seed"])
+        records = harness.run_trials(matrix, workloads.oracle_factory, agent_kind="oracle")
+        assert checks.matrix_digest(records) == digest, workload

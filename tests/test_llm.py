@@ -193,6 +193,17 @@ def closed_port() -> int:
         return sock.getsockname()[1]
 
 
+@pytest.mark.parametrize(
+    "endpoint", ["localhost:8000/v1/chat/completions", "htp://127.0.0.1:1/v1", "http://"]
+)
+def test_client_does_not_retry_a_malformed_endpoint(clean_environment, endpoint):
+    session = CountingPostSession()
+    client = ChatClient(endpoint, "test-model", max_retries=3, backoff=0, session=session)
+    with pytest.raises(TransportError):
+        client.complete([ChatMessage("user", "hi")])
+    assert session.posts == 1
+
+
 def test_client_reads_proxies_from_the_environment_when_built(clean_environment):
     clean_environment.setenv("HTTP_PROXY", f"http://127.0.0.1:{closed_port()}")
     with MockChatServer([MockReply("ok")]) as server:

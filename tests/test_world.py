@@ -2,13 +2,20 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_adjacent, brute_frontier, brute_percepts, make_world
+from helpers import (
+    brute_adjacent,
+    brute_frontier,
+    brute_percepts,
+    make_world,
+    reference_layout,
+)
 from wumpusbench import (
     Action,
     ActionKind,
@@ -85,6 +92,22 @@ def test_generation_initial_state():
 def test_generation_infeasible_placement_raises():
     with pytest.raises(ConfigurationError):
         generate_world(config(n=2, pits=2, wumpus=0, seed=0))
+
+
+def test_generation_draws_the_reference_layouts():
+    for n, pits, wumpus, seed in itertools.product(range(2, 9), range(4), (0, 1), range(40)):
+        cfg = config(n=n, pits=pits, wumpus=wumpus, seed=seed)
+        try:
+            expected = reference_layout(cfg)
+        except ConfigurationError as exc:
+            with pytest.raises(ConfigurationError) as raised:
+                generate_world(cfg)
+            assert str(raised.value) == str(exc)
+            continue
+        world = generate_world(cfg)
+        assert world.pit_cells == frozenset(expected[0])
+        assert world.wumpus_cell == expected[1]
+        assert world.gold_cell == expected[2]
 
 
 def test_config_validation():
