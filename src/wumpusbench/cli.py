@@ -22,7 +22,7 @@ import time
 
 from .agents import ScriptedAgent
 from .chat import ChatClient
-from .errors import WumpusBenchError
+from .errors import ConfigurationError, WumpusBenchError
 from .harness import (
     EpisodeRecord,
     TrialMatrix,
@@ -41,14 +41,19 @@ from .llm import (
     MECHANISM_PLANNER_CRITIC,
 )
 from .metrics import price_table_from_dict, summarize
-from .mockserver import script_from_json, serve_mock
+from .mockserver import MockChatServer, script_from_json
 from .oracle import OracleAgent
 from .planner_critic import ArbitrationConfig, PlannerCriticAgent
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
+    """The JSON value in the file at ``path``; invalid JSON raises
+    :class:`ConfigurationError` naming the file."""
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def _build_matrix(args, config: dict) -> TrialMatrix:
@@ -119,6 +124,8 @@ def _agent_factory(args, config: dict):
 
 def cmd_run(args) -> int:
     config = _load_json(args.config) if args.config else {}
+    if not isinstance(config, dict):
+        raise ConfigurationError(f"{args.config}: expected a JSON object")
     matrix = _build_matrix(args, config)
     factory, mechanism, models = _agent_factory(args, config)
     total = matrix.total_trials()
@@ -184,7 +191,7 @@ def cmd_summarize(args) -> int:
 
 def cmd_mock_serve(args) -> int:
     script = script_from_json(_load_json(args.script))
-    server = serve_mock(script, port=args.port)
+    server = MockChatServer(script, port=args.port).start()
     print(f"mock chat endpoint at {server.url} ({len(script)} scripted replies)")
     try:
         while True:
@@ -250,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except WumpusBenchError as exc:
+    except (WumpusBenchError, OSError) as exc:  # OSError: a file to read or write
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

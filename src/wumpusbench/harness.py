@@ -164,7 +164,7 @@ def run_episode(
         obs_dict = observation_to_dict(obs)
         try:
             decision = agent.decide(obs)
-            result = apply_action(state, decision.action)
+            reward = apply_action(state, decision.action)
         except EpisodeProtocolFailure as exc:
             state.status = Status.PROTOCOL_FAILURE
             error = str(exc)
@@ -189,7 +189,7 @@ def run_episode(
                 observation=obs_dict,
                 action=decision.action,
                 provenance=decision.provenance,
-                reward_delta=result.reward_delta,
+                reward_delta=reward,
                 analysis=decision.analysis,
                 guess=decision.guess,
                 guess_raw=decision.guess_raw,
@@ -324,9 +324,11 @@ def default_matrix(
 
 def matrix_from_dict(data: dict) -> TrialMatrix:
     """Load a matrix from config JSON; omitted seeds are drawn from
-    ``master_seed`` deterministically. A malformed top-level field raises
-    :class:`ConfigurationError` naming it, and a condition with a missing or
-    malformed field one naming its index."""
+    ``master_seed`` deterministically. Data that is not an object, or a
+    malformed top-level field, raises :class:`ConfigurationError` naming it,
+    and a condition with a missing or malformed field one naming its index."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"matrix: expected a JSON object, not {data!r:.80}")
 
     def top_level(name: str, default: int) -> int:
         try:
@@ -341,6 +343,10 @@ def matrix_from_dict(data: dict) -> TrialMatrix:
     trials = top_level("trials_per_condition", DEFAULT_TRIALS_PER_CONDITION)
     if "conditions" not in data:
         return default_matrix(master_seed, trials, step_limit)
+    if not isinstance(data["conditions"], list):
+        raise ConfigurationError(
+            f"conditions: expected a list, not {data['conditions']!r:.80}"
+        )
     entries = []
     for i, entry in enumerate(data["conditions"]):
         try:
@@ -543,7 +549,7 @@ def _replay(
         if "protocol-failure" in round_record.flags:
             return
         observation = observation_to_dict(build_observation(state))
-        reward = apply_action(state, round_record.action).reward_delta
+        reward = apply_action(state, round_record.action)
         yield round_record, observation, reward
 
 
@@ -583,7 +589,7 @@ def verify_record(record: EpisodeRecord) -> WorldState:
     return state
 
 
-def render_board(state: WorldState, *, reveal: bool = True) -> str:
+def render_board(state: WorldState) -> str:
     """ASCII board: A agent, P pit, W/w live/dead wumpus, G gold, . explored,
     ? unexplored."""
     n = state.config.grid_size
@@ -593,13 +599,12 @@ def render_board(state: WorldState, *, reveal: bool = True) -> str:
         for x in range(1, n + 1):
             cell = Cell(x, y)
             symbol = "." if cell in state.percept_log else "?"
-            if reveal:
-                if cell == state.gold_cell:
-                    symbol = "G"
-                if cell == state.wumpus_cell:
-                    symbol = "W" if state.wumpus_alive else "w"
-                if cell in state.pit_cells:
-                    symbol = "P"
+            if cell == state.gold_cell:
+                symbol = "G"
+            if cell == state.wumpus_cell:
+                symbol = "W" if state.wumpus_alive else "w"
+            if cell in state.pit_cells:
+                symbol = "P"
             if cell == state.agent_cell:
                 symbol = "A"
             row.append(symbol)
@@ -610,7 +615,7 @@ def render_board(state: WorldState, *, reveal: bool = True) -> str:
 
 def render_frames(record: EpisodeRecord) -> list[str]:
     """One ASCII frame per round (plus the initial board), re-simulated from
-    the seed with hazards revealed."""
+    the seed, with every hazard shown."""
     state = generate_world(record.config)
     frames = [f"{render_board(state)}\nround 0: start  score {state.score}"]
     for round_record, _, _ in _replay(state, record):
@@ -625,15 +630,3 @@ def render_frames(record: EpisodeRecord) -> list[str]:
         frames.append(f"round {failed.index + 1}: protocol failure")
     return frames
 
-
-def persist_and_replay(
-    path: str | Path, record: EpisodeRecord
-) -> tuple[EpisodeRecord, list[str]]:
-    """Append ``record`` to the log, read it back, verify the round trip and
-    the replay, and return the reloaded record with its rendered frames."""
-    write_records(path, [record])
-    reloaded = read_records(path)[-1]
-    if reloaded != record:
-        raise ReplayMismatchError("record changed across the write/read round trip")
-    verify_record(reloaded)
-    return reloaded, render_frames(reloaded)

@@ -18,7 +18,7 @@ import statistics
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .errors import SummaryError
+from .errors import ConfigurationError, SummaryError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .harness import EpisodeRecord
@@ -34,13 +34,22 @@ PriceTable = Mapping[str, Price]
 
 
 def price_table_from_dict(data: Mapping[str, Mapping[str, float]]) -> dict[str, Price]:
-    return {
-        name: Price(
-            input_per_1k=float(p.get("input_per_1k", 0.0)),
-            output_per_1k=float(p.get("output_per_1k", 0.0)),
-        )
-        for name, p in data.items()
-    }
+    """A price table from parsed JSON; a malformed table or entry raises
+    :class:`ConfigurationError` naming it."""
+    if not isinstance(data, Mapping):
+        raise ConfigurationError(f"prices: expected a JSON object, not {data!r:.80}")
+    table = {}
+    for name, p in data.items():
+        try:
+            table[name] = Price(
+                input_per_1k=float(p.get("input_per_1k", 0.0)),
+                output_per_1k=float(p.get("output_per_1k", 0.0)),
+            )
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"price {name!r}: malformed field ({type(exc).__name__}: {exc})"
+            ) from exc
+    return table
 
 
 def _price_for(model: str, prices: PriceTable | None) -> Price:

@@ -42,6 +42,8 @@ from dataclasses import dataclass
 from http import HTTPStatus
 from typing import Sequence
 
+from .errors import ConfigurationError
+
 _MAX_LINE = 1 << 16  # bytes in the request line or one header line
 _MAX_HEADERS = 100
 _MAX_BODY = 1 << 24
@@ -195,7 +197,7 @@ class MockChatServer:
 
     def __init__(self, script: Sequence[MockReply], port: int = 0):
         if not script:
-            raise ValueError("mock script must not be empty")
+            raise ConfigurationError("mock script must not be empty")
         self._queue = deque(script)
         self._lock = threading.Lock()
         self.requests: list[dict] = []
@@ -252,20 +254,26 @@ class MockChatServer:
         )
 
 
-def serve_mock(script: Sequence[MockReply], port: int = 0) -> MockChatServer:
-    """Start a mock endpoint and hand back its (already running) handle."""
-    return MockChatServer(script, port=port).start()
-
-
 def script_from_json(data) -> list[MockReply]:
-    """Load a script from parsed JSON: a list of reply objects."""
-    replies = data["replies"] if isinstance(data, dict) else data
-    return [
-        MockReply(
-            content=entry["content"],
-            prompt_tokens=int(entry.get("prompt_tokens", 0)),
-            completion_tokens=int(entry.get("completion_tokens", 0)),
-            delay=float(entry.get("delay", 0.0)),
-        )
-        for entry in replies
-    ]
+    """Load a script from parsed JSON: a list of reply objects, bare or under
+    ``replies``. A malformed reply raises :class:`ConfigurationError` naming
+    its index."""
+    replies = data.get("replies") if isinstance(data, dict) else data
+    if not isinstance(replies, list):
+        raise ConfigurationError("replies: expected a list of reply objects")
+    script = []
+    for i, entry in enumerate(replies):
+        try:
+            script.append(
+                MockReply(
+                    content=entry["content"],
+                    prompt_tokens=int(entry.get("prompt_tokens", 0)),
+                    completion_tokens=int(entry.get("completion_tokens", 0)),
+                    delay=float(entry.get("delay", 0.0)),
+                )
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"reply {i}: missing or malformed field ({type(exc).__name__}: {exc})"
+            ) from exc
+    return script

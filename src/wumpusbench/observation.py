@@ -179,10 +179,6 @@ def observation_from_dict(data: dict) -> Observation:
     )
 
 
-def observation_from_json(text: str) -> Observation:
-    return observation_from_dict(json.loads(text))
-
-
 # A move's cell is read at the first of "()<>" after the word, which every
 # "move" before that character shares. One match takes the whole run and
 # leaves the cell groups empty when no cell follows; trying each "move" of

@@ -331,10 +331,10 @@ def oracle_policy(kb: KnowledgeBase, obs: Observation) -> Action:
     if obs.suggestions.shoot_options and not kb.wumpus_known_dead:
         certain = [c for c, n in counts.wumpus.items() if n == counts.total]
         if len(certain) == 1:
+            # ``observe`` rules out a live wumpus in the agent's cell, so a
+            # shot toward the certain cell always crosses it.
             direction = _direction_toward(obs.current_position, certain[0])
-            if direction is not None and certain[0] in shoot_trajectory(
-                obs.current_position, direction, kb.grid_size
-            ):
+            if direction is not None:
                 return Action.shoot(direction)
     return Action.exit()
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import operator
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import AbstractSet, Iterable, NamedTuple
 
@@ -117,7 +117,6 @@ class Percept:
     breeze: bool
     stench: bool
     glitter: bool
-    scream: bool = False
 
 
 class ActionKind(str, Enum):
@@ -204,13 +203,6 @@ class WorldState:
         return self.wumpus_cell is not None and not (report and report.scream)
 
 
-@dataclass(frozen=True)
-class TransitionResult:
-    reward_delta: int
-    percept: Percept
-    terminal: bool
-
-
 def in_grid(cell: Cell, n: int) -> bool:
     return 1 <= cell.x <= n and 1 <= cell.y <= n
 
@@ -248,11 +240,6 @@ def geometry(n: int) -> Geometry:
         start_zone=frozenset([START_CELL, *neighbors[START_CELL]]),
         neighbors=neighbors,
     )
-
-
-def grid_cells(n: int) -> list[Cell]:
-    """All cells of an n x n grid in canonical (y, x) order."""
-    return list(geometry(n).cells)
 
 
 def adjacent_cells(cell: Cell, n: int) -> list[Cell]:
@@ -349,8 +336,7 @@ def world_from_layout(
 
 def percepts_at(state: WorldState, cell: Cell) -> Percept:
     """Instantaneous percepts in ``cell``: breeze next to a pit, stench next
-    to a live wumpus, glitter on the gold. Scream is transition-scoped and
-    always false here."""
+    to a live wumpus, glitter on the gold."""
     n = state.config.grid_size
     if not in_grid(cell, n):
         raise ConfigurationError(f"cell {cell} outside the {n}x{n} grid")
@@ -376,18 +362,6 @@ def frontier(state: WorldState) -> list[Cell]:
     return sorted(near, key=sort_key)
 
 
-def legal_actions(state: WorldState) -> set[Action]:
-    """Moves to every frontier cell, the four shots while the arrow is held,
-    and exit. Only defined for running states."""
-    if state.status is not Status.RUNNING:
-        raise IllegalActionError(f"no legal actions in terminal status {state.status.value}")
-    actions = {Action.move(c.x, c.y) for c in frontier(state)}
-    if state.arrow_available:
-        actions.update(Action.shoot(d) for d in DIRECTIONS)
-    actions.add(Action.exit())
-    return actions
-
-
 def shoot_trajectory(agent: Cell, direction: Direction, n: int) -> list[Cell]:
     """Cells the arrow crosses, from the agent outward to the grid edge,
     excluding the agent's own cell."""
@@ -400,8 +374,9 @@ def shoot_trajectory(agent: Cell, direction: Direction, n: int) -> list[Cell]:
     return out
 
 
-def apply_action(state: WorldState, action: Action) -> TransitionResult:
-    """Advance the episode by one action, mutating ``state``.
+def apply_action(state: WorldState, action: Action) -> int:
+    """Advance the episode by one action, mutating ``state``, and return the
+    action's reward delta, the value appended to ``reward_ledger``.
 
     Moves cost the move penalty and resolve pit, then live wumpus, then gold
     pickup, in that order. Shots are free, consume the arrow and kill the
@@ -425,8 +400,7 @@ def apply_action(state: WorldState, action: Action) -> TransitionResult:
                 f"move target {tuple(target)} is not an unexplored cell adjacent "
                 "to explored territory"
             )
-        percept = percepts_at(state, target)
-        state.percept_log[target] = percept
+        state.percept_log[target] = percepts_at(state, target)
         delta = cfg.move_penalty
         if target in state.pit_cells:
             delta += cfg.pit_death
@@ -448,12 +422,10 @@ def apply_action(state: WorldState, action: Action) -> TransitionResult:
         scream = state.wumpus_alive and state.wumpus_cell in trajectory
         delta = cfg.kill_bonus if scream else 0
         state.arrow_report = ArrowReport(direction=action.direction, scream=scream)
-        percept = replace(percepts_at(state, state.agent_cell), scream=scream)
 
     elif action.kind is ActionKind.EXIT:
         delta = 0
         state.status = Status.EXITED
-        percept = percepts_at(state, state.agent_cell)
 
     else:  # pragma: no cover - enum is exhaustive
         raise IllegalActionError(f"unknown action kind {action.kind}")
@@ -461,12 +433,7 @@ def apply_action(state: WorldState, action: Action) -> TransitionResult:
     state.reward_ledger.append(delta)
     if state.status is Status.RUNNING and state.steps_taken >= cfg.step_limit:
         state.status = Status.TIMEOUT
-
-    return TransitionResult(
-        reward_delta=delta,
-        percept=percept,
-        terminal=state.status is not Status.RUNNING,
-    )
+    return delta
 
 
 def episode_score(ledger: Iterable[int], base: int) -> int:

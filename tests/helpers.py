@@ -11,13 +11,8 @@ import itertools
 import random
 import re
 
-from wumpusbench import (
-    Cell,
-    ConfigurationError,
-    WorldConfig,
-    WorldState,
-    world_from_layout,
-)
+from wumpusbench import Cell, WorldConfig, WorldState, world_from_layout
+from wumpusbench.errors import ConfigurationError
 
 
 def brute_adjacent(cell: tuple[int, int], n: int) -> list[tuple[int, int]]:

@@ -263,3 +263,48 @@ def test_replay_verifies_every_v1_fixture_episode(episode, capsys):
 def test_summarize_reads_the_v1_fixture(capsys):
     assert main(["summarize", "--log", str(V1_LOG)]) == 0
     assert "Total runs" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "name, text, argv, message",
+    [
+        ("matrix.json", '{"conditions": 5}', ["run", "--matrix"], "conditions: "),
+        ("matrix.json", "[1, 2]", ["run", "--matrix"], "matrix: "),
+        ("config.json", "[1]", ["run", "--config"], "config.json: "),
+        (
+            "script.json",
+            '[{"content": "x", "delay": "soon"}]',
+            ["mock-serve", "--script"],
+            "reply 0: ",
+        ),
+        ("script.json", "[]", ["mock-serve", "--script"], "must not be empty"),
+        (
+            "prices.json",
+            '{"default": {"input_per_1k": "x"}}',
+            ["summarize", "--log", str(V1_LOG), "--prices"],
+            "price 'default': ",
+        ),
+        ("matrix.json", "{broken", ["run", "--matrix"], "matrix.json: invalid JSON"),
+        (None, None, ["replay", "--log"], "missing.jsonl"),
+    ],
+    ids=[
+        "matrix-conditions-not-a-list",
+        "matrix-not-an-object",
+        "config-not-an-object",
+        "script-delay-not-a-number",
+        "script-empty",
+        "price-not-a-number",
+        "invalid-json",
+        "missing-log",
+    ],
+)
+def test_cli_reports_a_malformed_input_file_as_an_error(
+    tmp_path, capsys, name, text, argv, message
+):
+    path = tmp_path / (name or "missing.jsonl")
+    if text is not None:
+        path.write_text(text)
+    assert main([*argv, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err

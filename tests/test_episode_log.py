@@ -20,7 +20,6 @@ import pytest
 
 from wumpusbench import (
     ChatClient,
-    LogCorruptionError,
     MockChatServer,
     MockReply,
     PlannerCriticAgent,
@@ -32,6 +31,7 @@ from wumpusbench import (
     verify_record,
     write_records,
 )
+from wumpusbench.errors import LogCorruptionError
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 V1_LOG = FIXTURES / "v1.jsonl"

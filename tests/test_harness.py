@@ -12,22 +12,18 @@ from wumpusbench import (
     Decision,
     EpisodeRecord,
     LlmAgent,
-    LogCorruptionError,
     MockChatServer,
     MockReply,
     OracleAgent,
     PlannerCriticAgent,
     Price,
-    ReplayMismatchError,
     ScriptedAgent,
-    SummaryError,
     TrialMatrix,
     UsageRecord,
     WorldConfig,
     default_matrix,
     generate_world,
     matrix_from_dict,
-    persist_and_replay,
     read_records,
     render_frames,
     run_episode,
@@ -36,6 +32,7 @@ from wumpusbench import (
     verify_record,
     write_records,
 )
+from wumpusbench.errors import LogCorruptionError, ReplayMismatchError, SummaryError
 from wumpusbench.harness import DEFAULT_TRIALS_PER_CONDITION, Condition
 from wumpusbench.mockserver import script_from_json
 
@@ -382,14 +379,6 @@ def test_failed_round_after_exhausted_parse_retries_keeps_every_flag():
     assert record.error == "no usable action after 4 completions"
 
 
-def test_persist_and_replay_round_trip(tmp_path):
-    config = WorldConfig(grid_size=3, num_pits=0, num_wumpus=1, seed=42)
-    record = run_episode(config, oracle_factory(config), agent_kind="oracle")
-    reloaded, frames = persist_and_replay(tmp_path / "log.jsonl", record)
-    assert reloaded.to_dict() == record.to_dict()
-    assert len(frames) == len(record.rounds) + 1
-
-
 def test_success_replay_final_frame_shows_agent_on_gold_cell():
     config = WorldConfig(grid_size=3, num_pits=0, num_wumpus=1, seed=42)
     gold = generate_world(config).gold_cell
@@ -416,7 +405,7 @@ def test_frames_reveal_hazards():
 
 def make_record(score, steps, status="success", killed=False):
     config = WorldConfig(grid_size=3, num_pits=0, num_wumpus=1, seed=0)
-    from wumpusbench import RoundRecord
+    from wumpusbench.harness import RoundRecord
 
     rounds = [
         RoundRecord(
@@ -468,7 +457,8 @@ def test_summary_excludes_protocol_failures_from_rates():
 
 
 def spend_record(status, prompt_tokens, completion_tokens, steps=1):
-    from wumpusbench import ChatMessage, CompletionLog, RoundRecord, UsageRecord
+    from wumpusbench import ChatMessage, CompletionLog, UsageRecord
+    from wumpusbench.harness import RoundRecord
 
     call = CompletionLog(
         role="model",
@@ -520,7 +510,8 @@ def test_summary_rejects_empty_input():
 
 
 def test_cost_arithmetic_from_price_table():
-    from wumpusbench import CompletionLog, ChatMessage, RoundRecord, UsageRecord
+    from wumpusbench import CompletionLog, ChatMessage, UsageRecord
+    from wumpusbench.harness import RoundRecord
 
     config = WorldConfig(grid_size=3, num_pits=0, num_wumpus=1, seed=0)
     call = CompletionLog(

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from helpers import REFERENCE_SECTION_RE, make_world
 from wumpusbench import (
     Action,
-    ActionParseError,
     Cell,
     ChatClient,
     ChatMessage,
@@ -22,14 +21,17 @@ from wumpusbench import (
     MECHANISM_COT,
     MockChatServer,
     MockReply,
-    ProtocolError,
-    TransportError,
     build_observation,
+)
+from wumpusbench.errors import ActionParseError, ProtocolError, TransportError
+from wumpusbench.llm import (
+    _SECTION_RE,
+    _split_sections,
     build_prompt,
     default_system_prompt,
     parse_cos_response,
+    run_cos_round,
 )
-from wumpusbench.llm import _SECTION_RE, _split_sections, run_cos_round
 
 
 def fresh_obs(n=3):

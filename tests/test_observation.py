@@ -9,21 +9,17 @@ from hypothesis import strategies as st
 from helpers import REFERENCE_MOVE_RE, make_world
 from wumpusbench import (
     Action,
-    ActionParseError,
     Cell,
     Direction,
-    OBSERVATION_KEYS,
     apply_action,
     build_observation,
-    frontier_suggestions,
     generate_world,
-    legal_actions,
-    observation_from_json,
-    observation_to_dict,
+    legal_actions_from,
     observation_to_json,
     parse_action,
     WorldConfig,
 )
+from wumpusbench.errors import ActionParseError
 from wumpusbench.observation import (
     _MOVE_RE,
     KEY_ARROW,
@@ -32,6 +28,10 @@ from wumpusbench.observation import (
     KEY_QUIET,
     KEY_STENCH,
     KEY_SUGGESTIONS,
+    OBSERVATION_KEYS,
+    frontier_suggestions,
+    observation_from_dict,
+    observation_to_dict,
 )
 
 
@@ -131,7 +131,8 @@ def test_suggestions_agree_with_legal_moves():
     world = generate_world(WorldConfig(grid_size=4, num_pits=2, num_wumpus=1, seed=11))
     apply_action(world, Action.move(2, 1))
     frontier_set = set(frontier_suggestions(world).frontier_cells)
-    move_set = {a.target for a in legal_actions(world) if a.target is not None}
+    actions = legal_actions_from(build_observation(world))
+    move_set = {a.target for a in actions if a.target is not None}
     assert frontier_set == move_set
 
 
@@ -150,7 +151,7 @@ def test_json_round_trip_is_identity():
     apply_action(world, Action.move(2, 1))
     apply_action(world, Action.shoot("up"))
     obs = build_observation(world)
-    assert observation_from_json(observation_to_json(obs)) == obs
+    assert observation_from_dict(json.loads(observation_to_json(obs))) == obs
 
 
 def test_wire_values_are_plain_json():
@@ -193,14 +194,18 @@ def test_round_trip_identity_over_random_histories(seed, moves):
         if world.status is not Status.RUNNING:
             break
         options = sorted(
-            (a for a in legal_actions(world) if a.target is not None),
+            (
+                a
+                for a in legal_actions_from(build_observation(world))
+                if a.target is not None
+            ),
             key=lambda a: a.to_text(),
         )
         if not options:
             break
         apply_action(world, options[seed % len(options)])
     obs = build_observation(world)
-    assert observation_from_json(observation_to_json(obs)) == obs
+    assert observation_from_dict(json.loads(observation_to_json(obs))) == obs
     assert build_observation(world) == obs  # pure function of the state
 
 

@@ -16,26 +16,25 @@ from helpers import (
 from wumpusbench import (
     Action,
     ActionKind,
-    ArrowStatus,
     Cell,
-    DIRECTIONS,
     Direction,
-    InconsistentPerceptsError,
     Observation,
     OracleAgent,
     ScriptedAgent,
     Status,
-    Suggestions,
     WorldConfig,
     apply_action,
     build_observation,
     full_info_solvable,
     generate_world,
-    oracle_policy,
+    matrix_from_dict,
     parse_action,
     run_episode,
+    run_trials,
 )
-from wumpusbench.observation import observation_from_dict
+from wumpusbench.errors import InconsistentPerceptsError
+from wumpusbench.harness import DEFAULT_CONDITIONS
+from wumpusbench.observation import ArrowStatus, Suggestions, observation_from_dict
 from wumpusbench.oracle import (
     KnowledgeBase,
     ShotRecord,
@@ -43,7 +42,9 @@ from wumpusbench.oracle import (
     consistent_layouts,
     hazard_counts,
     observe,
+    oracle_policy,
 )
+from wumpusbench.world import DIRECTIONS
 
 ZONE = {Cell(1, 1), Cell(1, 2), Cell(2, 1)}
 ALL_3X3 = {Cell(x, y) for x in range(1, 4) for y in range(1, 4)}
@@ -531,6 +532,26 @@ def test_oracle_trajectory_is_deterministic():
     second = run_episode(config, OracleAgent(4, 2, 1), agent_kind="oracle")
     assert [r.action for r in first.rounds] == [r.action for r in second.rounds]
     assert first.core_fingerprint() == second.core_fingerprint()
+
+
+def test_every_oracle_shot_screams():
+    # The oracle shoots only at a wumpus cell that every consistent layout
+    # shares, so no shot may miss. Seeded play of the six paper conditions
+    # and of 5x5 with 3 pits; each condition with a wumpus sees shots.
+    conditions = [
+        {"grid_size": c.grid_size, "num_pits": c.num_pits, "num_wumpus": c.num_wumpus}
+        for c in DEFAULT_CONDITIONS
+    ] + [{"grid_size": 5, "num_pits": 3, "num_wumpus": 1}]
+    matrix = matrix_from_dict({"trials_per_condition": 200, "conditions": conditions})
+    records = run_trials(
+        matrix, lambda cfg: OracleAgent(cfg.grid_size, cfg.num_pits, cfg.num_wumpus)
+    )
+    shooters = [
+        r for r in records if any(x.action.kind is ActionKind.SHOOT for x in r.rounds)
+    ]
+    assert all(r.wumpus_killed for r in shooters)
+    shot_conditions = {r.condition for r in shooters}
+    assert shot_conditions == {r.condition for r in records if r.config.num_wumpus}
 
 
 def test_enumeration_layout_counts_for_3x3():

@@ -7,21 +7,22 @@ from hypothesis import strategies as st
 from helpers import REFERENCE_ALTERNATIVE_RE, REFERENCE_CONFIDENCE_RE, make_world
 from wumpusbench import (
     Action,
-    ActionParseError,
     ArbitrationConfig,
-    ArbitrationError,
     ChatClient,
-    ConfigurationError,
     CriticVerdict,
     MockChatServer,
     MockReply,
     PlannerCriticAgent,
     arbitrate,
     build_observation,
+)
+from wumpusbench.errors import ActionParseError, ArbitrationError, ConfigurationError
+from wumpusbench.planner_critic import (
+    _ALTERNATIVE_RE,
+    _CONFIDENCE_RE,
     critique,
     parse_critic_verdict,
 )
-from wumpusbench.planner_critic import _ALTERNATIVE_RE, _CONFIDENCE_RE
 
 PLANNER_REPLY = (
     "Analysis: the frontier is quiet so far.\n"

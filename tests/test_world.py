@@ -20,21 +20,22 @@ from wumpusbench import (
     Action,
     ActionKind,
     Cell,
-    ConfigurationError,
     Direction,
-    IllegalActionError,
     RandomLegalAgent,
     Status,
     WorldConfig,
     WorldState,
-    adjacent_cells,
     apply_action,
     build_observation,
+    generate_world,
+    legal_actions_from,
+    percepts_at,
+)
+from wumpusbench.errors import ConfigurationError, IllegalActionError
+from wumpusbench.world import (
+    adjacent_cells,
     episode_score,
     frontier,
-    generate_world,
-    legal_actions,
-    percepts_at,
     safe_start_zone,
     shoot_trajectory,
 )
@@ -210,7 +211,7 @@ def test_apply_action_rejects_every_non_frontier_cell_along_random_play():
 def move_targets(state):
     return {
         tuple(a.target)
-        for a in legal_actions(state)
+        for a in legal_actions_from(build_observation(state))
         if a.kind is ActionKind.MOVE
     }
 
@@ -220,9 +221,10 @@ def test_initial_legal_actions_match_brute_force_frontier():
     expected = brute_frontier({(1, 1)}, 3)
     assert expected == {(1, 2), (2, 1)}
     assert move_targets(world) == expected
-    shoots = {a.direction for a in legal_actions(world) if a.kind is ActionKind.SHOOT}
+    actions = legal_actions_from(build_observation(world))
+    shoots = {a.direction for a in actions if a.kind is ActionKind.SHOOT}
     assert shoots == set(Direction)
-    assert Action.exit() in legal_actions(world)
+    assert Action.exit() in actions
 
 
 def test_frontier_grows_with_exploration():
@@ -236,27 +238,53 @@ def test_frontier_grows_with_exploration():
 def test_no_shoot_actions_once_arrow_spent():
     world = make_world(n=3, wumpus=(3, 3))
     apply_action(world, Action.shoot("up"))
-    assert all(a.kind is not ActionKind.SHOOT for a in legal_actions(world))
+    actions = legal_actions_from(build_observation(world))
+    assert all(a.kind is not ActionKind.SHOOT for a in actions)
 
 
 # ---------------------------------------------------------------------------
 # Transitions
 
 
+@pytest.mark.parametrize(
+    "layout, before, action, delta",
+    [
+        ({"wumpus": (3, 3), "gold": (3, 2)}, [], Action.move(2, 1), -1),
+        ({"pits": ((2, 2),), "gold": (3, 3)}, [Action.move(2, 1)], Action.move(2, 2), -21),
+        ({"wumpus": (2, 2), "gold": (3, 3)}, [Action.move(2, 1)], Action.move(2, 2), -31),
+        ({"gold": (2, 1)}, [], Action.move(2, 1), 49),
+        ({"wumpus": (3, 1), "gold": (3, 3)}, [], Action.shoot("right"), 20),
+        ({"wumpus": (3, 1), "gold": (3, 3)}, [], Action.shoot("up"), 0),
+        ({"gold": (3, 3)}, [Action.move(2, 1)], Action.exit(), 0),
+    ],
+    ids=["move", "pit-death", "wumpus-death", "gold", "kill-shot", "miss", "exit"],
+)
+def test_apply_action_returns_the_delta_it_appends_to_the_ledger(
+    layout, before, action, delta
+):
+    world = make_world(n=3, **layout)
+    for earlier in before:
+        apply_action(world, earlier)
+    ledger = list(world.reward_ledger)
+    result = apply_action(world, action)
+    assert type(result) is int
+    assert result == delta
+    assert world.reward_ledger == [*ledger, result]
+
+
 def test_move_onto_pit_is_fatal():
     world = make_world(n=3, pits=((2, 2),), gold=(3, 3))
     result = apply_action(world, Action.move(2, 1))
-    assert result.reward_delta == -1
+    assert result == -1
     result = apply_action(world, Action.move(2, 2))
-    assert result.reward_delta == -21
+    assert result == -21
     assert world.status is Status.DEATH_PIT
-    assert result.terminal
 
 
 def test_move_onto_gold_succeeds():
     world = make_world(n=3, gold=(2, 1))
     result = apply_action(world, Action.move(2, 1))
-    assert result.reward_delta == 49
+    assert result == 49
     assert world.status is Status.SUCCESS
     assert world.gold_cell is None
     assert world.score == 99
@@ -266,7 +294,7 @@ def test_move_onto_live_wumpus_is_fatal():
     world = make_world(n=3, wumpus=(2, 2), gold=(3, 3))
     apply_action(world, Action.move(2, 1))
     result = apply_action(world, Action.move(2, 2))
-    assert result.reward_delta == -31
+    assert result == -31
     assert world.status is Status.DEATH_WUMPUS
 
 
@@ -275,7 +303,7 @@ def test_hazard_resolves_before_gold_pickup():
     apply_action(world, Action.move(2, 1))
     result = apply_action(world, Action.move(2, 2))
     assert world.status is Status.DEATH_WUMPUS
-    assert result.reward_delta == -31
+    assert result == -31
     assert world.gold_cell is not None
 
 
@@ -286,14 +314,13 @@ def test_dead_wumpus_cell_is_harmless_and_gold_collectable():
     assert not world.wumpus_alive
     result = apply_action(world, Action.move(2, 2))
     assert world.status is Status.SUCCESS
-    assert result.reward_delta == 49
+    assert result == 49
 
 
 def test_shoot_kill_earns_bonus_and_scream():
     world = make_world(n=3, wumpus=(3, 1), gold=(3, 3))
     result = apply_action(world, Action.shoot("right"))
-    assert result.reward_delta == 20
-    assert result.percept.scream
+    assert result == 20
     assert not world.wumpus_alive
     assert not world.arrow_available
     assert world.arrow_report.direction is Direction.RIGHT
@@ -303,8 +330,7 @@ def test_shoot_kill_earns_bonus_and_scream():
 def test_shoot_miss_consumes_arrow_silently():
     world = make_world(n=3, wumpus=(3, 1), gold=(3, 3))
     result = apply_action(world, Action.shoot("up"))
-    assert result.reward_delta == 0
-    assert not result.percept.scream
+    assert result == 0
     assert world.wumpus_alive
     assert not world.arrow_available
     assert world.arrow_report.scream is False
@@ -313,7 +339,7 @@ def test_shoot_miss_consumes_arrow_silently():
 def test_exit_costs_nothing():
     world = make_world(n=3, gold=(3, 3))
     result = apply_action(world, Action.exit())
-    assert result.reward_delta == 0
+    assert result == 0
     assert world.status is Status.EXITED
     assert world.score == 50
 
@@ -343,10 +369,9 @@ def test_timeout_at_exact_step_limit_counting_shoots():
     world = make_world(n=4, gold=(4, 4), step_limit=3)
     apply_action(world, Action.shoot("up"))
     apply_action(world, Action.move(2, 1))
-    result = apply_action(world, Action.move(3, 1))
+    apply_action(world, Action.move(3, 1))
     assert world.steps_taken == 3
     assert world.status is Status.TIMEOUT
-    assert result.terminal
     assert world.score == 50 - 2  # accumulated score kept
 
 
@@ -377,7 +402,7 @@ def test_quiet_cell_has_no_percepts():
     world = make_world(n=3, wumpus=(3, 3), gold=(3, 2))
     percept = percepts_at(world, Cell(1, 1))
     assert percept == percepts_at(world, Cell(1, 1))
-    assert not (percept.breeze or percept.stench or percept.glitter or percept.scream)
+    assert not (percept.breeze or percept.stench or percept.glitter)
 
 
 def test_glitter_only_on_gold_cell():
@@ -446,11 +471,13 @@ def test_random_walks_preserve_ledger_and_exploration_invariants(seed, walk):
     kills = 0
     gold_pickups = 0
     while world.status is Status.RUNNING:
-        options = sorted(legal_actions(world), key=lambda a: a.to_text())
+        options = sorted(
+            legal_actions_from(build_observation(world)), key=lambda a: a.to_text()
+        )
         action = options[rng.randrange(len(options))]
         before_gold = world.gold_cell
-        result = apply_action(world, action)
-        if result.percept.scream:
+        apply_action(world, action)
+        if action.kind is ActionKind.SHOOT and world.arrow_report.scream:
             kills += 1
         if before_gold is not None and world.gold_cell is None:
             gold_pickups += 1
