@@ -64,9 +64,26 @@ def _build_matrix(args, config: dict) -> TrialMatrix:
     return default_matrix(master_seed=args.seed, step_limit=args.step_limit)
 
 
+def _config_field(config: dict, name: str, default, convert):
+    """``convert`` of the config's field ``name`` (``default`` when absent); a
+    malformed value raises :class:`ConfigurationError` naming the field."""
+    try:
+        return convert(config.get(name, default))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"{name}: malformed field ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
+def _underscored(name: str) -> str:
+    return name.replace("-", "_")
+
+
 def _agent_factory(args, config: dict):
-    mechanism = (args.mechanism or config.get("mechanism", MECHANISM_COS)).replace(
-        "-", "_"
+    mechanism = (
+        _underscored(args.mechanism)
+        if args.mechanism
+        else _config_field(config, "mechanism", MECHANISM_COS, _underscored)
     )
     if args.agent == "oracle":
         return (
@@ -87,7 +104,7 @@ def _agent_factory(args, config: dict):
     temperature = (
         args.temperature
         if args.temperature is not None
-        else float(config.get("temperature", 0.0))
+        else _config_field(config, "temperature", 0.0, float)
     )
 
     def make_client(name: str) -> ChatClient:
@@ -98,7 +115,7 @@ def _agent_factory(args, config: dict):
         threshold = (
             args.critic_threshold
             if args.critic_threshold is not None
-            else float(config.get("critic_threshold", 0.7))
+            else _config_field(config, "critic_threshold", 0.7, float)
         )
 
         def factory(cfg):

@@ -6,12 +6,19 @@ call with usage, and every executed action with its provenance. Records
 serialize one-per-line to an append-only JSONL log; loading a record and
 re-simulating it from the seed must reproduce every observation, reward and
 the final score, which :func:`verify_record` enforces.
+
+A logged action is its canonical text, and reading decodes it by exact match:
+the five token actions from a table of their shared values, a move by one
+full match of ``move to position (x,y)`` with plain decimal coordinates. Only
+text that fails the match goes to the free-text reply parser, which names
+the fault: no recognizable action, or a non-canonical text.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import re
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -30,6 +37,7 @@ from .world import (
     Action,
     ActionKind,
     Cell,
+    DIRECTIONS,
     Status,
     WorldConfig,
     WorldState,
@@ -440,15 +448,29 @@ def _value_decoder(hint) -> Callable | None:
     return None
 
 
+# The canonical texts: the five token actions, and a move with its
+# coordinates in plain decimal, as Action.to_text writes them.
+_TOKEN_ACTIONS = {
+    action.to_text(): action
+    for action in (*map(Action.shoot, DIRECTIONS), Action.exit())
+}
+_CANONICAL_MOVE = re.compile(
+    r"move to position \((0|[1-9][0-9]*),(0|[1-9][0-9]*)\)"
+)
+
+
 def _decode_action(text: str) -> Action:
-    """The action a log wrote as ``text``, which must be its canonical text:
-    :func:`parse_action` also reads free-text replies, and a line it accepts
-    but would write back differently was not written by this codec."""
+    """The action a log wrote as ``text``, which must be its canonical text,
+    matched exactly. Other text is refused: as unparseable when
+    :func:`parse_action` finds no action in it, else as non-canonical."""
+    action = _TOKEN_ACTIONS.get(text)
+    if action is not None:
+        return action
+    if match := _CANONICAL_MOVE.fullmatch(text):
+        return Action.move(int(match[1]), int(match[2]))
     # Looked up per call, so a wrapper set on this module's attribute sees it.
-    action = parse_action(text)
-    if action.to_text() != text:
-        raise LogCorruptionError(f"non-canonical action text {text!r}")
-    return action
+    parse_action(text)
+    raise LogCorruptionError(f"non-canonical action text {text!r}")
 
 
 _SCALARS = (bool, int, float, str, NoneType)

@@ -5,6 +5,11 @@ the percept history of visited cells plus frontier/shooting suggestions. It
 serializes to a single JSON object whose keys are fixed wire strings (see
 ``OBSERVATION_KEYS``); parsing that text back yields an identical observation.
 
+Building one is cheap per round: the percept log is sorted once and split, in
+that order, into the quiet, breeze and stench lists; the arrow status is one
+of its nine shared, frozen values (unfired, or fired in a direction with or
+without a scream), and the shot options are ``DIRECTIONS`` itself or ``()``.
+
 Action grammar (case-insensitive, last match in the text wins so that
 chain-of-thought replies can mention candidates before the final choice):
 
@@ -23,6 +28,7 @@ from dataclasses import dataclass
 from .errors import ActionParseError
 from .world import (
     Action,
+    ArrowReport,
     Cell,
     Direction,
     DIRECTIONS,
@@ -84,11 +90,21 @@ class Observation:
 
 def frontier_suggestions(state: WorldState) -> Suggestions:
     """Frontier cells in (y, x) order plus the shot directions still open."""
-    shoot = DIRECTIONS if state.arrow_available else ()
     return Suggestions(
-        frontier_cells=tuple(frontier(state)),
-        shoot_options=tuple(shoot),
+        tuple(frontier(state)), DIRECTIONS if state.arrow_available else ()
     )
+
+
+# The nine arrow states, keyed by the world's arrow report: unfired (None),
+# or fired in a direction, with or without a scream.
+_ARROW_STATUS = {
+    None: ArrowStatus(False, None, False),
+    **{
+        ArrowReport(d, scream): ArrowStatus(True, d, scream)
+        for d in DIRECTIONS
+        for scream in (False, True)
+    },
+}
 
 
 def build_observation(state: WorldState) -> Observation:
@@ -97,30 +113,28 @@ def build_observation(state: WorldState) -> Observation:
     Location lists reflect the percepts recorded when each cell was first
     visited; a stench recorded before the wumpus died stays recorded. A cell
     is quiet only if it had neither breeze nor stench, and a cell with both
-    appears in both lists.
+    appears in both lists. The log is sorted once and split in that order.
     """
+    log = state.percept_log
     quiet, breeze, stench = [], [], []
-    for cell, percept in state.percept_log.items():
+    for cell in sorted(log, key=sort_key):
+        percept = log[cell]
         if percept.breeze:
             breeze.append(cell)
         if percept.stench:
             stench.append(cell)
         if not percept.breeze and not percept.stench:
             quiet.append(cell)
-    report = state.arrow_report
+    config = state.config
     return Observation(
-        num_wumpus=state.config.num_wumpus,
-        num_pits=state.config.num_pits,
-        current_position=state.agent_cell,
-        quiet_locations=tuple(sorted(quiet, key=sort_key)),
-        breeze_locations=tuple(sorted(breeze, key=sort_key)),
-        stench_locations=tuple(sorted(stench, key=sort_key)),
-        suggestions=frontier_suggestions(state),
-        arrow_status=ArrowStatus(
-            fired=report is not None,
-            direction=report.direction if report else None,
-            scream_heard=report.scream if report else False,
-        ),
+        config.num_wumpus,
+        config.num_pits,
+        state.agent_cell,
+        tuple(quiet),
+        tuple(breeze),
+        tuple(stench),
+        frontier_suggestions(state),
+        _ARROW_STATUS[state.arrow_report],
     )
 
 
@@ -131,21 +145,23 @@ _WIRE = {None: None, **{d: d.value for d in DIRECTIONS}}
 
 def observation_to_dict(obs: Observation) -> dict:
     """The eight-key wire form of an observation."""
+    suggestions = obs.suggestions
+    arrow = obs.arrow_status
     return {
         KEY_NUM_WUMPUS: obs.num_wumpus,
         KEY_NUM_PITS: obs.num_pits,
         KEY_POSITION: list(obs.current_position),
-        KEY_QUIET: [list(c) for c in obs.quiet_locations],
-        KEY_BREEZE: [list(c) for c in obs.breeze_locations],
-        KEY_STENCH: [list(c) for c in obs.stench_locations],
+        KEY_QUIET: list(map(list, obs.quiet_locations)),
+        KEY_BREEZE: list(map(list, obs.breeze_locations)),
+        KEY_STENCH: list(map(list, obs.stench_locations)),
         KEY_SUGGESTIONS: {
-            "frontier_cells": [list(c) for c in obs.suggestions.frontier_cells],
-            "shoot_options": [_WIRE[d] for d in obs.suggestions.shoot_options],
+            "frontier_cells": list(map(list, suggestions.frontier_cells)),
+            "shoot_options": [_WIRE[d] for d in suggestions.shoot_options],
         },
         KEY_ARROW: {
-            "fired": obs.arrow_status.fired,
-            "direction": _WIRE[obs.arrow_status.direction],
-            "scream_heard": obs.arrow_status.scream_heard,
+            "fired": arrow.fired,
+            "direction": _WIRE[arrow.direction],
+            "scream_heard": arrow.scream_heard,
         },
     }
 

@@ -64,6 +64,16 @@ class PerceptRecord:
     wumpus_alive: bool  # whether the wumpus was still alive when recorded
 
 
+# The eight records, keyed by (breeze, stench, wumpus_alive), shared by every
+# knowledge base.
+_PERCEPT_RECORDS = {
+    (b, s, a): PerceptRecord(b, s, a)
+    for b in (False, True)
+    for s in (False, True)
+    for a in (False, True)
+}
+
+
 @dataclass(frozen=True)
 class ShotRecord:
     origin: Cell
@@ -290,11 +300,9 @@ def observe(kb: KnowledgeBase, obs: Observation) -> KnowledgeBase:
     if pos not in records:
         records = {
             **records,
-            pos: PerceptRecord(
-                breeze=pos in obs.breeze_locations,
-                stench=pos in obs.stench_locations,
-                wumpus_alive=not dead,
-            ),
+            pos: _PERCEPT_RECORDS[
+                pos in obs.breeze_locations, pos in obs.stench_locations, not dead
+            ],
         }
     out = KnowledgeBase(
         kb.grid_size, kb.num_pits, kb.num_wumpus, records, shots, dead

@@ -15,10 +15,13 @@ Re-entering explored cells is not a move. A single arrow can be shot along a
 straight line from the agent's cell; pits do not block it.
 
 Grid geometry is computed once per grid size, on first use: :func:`geometry`
-holds the cells in canonical order, the safe start zone and each cell's
-in-grid neighbors in canonical order. Adjacency, percepts, world generation and
-the frontier all read from that table, and the oracle builds its bitmasks from
-it, so nothing recomputes or re-sorts neighbors per call. One predicate,
+holds the cells in canonical order, the safe start zone, the cells outside it
+and each cell's in-grid neighbors in canonical order. Adjacency, percepts,
+world generation and the frontier all read from that table, and the oracle
+builds its bitmasks from it, so nothing recomputes or re-sorts neighbors per
+call; world generation copies its hazard pool from it. There are only eight
+percepts, and :func:`percepts_at` returns one of eight shared, frozen
+:class:`Percept` values instead of building one per cell entered. One predicate,
 :func:`_on_frontier`, decides whether a cell is a legal move target, and
 :func:`apply_action`'s legality check uses it. The frontier listed in
 observations is built from the neighbors of the explored cells instead, so
@@ -119,6 +122,15 @@ class Percept:
     glitter: bool
 
 
+# The eight percepts, keyed by (breeze, stench, glitter), shared by every world.
+_PERCEPTS = {
+    (b, s, g): Percept(b, s, g)
+    for b in (False, True)
+    for s in (False, True)
+    for g in (False, True)
+}
+
+
 class ActionKind(str, Enum):
     MOVE = "move"
     SHOOT = "shoot"
@@ -212,6 +224,7 @@ class Geometry(NamedTuple):
 
     cells: tuple[Cell, ...]  # every cell, in canonical (y, x) order
     start_zone: frozenset[Cell]  # the start cell and its in-grid neighbors
+    hazard_cells: tuple[Cell, ...]  # the cells outside start_zone, canonical order
     # In-grid 4-neighbors in canonical order, keyed by every cell of the grid
     # and of the ring just outside it; any farther cell has none.
     neighbors: dict[Cell, tuple[Cell, ...]]
@@ -235,9 +248,11 @@ def geometry(n: int) -> Geometry:
         for x in range(0, n + 2)
     }
     cells = tuple(c for c in neighbors if inside(*c))
+    start_zone = frozenset([START_CELL, *neighbors[START_CELL]])
     return Geometry(
         cells=cells,
-        start_zone=frozenset([START_CELL, *neighbors[START_CELL]]),
+        start_zone=start_zone,
+        hazard_cells=tuple(c for c in cells if c not in start_zone),
         neighbors=neighbors,
     )
 
@@ -266,7 +281,7 @@ def generate_world(config: WorldConfig) -> WorldState:
     geo = geometry(n)
     # After each pop the pool still lists the undrawn cells in canonical
     # order, which every seed's layout depends on.
-    pool = [c for c in geo.cells if c not in geo.start_zone]
+    pool = list(geo.hazard_cells)
 
     pits: list[Cell] = []
     for _ in range(config.num_pits):
@@ -282,7 +297,7 @@ def generate_world(config: WorldConfig) -> WorldState:
             raise ConfigurationError(f"no cell left for the wumpus on a {n}x{n} grid")
         wumpus = pool[rng.randrange(len(pool))]
 
-    gold_pool = [c for c in geo.cells if c not in pits and c != START_CELL]
+    gold_pool = [c for c in geo.cells[1:] if c not in pits]  # cells[0] is the start
     if not gold_pool:
         raise ConfigurationError(f"no cell left for the gold on a {n}x{n} grid")
     gold = gold_pool[rng.randrange(len(gold_pool))]
@@ -344,7 +359,7 @@ def percepts_at(state: WorldState, cell: Cell) -> Percept:
     breeze = not state.pit_cells.isdisjoint(neighbors)
     stench = state.wumpus_alive and state.wumpus_cell in neighbors
     glitter = state.gold_cell == cell
-    return Percept(breeze=breeze, stench=stench, glitter=glitter)
+    return _PERCEPTS[breeze, stench, glitter]
 
 
 def _on_frontier(cell: Cell, explored: AbstractSet[Cell], geo: Geometry) -> bool:

@@ -2,7 +2,9 @@
 
 The brute-force functions here are deliberately independent reimplementations
 (plain tuples, no package imports for the logic) so they can serve as oracles
-for the package under test.
+for the package under test. The ``reference_*`` functions keep earlier,
+plainer versions of package code that was since made faster; tests require
+the faster code to give the same results.
 """
 
 from __future__ import annotations
@@ -11,8 +13,15 @@ import itertools
 import random
 import re
 
-from wumpusbench import Cell, WorldConfig, WorldState, world_from_layout
-from wumpusbench.errors import ConfigurationError
+from wumpusbench import Action, Cell, WorldConfig, WorldState, world_from_layout
+from wumpusbench.errors import ConfigurationError, LogCorruptionError
+from wumpusbench.observation import (
+    ArrowStatus,
+    Observation,
+    Suggestions,
+    parse_action,
+)
+from wumpusbench.world import DIRECTIONS, frontier, sort_key
 
 
 def brute_adjacent(cell: tuple[int, int], n: int) -> list[tuple[int, int]]:
@@ -257,3 +266,44 @@ REFERENCE_SECTION_RE = re.compile(
 REFERENCE_CONFIDENCE_RE = re.compile(
     r"confidence\s*[:=]?\s*(\d+(?:[.,]\d+)?|\.\d+)([ \t]*%)?", re.IGNORECASE
 )
+
+
+def reference_build_observation(state: WorldState) -> Observation:
+    """The observation built the plain way: one list per kind, each sorted on
+    its own, and a fresh arrow status and suggestions."""
+    quiet, breeze, stench = [], [], []
+    for cell, percept in state.percept_log.items():
+        if percept.breeze:
+            breeze.append(cell)
+        if percept.stench:
+            stench.append(cell)
+        if not percept.breeze and not percept.stench:
+            quiet.append(cell)
+    report = state.arrow_report
+    shoot = DIRECTIONS if state.arrow_available else ()
+    return Observation(
+        num_wumpus=state.config.num_wumpus,
+        num_pits=state.config.num_pits,
+        current_position=state.agent_cell,
+        quiet_locations=tuple(sorted(quiet, key=sort_key)),
+        breeze_locations=tuple(sorted(breeze, key=sort_key)),
+        stench_locations=tuple(sorted(stench, key=sort_key)),
+        suggestions=Suggestions(
+            frontier_cells=tuple(frontier(state)),
+            shoot_options=tuple(shoot),
+        ),
+        arrow_status=ArrowStatus(
+            fired=report is not None,
+            direction=report.direction if report else None,
+            scream_heard=report.scream if report else False,
+        ),
+    )
+
+
+def reference_decode_action(text: str) -> Action:
+    """A logged action text decoded by the reply parser, accepted only when
+    the action renders back to exactly ``text``."""
+    action = parse_action(text)
+    if action.to_text() != text:
+        raise LogCorruptionError(f"non-canonical action text {text!r}")
+    return action

@@ -4,8 +4,11 @@
 oracle's play of the workload's seed-0 matrix. The benchmark compares against
 it only when it runs at seed 0; this test replays the same matrices in
 process, so a change to world generation, the rules or the oracle that moves
-any episode fails here too. ``perfbench/`` is loaded read-only and never put
-on ``sys.path``.
+any episode fails here too. One seed-0 pass of each oracle workload also
+runs the benchmark's whole check chain (JSONL round trip, replay, summary,
+digest and the checker's self-test), so a break in any of them fails here
+rather than as a failed benchmark run. ``perfbench/`` is loaded read-only and
+never put on ``sys.path``.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ import importlib.util
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 from wumpusbench import harness
 
@@ -38,3 +43,23 @@ def test_seed_zero_play_matches_the_stored_digests(monkeypatch):
         matrix = workloads.build_matrix(workload, reference["seed"])
         records = harness.run_trials(matrix, workloads.oracle_factory, agent_kind="oracle")
         assert checks.matrix_digest(records) == digest, workload
+
+
+@pytest.mark.parametrize("workload", ["oracle-paper", "oracle-large"])
+def test_seed_zero_pass_passes_every_check(monkeypatch, tmp_path, workload):
+    load(monkeypatch, "checks")
+    workloads = load(monkeypatch, "workloads")
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    result = workloads.run_pass(
+        workloads.prepare(workload, reference["seed"]),
+        workloads.CountingSession(),
+        tmp_path,
+        reference=reference["digests"][workload],
+        with_self_test=True,
+    )
+    assert (result.failed, result.problems) == (0, [])
+    matrix = workloads.build_matrix(workload, reference["seed"])
+    assert result.episodes == matrix.total_trials()
+    labels = [label for label, _ in result.self_test]
+    assert labels == ["altered action", "altered score"]
+    assert all(found for _, found in result.self_test)

@@ -265,6 +265,11 @@ def test_summarize_reads_the_v1_fixture(capsys):
     assert "Total runs" in capsys.readouterr().out
 
 
+# An llm run's config with one more field; the endpoint is never contacted,
+# because a malformed field is reported before any episode starts.
+LLM_CONFIG = '{"endpoint": "http://127.0.0.1:9/v1", "model": "m", %s}'
+
+
 @pytest.mark.parametrize(
     "name, text, argv, message",
     [
@@ -286,6 +291,24 @@ def test_summarize_reads_the_v1_fixture(capsys):
         ),
         ("matrix.json", "{broken", ["run", "--matrix"], "matrix.json: invalid JSON"),
         (None, None, ["replay", "--log"], "missing.jsonl"),
+        (
+            "config.json",
+            LLM_CONFIG % '"temperature": "hot"',
+            ["run", "--agent", "llm", "--config"],
+            "temperature: malformed field (ValueError",
+        ),
+        (
+            "config.json",
+            LLM_CONFIG % '"mechanism": 5',
+            ["run", "--agent", "llm", "--config"],
+            "mechanism: malformed field (AttributeError",
+        ),
+        (
+            "config.json",
+            LLM_CONFIG % '"mechanism": "planner-critic", "critic_threshold": [1]',
+            ["run", "--agent", "llm", "--config"],
+            "critic_threshold: malformed field (TypeError",
+        ),
     ],
     ids=[
         "matrix-conditions-not-a-list",
@@ -296,6 +319,9 @@ def test_summarize_reads_the_v1_fixture(capsys):
         "price-not-a-number",
         "invalid-json",
         "missing-log",
+        "config-temperature-not-a-number",
+        "config-mechanism-not-a-string",
+        "config-critic-threshold-not-a-number",
     ],
 )
 def test_cli_reports_a_malformed_input_file_as_an_error(

@@ -12,12 +12,14 @@ the v1 code rendered for each of them.
 from __future__ import annotations
 
 import json
+import random
 from functools import reduce
 from operator import getitem
 from pathlib import Path
 
 import pytest
 
+from helpers import reference_decode_action
 from wumpusbench import (
     ChatClient,
     MockChatServer,
@@ -31,7 +33,8 @@ from wumpusbench import (
     verify_record,
     write_records,
 )
-from wumpusbench.errors import LogCorruptionError
+from wumpusbench.errors import LogCorruptionError, WumpusBenchError
+from wumpusbench.harness import _decode_action
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 V1_LOG = FIXTURES / "v1.jsonl"
@@ -217,3 +220,72 @@ def test_missing_optional_key_takes_its_default(tmp_path):
     assert record.error is None
     assert all(r.calls == [] and r.guess is None for r in record.rounds)
     verify_record(record)
+
+
+CANONICAL_ACTIONS = [
+    *(f"move to position ({x},{y})" for x in range(13) for y in range(13)),
+    *(f"<shoot{d}>" for d in ("up", "down", "left", "right")),
+    "<exit>",
+]
+NEAR_MISSES = [
+    "move to position (01,2)",
+    "move to position (1,02)",
+    "move to position ( 1,2)",
+    "move to position (1, 2)",
+    "Move to position (1,2)",
+    "move  to position (1,2)",
+    "move to (1,2)",
+    "move to position (1,2) ",
+    "move to position (1,2)\n",
+    "I move to position (1,2)",
+    "move to position (-1,2)",
+    "move to position (\u0661,\u0662)",  # Arabic-Indic digits
+    "move to position (1,2) <exit>",
+    "<SHOOTUP>",
+    "<shoot up>",
+    "< exit>",
+    "<exit> ",
+    "<exit><exit>",
+    "",
+]
+# Characters that random edits of canonical texts put in.
+EDIT_CHARS = "move topsiñ(),0123456789-<>hexitMOVE \t\n\u0663\uff11"
+
+
+def mutated(rng: random.Random, text: str) -> str:
+    """``text`` with one to three random deletions, insertions or
+    replacements of a character."""
+    chars = list(text)
+    for _ in range(rng.randrange(1, 4)):
+        i = rng.randrange(len(chars) + 1)
+        edit = rng.randrange(3)
+        if edit == 0 and i < len(chars):
+            del chars[i]
+        elif edit == 1:
+            chars.insert(i, rng.choice(EDIT_CHARS))
+        elif i < len(chars):
+            chars[i] = rng.choice(EDIT_CHARS)
+    return "".join(chars)
+
+
+def decoded(decode, text):
+    try:
+        return decode(text)
+    except (ValueError, WumpusBenchError) as exc:
+        return type(exc), str(exc)
+
+
+def test_action_decoder_accepts_exactly_what_the_reference_accepts():
+    rng = random.Random(7)
+    randoms = [mutated(rng, rng.choice(CANONICAL_ACTIONS)) for _ in range(4000)]
+    randoms += [
+        "".join(map(chr, rng.choices(range(32, 127), k=rng.randrange(1, 30))))
+        for _ in range(1000)
+    ]
+    for text in CANONICAL_ACTIONS:
+        action = _decode_action(text)
+        assert action == reference_decode_action(text)
+        assert action.to_text() == text
+    for text in NEAR_MISSES + randoms:
+        assert decoded(_decode_action, text) == decoded(reference_decode_action, text)
+    assert all(isinstance(decoded(_decode_action, t), tuple) for t in NEAR_MISSES)

@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import REFERENCE_MOVE_RE, make_world
+from helpers import REFERENCE_MOVE_RE, make_world, reference_build_observation
 from wumpusbench import (
     Action,
     Cell,
     Direction,
+    RandomLegalAgent,
+    Status,
     apply_action,
     build_observation,
     generate_world,
@@ -21,6 +25,7 @@ from wumpusbench import (
 )
 from wumpusbench.errors import ActionParseError
 from wumpusbench.observation import (
+    _ARROW_STATUS,
     _MOVE_RE,
     KEY_ARROW,
     KEY_BREEZE,
@@ -29,10 +34,13 @@ from wumpusbench.observation import (
     KEY_STENCH,
     KEY_SUGGESTIONS,
     OBSERVATION_KEYS,
+    ArrowStatus,
     frontier_suggestions,
     observation_from_dict,
     observation_to_dict,
 )
+from wumpusbench.oracle import _PERCEPT_RECORDS, PerceptRecord
+from wumpusbench.world import _PERCEPTS, DIRECTIONS, ArrowReport, Percept
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +103,73 @@ def test_counts_come_from_the_config():
     obs = build_observation(make_world(n=4, pits=((3, 3), (4, 1)), wumpus=(4, 4)))
     assert obs.num_pits == 2
     assert obs.num_wumpus == 1
+
+
+def test_observation_matches_the_plain_reference_along_random_play():
+    # Seeded random play on every grid size from 3x3 to 8x8. Each round checks
+    # the state after every legal action, the played one included, so final
+    # states are checked too. The agent is shown no shots, so it carries the
+    # arrow as far as it walks, and every direction is tried from every cell
+    # it reaches.
+    arrow_states = set()
+    for n, num_pits, num_wumpus, seed in itertools.product(
+        range(3, 9), (0, 2), (0, 1), range(16)
+    ):
+        config = WorldConfig(n, num_pits, num_wumpus, seed=100 * n + seed)
+        state = generate_world(config)
+        agent = RandomLegalAgent(seed)
+        while state.status is Status.RUNNING:
+            obs = build_observation(state)
+            for action in legal_actions_from(obs):
+                after = dataclasses.replace(
+                    state,
+                    percept_log={**state.percept_log},
+                    reward_ledger=[*state.reward_ledger],
+                )
+                apply_action(after, action)
+                got = build_observation(after)
+                reference = reference_build_observation(after)
+                assert got == reference, (after, action)
+                assert observation_to_dict(got) == observation_to_dict(reference)
+                report = after.arrow_report
+                arrow_states.add(report and (report.direction, report.scream))
+            walk = dataclasses.replace(obs.suggestions, shoot_options=())
+            decision = agent.decide(dataclasses.replace(obs, suggestions=walk))
+            apply_action(state, decision.action)
+    assert arrow_states == {None} | set(itertools.product(DIRECTIONS, (False, True)))
+
+
+@pytest.mark.parametrize(
+    "table, expected",
+    [
+        (
+            _PERCEPTS,
+            {k: Percept(*k) for k in itertools.product((False, True), repeat=3)},
+        ),
+        (
+            _PERCEPT_RECORDS,
+            {k: PerceptRecord(*k) for k in itertools.product((False, True), repeat=3)},
+        ),
+        (
+            _ARROW_STATUS,
+            {
+                None: ArrowStatus(False, None, False),
+                **{
+                    ArrowReport(d, s): ArrowStatus(True, d, s)
+                    for d, s in itertools.product(DIRECTIONS, (False, True))
+                },
+            },
+        ),
+    ],
+    ids=["percepts", "percept-records", "arrow-status"],
+)
+def test_shared_value_tables_hold_every_combination_once(table, expected):
+    assert table == expected
+    assert len(set(table.values())) == len(table)
+    for value in table.values():
+        field = dataclasses.fields(value)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, getattr(value, field))
 
 
 # ---------------------------------------------------------------------------
