@@ -22,7 +22,7 @@ import time
 
 from .agents import ScriptedAgent
 from .chat import ChatClient
-from .errors import ConfigurationError, WumpusBenchError
+from .errors import ActionParseError, ConfigurationError, WumpusBenchError
 from .harness import (
     EpisodeRecord,
     TrialMatrix,
@@ -42,8 +42,10 @@ from .llm import (
 )
 from .metrics import price_table_from_dict, summarize
 from .mockserver import MockChatServer, script_from_json
+from .observation import parse_action
 from .oracle import OracleAgent
 from .planner_critic import ArbitrationConfig, PlannerCriticAgent
+from .world import Action
 
 
 def _load_json(path: str):
@@ -64,9 +66,12 @@ def _build_matrix(args, config: dict) -> TrialMatrix:
     return default_matrix(master_seed=args.seed, step_limit=args.step_limit)
 
 
-def _config_field(config: dict, name: str, default, convert):
-    """``convert`` of the config's field ``name`` (``default`` when absent); a
-    malformed value raises :class:`ConfigurationError` naming the field."""
+def _setting(flag, config: dict, name: str, default, convert):
+    """``convert`` of the command-line value ``flag`` when given, else of the
+    config's field ``name`` (``default`` when absent); a malformed config
+    value raises :class:`ConfigurationError` naming the field."""
+    if flag is not None:
+        return convert(flag)
     try:
         return convert(config.get(name, default))
     except (AttributeError, TypeError, ValueError) as exc:
@@ -79,11 +84,31 @@ def _underscored(name: str) -> str:
     return name.replace("-", "_")
 
 
+def _text(value):
+    """``value`` when it is a string or None; anything else raises TypeError."""
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"expected a string, not {value!r:.80}")
+    return value
+
+
+def _script_actions(path: str) -> list[Action]:
+    """The actions of an ``--actions`` file, a JSON list of action texts; a
+    malformed file raises :class:`ConfigurationError` naming the index."""
+    script = _load_json(path)
+    if not isinstance(script, list):
+        raise ConfigurationError(f"{path}: expected a JSON list, not {script!r:.80}")
+    actions = []
+    for i, text in enumerate(script):
+        try:
+            actions.append(parse_action(_text(text)))
+        except (TypeError, ActionParseError) as exc:
+            raise ConfigurationError(f"{path}: action {i}: {exc}") from exc
+    return actions
+
+
 def _agent_factory(args, config: dict):
-    mechanism = (
-        _underscored(args.mechanism)
-        if args.mechanism
-        else _config_field(config, "mechanism", MECHANISM_COS, _underscored)
+    mechanism = _setting(
+        args.mechanism, config, "mechanism", MECHANISM_COS, _underscored
     )
     if args.agent == "oracle":
         return (
@@ -94,38 +119,31 @@ def _agent_factory(args, config: dict):
     if args.agent == "scripted":
         if not args.actions:
             raise SystemExit("--actions FILE is required with --agent scripted")
-        script = _load_json(args.actions)
-        return lambda cfg: ScriptedAgent(list(script)), None, {}
+        actions = _script_actions(args.actions)
+        return lambda cfg: ScriptedAgent(actions), None, {}
 
-    endpoint = args.endpoint or config.get("endpoint")
-    model = args.model or config.get("model")
+    endpoint = _setting(args.endpoint, config, "endpoint", None, _text)
+    model = _setting(args.model, config, "model", None, _text)
     if not endpoint or not model:
         raise SystemExit("--endpoint and --model are required with --agent llm")
-    temperature = (
-        args.temperature
-        if args.temperature is not None
-        else _config_field(config, "temperature", 0.0, float)
-    )
+    temperature = _setting(args.temperature, config, "temperature", 0.0, float)
 
     def make_client(name: str) -> ChatClient:
         return ChatClient(endpoint, name, temperature=temperature)
 
     if mechanism == MECHANISM_PLANNER_CRITIC:
-        critic_model = args.critic_model or config.get("critic_model") or model
-        threshold = (
-            args.critic_threshold
-            if args.critic_threshold is not None
-            else _config_field(config, "critic_threshold", 0.7, float)
+        critic_model = (
+            _setting(args.critic_model, config, "critic_model", None, _text) or model
+        )
+        arbitration = ArbitrationConfig(
+            _setting(args.critic_threshold, config, "critic_threshold", 0.7, float)
         )
 
         def factory(cfg):
             planner = make_client(model)
             critic = make_client(critic_model) if critic_model != model else planner
             return PlannerCriticAgent(
-                planner,
-                cfg.grid_size,
-                critic_client=critic,
-                arbitration=ArbitrationConfig(threshold=threshold),
+                planner, cfg.grid_size, critic_client=critic, arbitration=arbitration
             )
 
         return factory, mechanism, {"planner": model, "critic": critic_model}

@@ -27,7 +27,7 @@ from pathlib import Path
 from types import NoneType, UnionType
 from typing import Callable, Iterable, Iterator, get_args, get_origin, get_type_hints
 
-from .agents import Agent, CompletionLog
+from .agents import Agent, CompletionLog, Decision
 from .errors import (
     ConfigurationError, EpisodeProtocolFailure, LogCorruptionError, ReplayMismatchError,
     WumpusBenchError,
@@ -176,18 +176,11 @@ def run_episode(
         except EpisodeProtocolFailure as exc:
             state.status = Status.PROTOCOL_FAILURE
             error = str(exc)
-            rounds.append(
-                RoundRecord(
-                    index=len(rounds),
-                    observation=obs_dict,
-                    action=Action.exit(),
-                    provenance="none",
-                    reward_delta=0,
-                    flags=[*exc.flags, "protocol-failure"],
-                    calls=list(exc.calls),
-                )
-            )
-            break
+            # The failed round executed no action: an exit placeholder with
+            # reward 0 keeps it out of the score and the step count.
+            flags = [*exc.flags, "protocol-failure"]
+            decision = Decision(Action.exit(), "none", calls=exc.calls, flags=flags)
+            reward = 0
         except Exception as exc:  # record, never abort the batch
             state.status, error = _failure(exc)
             break
@@ -206,8 +199,6 @@ def run_episode(
             )
         )
 
-    # Protocol-failure rounds log no executed action; drop the placeholder
-    # from accounting by excluding it from scores/steps (reward_delta is 0).
     return EpisodeRecord(
         config=config,
         agent_kind=agent_kind,

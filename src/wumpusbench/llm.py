@@ -9,41 +9,41 @@ Two prompting mechanisms are provided:
   verbatim into the next round's prompt under a ``Previous guess`` heading,
   forming an explicit chain of hypotheses across the episode.
 
-Every model call in the package goes through :func:`ask_until`, which logs
-each call and asks again, adding a flag, while the round's ``accept`` refuses
-the reply: here ``unparseable-action`` and ``illegal-action`` (an accepted
-``cos`` reply with an unusable guess adds ``malformed-guess``), and the
-critic's flags in :mod:`wumpusbench.planner_critic`. Exhausted retries or an
-endpoint error end the episode as a protocol failure, with the calls logged.
+A reply parses to the round's :class:`~wumpusbench.agents.Decision`, the one
+value that goes on to the episode log. Every model call in the package goes
+through :func:`ask_until`, which logs each call and asks again, up to
+``MAX_PARSE_RETRIES`` times, adding a flag, while the round's ``accept``
+refuses the reply: here ``unparseable-action`` and ``illegal-action`` (an
+accepted ``cos`` reply with an unusable guess adds ``malformed-guess``), and
+the critic's flags in :mod:`wumpusbench.planner_critic`. Exhausted retries or
+an endpoint error end the episode as a protocol failure, with the calls
+logged. The system prompts follow from the mechanism and the grid size.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from functools import cache
 from typing import Callable, TypeVar
 
 from .agents import CompletionLog, Decision, legal_actions_from
 from .chat import ChatClient, ChatMessage
 from .errors import (
     ActionParseError,
+    ConfigurationError,
     EpisodeProtocolFailure,
     ProtocolError,
     TransportError,
 )
 from .observation import Observation, observation_to_json, parse_action
-from .world import Action, Cell, in_grid
+from .world import Cell, in_grid
 
 MECHANISM_COT = "cot"
 MECHANISM_COS = "cos"
 MECHANISM_PLANNER_CRITIC = "planner_critic"
 
-DEFAULT_MAX_PARSE_RETRIES = 3
-
-ANALYSIS_LABEL = "Analysis:"
-GUESS_LABEL = "Guess:"
-ACTION_LABEL = "Action:"
+MAX_PARSE_RETRIES = 3
 
 T = TypeVar("T")
 
@@ -80,10 +80,10 @@ def environment_rules(grid_size: int) -> str:
 
 _COS_FORMAT = (
     "Respond in exactly three labeled sections:\n"
-    f"{ANALYSIS_LABEL} your reasoning about the current observation.\n"
-    f'{GUESS_LABEL} a JSON object with your current hazard hypothesis, for '
+    "Analysis: your reasoning about the current observation.\n"
+    "Guess: a JSON object with your current hazard hypothesis, for "
     'example {"wumpus": [[2,2]], "pits": [[3,1]]}. Use empty lists when unsure.\n'
-    f"{ACTION_LABEL} your chosen action, written in the exact form given above."
+    "Action: your chosen action, written in the exact form given above."
 )
 
 _COT_FORMAT = (
@@ -92,16 +92,14 @@ _COT_FORMAT = (
 )
 
 
+@cache
 def default_system_prompt(mechanism: str, grid_size: int) -> str:
     fmt = _COS_FORMAT if mechanism == MECHANISM_COS else _COT_FORMAT
     return f"{environment_rules(grid_size)}\n\n{fmt}"
 
 
 def build_prompt(
-    mechanism: str,
-    obs: Observation,
-    prev_guess: str | None,
-    system_prompt: str,
+    mechanism: str, obs: Observation, prev_guess: str | None, grid_size: int
 ) -> list[ChatMessage]:
     """The [system, user] message pair for one round.
 
@@ -111,33 +109,8 @@ def build_prompt(
     user = f"Observation:\n{observation_to_json(obs)}"
     if mechanism == MECHANISM_COS and prev_guess:
         user += f"\n\nPrevious guess:\n{prev_guess}"
-    return [ChatMessage("system", system_prompt), ChatMessage("user", user)]
-
-
-@dataclass(frozen=True)
-class Guess:
-    wumpus: tuple[Cell, ...]
-    pits: tuple[Cell, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "wumpus": [list(c) for c in self.wumpus],
-            "pits": [list(c) for c in self.pits],
-        }
-
-
-EMPTY_GUESS = Guess(wumpus=(), pits=())
-
-
-@dataclass
-class CosTurn:
-    """One parsed chain-of-speculation reply."""
-
-    analysis: str
-    guess: Guess
-    guess_raw: str | None  # exact text propagated to the next prompt
-    action: Action
-    malformed_guess: bool
+    system = default_system_prompt(mechanism, grid_size)
+    return [ChatMessage("system", system), ChatMessage("user", user)]
 
 
 # Indentation before a label stays on its line: a blank-line run before it
@@ -174,8 +147,10 @@ def _first_json_object(text: str) -> str | None:
     return None
 
 
-def _parse_guess_block(block: str) -> Guess | None:
-    """Parse a guess JSON object, tolerating tuple-style parentheses."""
+def _parse_guess_block(block: str, grid_size: int | None) -> dict | None:
+    """The wire form of a guess JSON object, tolerating tuple-style
+    parentheses; None when it is malformed or, given ``grid_size``, names a
+    cell outside the grid."""
     for candidate in (block, block.replace("(", "[").replace(")", "]")):
         try:
             data = json.loads(candidate)
@@ -184,46 +159,39 @@ def _parse_guess_block(block: str) -> Guess | None:
         if not isinstance(data, dict):
             return None
         try:
-            wumpus = tuple(Cell(int(x), int(y)) for x, y in data.get("wumpus", []))
-            pits = tuple(Cell(int(x), int(y)) for x, y in data.get("pits", []))
+            cells = {
+                key: [Cell(int(x), int(y)) for x, y in data.get(key, [])]
+                for key in ("wumpus", "pits")
+            }
         except (TypeError, ValueError):
             return None
-        return Guess(wumpus=wumpus, pits=pits)
+        if grid_size is not None and not all(
+            in_grid(c, grid_size) for c in (*cells["wumpus"], *cells["pits"])
+        ):
+            return None
+        return {key: [list(c) for c in value] for key, value in cells.items()}
     return None
 
 
-def parse_cos_response(text: str, grid_size: int | None = None) -> CosTurn:
+def parse_cos_response(text: str, grid_size: int | None = None) -> Decision:
     """Split a reply into Analysis/Guess/Action and parse the pieces.
 
     A missing or unparseable guess (including guess cells outside the grid
     when ``grid_size`` is given) degrades to an empty guess with the
-    ``malformed_guess`` flag set; a missing action raises
+    ``malformed-guess`` flag; a missing action raises
     :class:`ActionParseError` for the caller's retry policy.
     """
     sections = _split_sections(text)
     action = parse_action(text)  # raises when absent; last match wins
-
-    guess = EMPTY_GUESS
-    guess_raw: str | None = None
-    malformed = True
     block = _first_json_object(sections.get("guess", ""))
-    if block is not None:
-        parsed = _parse_guess_block(block)
-        if parsed is not None:
-            in_bounds = grid_size is None or all(
-                in_grid(c, grid_size) for c in (*parsed.wumpus, *parsed.pits)
-            )
-            if in_bounds:
-                guess = parsed
-                guess_raw = block
-                malformed = False
-    return CosTurn(
-        analysis=sections.get("analysis", ""),
-        guess=guess,
-        guess_raw=guess_raw,
-        action=action,
-        malformed_guess=malformed,
-    )
+    guess = None if block is None else _parse_guess_block(block, grid_size)
+    decision = Decision(action, "model", analysis=sections.get("analysis", ""))
+    if guess is None:
+        decision.guess = {"wumpus": [], "pits": []}
+        decision.flags.append("malformed-guess")
+    else:
+        decision.guess, decision.guess_raw = guess, block
+    return decision
 
 
 def ask_until(
@@ -232,9 +200,8 @@ def ask_until(
     accept: Callable[[str], tuple[T | None, str | None]],
     *,
     role: str,
-    max_parse_retries: int,
 ) -> tuple[T | None, list[CompletionLog], list[str]]:
-    """Ask up to ``max_parse_retries + 1`` times until ``accept(content)``
+    """Ask up to ``MAX_PARSE_RETRIES + 1`` times until ``accept(content)``
     returns ``(result, None)`` rather than ``(None, flag)``.
 
     Returns the result (None if every reply was refused), the calls and the
@@ -243,7 +210,7 @@ def ask_until(
     """
     calls: list[CompletionLog] = []
     flags: list[str] = []
-    for _ in range(max_parse_retries + 1):
+    for _ in range(MAX_PARSE_RETRIES + 1):
         try:
             content, usage = client.complete(messages)
         except (TransportError, ProtocolError) as exc:
@@ -272,49 +239,46 @@ def run_cos_round(
     prev_guess: str | None,
     *,
     mechanism: str = MECHANISM_COS,
-    system_prompt: str,
     grid_size: int,
-    max_parse_retries: int = DEFAULT_MAX_PARSE_RETRIES,
     role: str = "model",
-) -> tuple[CosTurn, list[CompletionLog], list[str]]:
+) -> Decision:
     """One prompted round with bounded parse retries.
 
-    Returns the parsed turn, the call log, and any flags raised on the way.
-    Raises :class:`EpisodeProtocolFailure` when every attempt produced no
-    usable (parseable and legal) action.
+    Returns the round's decision with ``role`` as its provenance, every call
+    made, and the flags of the refused replies before the accepted reply's
+    own. Raises :class:`EpisodeProtocolFailure` when every attempt produced
+    no usable (parseable and legal) action.
     """
 
-    def accept(content: str) -> tuple[CosTurn | None, str | None]:
+    def accept(content: str) -> tuple[Decision | None, str | None]:
         try:
             if mechanism == MECHANISM_COT:
-                turn = CosTurn(
+                decision = Decision(
+                    parse_action(content),
+                    role,
                     analysis=content,
-                    guess=EMPTY_GUESS,
-                    guess_raw=None,
-                    action=parse_action(content),
-                    malformed_guess=False,
+                    guess={"wumpus": [], "pits": []},
                 )
             else:
-                turn = parse_cos_response(content, grid_size)
+                decision = parse_cos_response(content, grid_size)
         except ActionParseError:
             return None, "unparseable-action"
-        if turn.action not in legal_actions_from(obs):
+        if decision.action not in legal_actions_from(obs):
             return None, "illegal-action"
-        return turn, None
+        return decision, None
 
-    messages = build_prompt(mechanism, obs, prev_guess, system_prompt)
-    turn, calls, flags = ask_until(
-        client, messages, accept, role=role, max_parse_retries=max_parse_retries
-    )
-    if turn is None:
+    messages = build_prompt(mechanism, obs, prev_guess, grid_size)
+    decision, calls, flags = ask_until(client, messages, accept, role=role)
+    if decision is None:
         raise EpisodeProtocolFailure(
-            f"no usable action after {max_parse_retries + 1} completions",
+            f"no usable action after {MAX_PARSE_RETRIES + 1} completions",
             calls=calls,
             flags=flags,
         )
-    if turn.malformed_guess:
-        flags.append("malformed-guess")
-    return turn, calls, flags
+    decision.provenance = role
+    decision.calls = calls
+    decision.flags[:0] = flags
+    return decision
 
 
 class LlmAgent:
@@ -329,29 +293,19 @@ class LlmAgent:
         mechanism: str = MECHANISM_COS,
     ):
         if mechanism not in (MECHANISM_COT, MECHANISM_COS):
-            raise ValueError(f"unsupported mechanism {mechanism!r}")
+            raise ConfigurationError(f"unsupported mechanism {mechanism!r}")
         self.client = client
         self.grid_size = grid_size
         self.mechanism = mechanism
-        self.system_prompt = default_system_prompt(mechanism, grid_size)
         self.prev_guess: str | None = None
 
     def decide(self, obs: Observation) -> Decision:
-        turn, calls, flags = run_cos_round(
+        decision = run_cos_round(
             self.client,
             obs,
             self.prev_guess,
             mechanism=self.mechanism,
-            system_prompt=self.system_prompt,
             grid_size=self.grid_size,
         )
-        self.prev_guess = turn.guess_raw  # always None under ``cot``
-        return Decision(
-            action=turn.action,
-            provenance="model",
-            calls=calls,
-            analysis=turn.analysis,
-            guess=turn.guess.to_dict(),
-            guess_raw=turn.guess_raw,
-            flags=flags,
-        )
+        self.prev_guess = decision.guess_raw  # always None under ``cot``
+        return decision

@@ -8,19 +8,22 @@ sees the observation plus that proposal and answers with a confidence in
 above the threshold executes the planner's action; strictly below it, the
 critic's alternative is executed instead. A critic whose verdict stays
 unparseable after retries is treated as fully confident (no intervention)
-and flagged, so model noncompliance never blocks an episode.
+and flagged, so model noncompliance never blocks an episode. The planner's
+decision is the round's decision: arbitration sets its action and
+provenance, and the critic's calls and flags follow the planner's.
 
-Both roles call the model through :func:`wumpusbench.llm.ask_until`; the
-critic's refusals flag ``unparseable-verdict`` or
-``missing-or-illegal-alternative`` (asked again) and exhaustion
-``critic-parse-failure``. :func:`arbitrate` guards against a missing
-alternative too, for verdicts that do not come from :func:`critique`.
+Both roles call the model through :func:`wumpusbench.llm.ask_until`, with
+the same ``MAX_PARSE_RETRIES``; the critic's refusals flag
+``unparseable-verdict`` or ``missing-or-illegal-alternative`` (asked again)
+and exhaustion ``critic-parse-failure``. :func:`arbitrate` guards against a
+missing alternative too, for verdicts that do not come from :func:`critique`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 
 from .agents import CompletionLog, Decision, legal_actions_from
 from .chat import ChatClient, ChatMessage
@@ -30,20 +33,9 @@ from .errors import (
     ConfigurationError,
     EpisodeProtocolFailure,
 )
-from .llm import (
-    DEFAULT_MAX_PARSE_RETRIES,
-    MECHANISM_COS,
-    ask_until,
-    default_system_prompt,
-    environment_rules,
-    run_cos_round,
-)
+from .llm import ask_until, environment_rules, run_cos_round
 from .observation import Observation, observation_to_json, parse_action
 from .world import Action
-
-CONFIDENCE_LABEL = "Confidence:"
-ALTERNATIVE_LABEL = "Alternative:"
-RATIONALE_LABEL = "Rationale:"
 
 DEFAULT_THRESHOLD = 0.7
 
@@ -82,6 +74,7 @@ def arbitrate(
     return verdict.alternative, "critic"
 
 
+@cache
 def critic_system_prompt(grid_size: int) -> str:
     return (
         f"{environment_rules(grid_size)}\n\n"
@@ -90,22 +83,23 @@ def critic_system_prompt(grid_size: int) -> str:
         "Judge how safe and sensible the proposal is, paying attention to "
         "clues such as breezes and stenches.\n"
         "Respond in exactly three labeled sections:\n"
-        f"{CONFIDENCE_LABEL} a number between 0 and 1 expressing how confident "
+        "Confidence: a number between 0 and 1 expressing how confident "
         "you are that the proposed action should be executed.\n"
-        f"{ALTERNATIVE_LABEL} a better action in the exact action grammar, or "
+        "Alternative: a better action in the exact action grammar, or "
         "the word none. Always supply one when your confidence is low.\n"
-        f"{RATIONALE_LABEL} a short justification."
+        "Rationale: a short justification."
     )
 
 
 def build_critic_prompt(
-    obs: Observation, proposal: Action, system_prompt: str
+    obs: Observation, proposal: Action, grid_size: int
 ) -> list[ChatMessage]:
     user = (
         f"Observation:\n{observation_to_json(obs)}\n\n"
         f"Proposed action: {proposal.to_text()}"
     )
-    return [ChatMessage("system", system_prompt), ChatMessage("user", user)]
+    system = critic_system_prompt(grid_size)
+    return [ChatMessage("system", system), ChatMessage("user", user)]
 
 
 # One whitespace run before the number, split by the separator only when
@@ -163,7 +157,6 @@ def critique(
     *,
     threshold: float,
     grid_size: int,
-    max_parse_retries: int = DEFAULT_MAX_PARSE_RETRIES,
 ) -> tuple[CriticVerdict, list[CompletionLog], list[str]]:
     """One critic review of ``proposal``.
 
@@ -182,10 +175,8 @@ def critique(
             return None, "missing-or-illegal-alternative"
         return verdict, None
 
-    messages = build_critic_prompt(obs, proposal, critic_system_prompt(grid_size))
-    verdict, calls, flags = ask_until(
-        client, messages, accept, role="critic", max_parse_retries=max_parse_retries
-    )
+    messages = build_critic_prompt(obs, proposal, grid_size)
+    verdict, calls, flags = ask_until(client, messages, accept, role="critic")
     if verdict is None:
         flags.append("critic-parse-failure")
         verdict = CriticVerdict(confidence=1.0, alternative=None, rationale="")
@@ -208,38 +199,32 @@ class PlannerCriticAgent:
         self.critic_client = critic_client or planner_client
         self.grid_size = grid_size
         self.arbitration = arbitration or ArbitrationConfig()
-        self.planner_prompt = default_system_prompt(MECHANISM_COS, grid_size)
         self.prev_guess: str | None = None
 
     def decide(self, obs: Observation) -> Decision:
-        turn, planner_calls, flags = run_cos_round(
+        decision = run_cos_round(
             self.planner_client,
             obs,
             self.prev_guess,
-            system_prompt=self.planner_prompt,
             grid_size=self.grid_size,
             role="planner",
         )
-        self.prev_guess = turn.guess_raw
+        self.prev_guess = decision.guess_raw
         try:
-            verdict, critic_calls, critic_flags = critique(
+            verdict, calls, flags = critique(
                 self.critic_client,
                 obs,
-                turn.action,
+                decision.action,
                 threshold=self.arbitration.threshold,
                 grid_size=self.grid_size,
             )
         except EpisodeProtocolFailure as exc:
-            exc.calls = planner_calls + exc.calls
-            exc.flags = flags + exc.flags
+            exc.calls = decision.calls + exc.calls
+            exc.flags = decision.flags + exc.flags
             raise
-        action, provenance = arbitrate(turn.action, verdict, self.arbitration)
-        return Decision(
-            action=action,
-            provenance=provenance,
-            calls=planner_calls + critic_calls,
-            analysis=turn.analysis,
-            guess=turn.guess.to_dict(),
-            guess_raw=turn.guess_raw,
-            flags=flags + critic_flags,
+        decision.action, decision.provenance = arbitrate(
+            decision.action, verdict, self.arbitration
         )
+        decision.calls += calls
+        decision.flags += flags
+        return decision

@@ -309,6 +309,48 @@ LLM_CONFIG = '{"endpoint": "http://127.0.0.1:9/v1", "model": "m", %s}'
             ["run", "--agent", "llm", "--config"],
             "critic_threshold: malformed field (TypeError",
         ),
+        (
+            "config.json",
+            '{"endpoint": 123, "model": "m"}',
+            ["run", "--agent", "llm", "--config"],
+            "endpoint: malformed field (TypeError: expected a string, not 123)",
+        ),
+        (
+            "config.json",
+            '{"endpoint": "http://127.0.0.1:9/v1", "model": 5}',
+            ["run", "--agent", "llm", "--config"],
+            "model: malformed field (TypeError: expected a string, not 5)",
+        ),
+        (
+            "config.json",
+            LLM_CONFIG % '"mechanism": "planner-critic", "critic_model": ["c"]',
+            ["run", "--agent", "llm", "--config"],
+            "critic_model: malformed field (TypeError",
+        ),
+        (
+            "config.json",
+            LLM_CONFIG % '"mechanism": "planner-critic", "critic_threshold": 1.5',
+            ["run", "--agent", "llm", "--config"],
+            "threshold must be in [0, 1]",
+        ),
+        (
+            "actions.json",
+            '["move to position (2,1)", "jump"]',
+            ["run", "--agent", "scripted", "--actions"],
+            "actions.json: action 1: no recognizable action",
+        ),
+        (
+            "actions.json",
+            '["<exit>", 5]',
+            ["run", "--agent", "scripted", "--actions"],
+            "actions.json: action 1: expected a string",
+        ),
+        (
+            "actions.json",
+            '{"0": "<exit>"}',
+            ["run", "--agent", "scripted", "--actions"],
+            "actions.json: expected a JSON list",
+        ),
     ],
     ids=[
         "matrix-conditions-not-a-list",
@@ -322,6 +364,13 @@ LLM_CONFIG = '{"endpoint": "http://127.0.0.1:9/v1", "model": "m", %s}'
         "config-temperature-not-a-number",
         "config-mechanism-not-a-string",
         "config-critic-threshold-not-a-number",
+        "config-endpoint-not-a-string",
+        "config-model-not-a-string",
+        "config-critic-model-not-a-string",
+        "config-critic-threshold-out-of-range",
+        "actions-not-an-action",
+        "actions-not-a-string",
+        "actions-not-a-list",
     ],
 )
 def test_cli_reports_a_malformed_input_file_as_an_error(

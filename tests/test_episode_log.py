@@ -22,9 +22,12 @@ import pytest
 from helpers import reference_decode_action
 from wumpusbench import (
     ChatClient,
+    LlmAgent,
     MockChatServer,
     MockReply,
+    OracleAgent,
     PlannerCriticAgent,
+    ScriptedAgent,
     WorldConfig,
     parse_action,
     read_records,
@@ -106,6 +109,49 @@ def test_played_episode_reads_back_as_the_record_that_was_written(tmp_path):
 def test_frames_of_v1_episodes_are_unchanged():
     expected = json.loads((FIXTURES / "v1_frames.json").read_text(encoding="utf-8"))
     assert [render_frames(r) for r in read_records(V1_LOG)] == expected
+
+
+def replay_agent(record, url):
+    """A fresh agent of the record's kind, mechanism and models; model calls
+    go to ``url``."""
+    config = record.config
+    if record.agent_kind == "oracle":
+        return OracleAgent(config.grid_size, config.num_pits, config.num_wumpus)
+    if record.agent_kind == "scripted":
+        return ScriptedAgent([r.action for r in record.rounds])
+    clients = {
+        name: ChatClient(url, model, max_retries=0)
+        for name, model in record.models.items()
+    }
+    if record.mechanism == "planner_critic":
+        return PlannerCriticAgent(
+            clients["planner"], config.grid_size, critic_client=clients["critic"]
+        )
+    return LlmAgent(clients["model"], config.grid_size, mechanism=record.mechanism)
+
+
+@pytest.mark.parametrize("episode", range(len(v1_lines())))
+def test_v1_episode_plays_again_from_its_logged_decisions(episode):
+    # Every prompt sent, reply parsed, flag, guess and provenance must come
+    # out as logged; only call latencies may differ.
+    record = read_records(V1_LOG)[episode]
+    replies = [
+        MockReply(c.response, c.usage.prompt_tokens, c.usage.completion_tokens)
+        for r in record.rounds
+        for c in r.calls
+    ]
+    # A server needs one reply; oracle and scripted records make no call.
+    with MockChatServer(replies or [MockReply("unused")]) as server:
+        played = run_episode(
+            record.config,
+            replay_agent(record, server.url),
+            agent_kind=record.agent_kind,
+            mechanism=record.mechanism,
+            models=record.models,
+            condition=record.condition,
+        )
+        assert len(server.requests) == len(replies)
+    assert played.core_fingerprint() == record.core_fingerprint()
 
 
 DROP = object()

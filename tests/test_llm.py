@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from helpers import REFERENCE_SECTION_RE, make_world
 from wumpusbench import (
     Action,
-    Cell,
     ChatClient,
     ChatMessage,
     EpisodeProtocolFailure,
@@ -23,8 +22,14 @@ from wumpusbench import (
     MockReply,
     build_observation,
 )
-from wumpusbench.errors import ActionParseError, ProtocolError, TransportError
+from wumpusbench.errors import (
+    ActionParseError,
+    ConfigurationError,
+    ProtocolError,
+    TransportError,
+)
 from wumpusbench.llm import (
+    MAX_PARSE_RETRIES,
     _SECTION_RE,
     _split_sections,
     build_prompt,
@@ -285,9 +290,9 @@ def test_client_sends_what_a_default_session_would(clean_environment, tmp_path):
 
 def test_prompt_is_system_plus_user_with_observation():
     obs = fresh_obs()
-    messages = build_prompt(MECHANISM_COS, obs, None, "SYSTEM")
+    messages = build_prompt(MECHANISM_COS, obs, None, 3)
     assert [m.role for m in messages] == ["system", "user"]
-    assert messages[0].content == "SYSTEM"
+    assert messages[0].content == default_system_prompt(MECHANISM_COS, 3)
     assert '"number of Wumpus"' in messages[1].content
     assert "Previous guess" not in messages[1].content
 
@@ -295,15 +300,16 @@ def test_prompt_is_system_plus_user_with_observation():
 def test_cos_prompt_carries_previous_guess_verbatim():
     obs = fresh_obs()
     guess = '{"wumpus": [[2,2]], "pits": [[3 ,1]]}'
-    messages = build_prompt(MECHANISM_COS, obs, guess, "SYSTEM")
+    messages = build_prompt(MECHANISM_COS, obs, guess, 3)
     assert guess in messages[1].content
     assert "Previous guess" in messages[1].content
 
 
 def test_cot_prompt_never_carries_a_guess():
     obs = fresh_obs()
-    messages = build_prompt(MECHANISM_COT, obs, '{"wumpus": []}', "SYSTEM")
+    messages = build_prompt(MECHANISM_COT, obs, '{"wumpus": []}', 3)
     assert "Previous guess" not in messages[1].content
+    assert messages[0].content == default_system_prompt(MECHANISM_COT, 3)
 
 
 def test_default_system_prompts_document_grammar_and_format():
@@ -322,42 +328,43 @@ def test_default_system_prompts_document_grammar_and_format():
 
 
 def test_parse_cos_response_extracts_three_sections():
-    turn = parse_cos_response(COS_REPLY, grid_size=3)
-    assert "diagonal" in turn.analysis
-    assert turn.guess.wumpus == (Cell(2, 2),)
-    assert turn.guess.pits == ()
-    assert turn.action == Action.shoot("right")
-    assert not turn.malformed_guess
-    assert turn.guess_raw == '{"wumpus": [[2,2]], "pits": []}'
+    decision = parse_cos_response(COS_REPLY, grid_size=3)
+    assert "diagonal" in decision.analysis
+    assert decision.guess == {"wumpus": [[2, 2]], "pits": []}
+    assert decision.action == Action.shoot("right")
+    assert decision.flags == []
+    assert decision.guess_raw == '{"wumpus": [[2,2]], "pits": []}'
 
 
 def test_parse_cos_response_tolerates_tuple_syntax():
     text = 'Analysis: x\nGuess: {"wumpus": [(2,2)], "pits": [(3,1)]}\nAction: <exit>'
-    turn = parse_cos_response(text, grid_size=3)
-    assert turn.guess.wumpus == (Cell(2, 2),)
-    assert turn.guess.pits == (Cell(3, 1),)
+    decision = parse_cos_response(text, grid_size=3)
+    assert decision.guess == {"wumpus": [[2, 2]], "pits": [[3, 1]]}
+    assert decision.flags == []
 
 
 def test_parse_cos_response_missing_guess_degrades():
     text = "Analysis: just exploring.\nAction: move to position (2,1)"
-    turn = parse_cos_response(text, grid_size=3)
-    assert turn.malformed_guess
-    assert turn.guess.wumpus == () and turn.guess.pits == ()
-    assert turn.action == Action.move(2, 1)
+    decision = parse_cos_response(text, grid_size=3)
+    assert decision.flags == ["malformed-guess"]
+    assert decision.guess == {"wumpus": [], "pits": []}
+    assert decision.guess_raw is None
+    assert decision.action == Action.move(2, 1)
 
 
 def test_parse_cos_response_rejects_out_of_grid_guess():
     text = 'Analysis: x\nGuess: {"wumpus": [[9,9]], "pits": []}\nAction: <exit>'
-    turn = parse_cos_response(text, grid_size=3)
-    assert turn.malformed_guess
-    assert turn.guess_raw is None
+    decision = parse_cos_response(text, grid_size=3)
+    assert decision.flags == ["malformed-guess"]
+    assert decision.guess == {"wumpus": [], "pits": []}
+    assert decision.guess_raw is None
 
 
 def test_a_too_deeply_nested_guess_is_malformed():
     # json.loads raises RecursionError on this guess, not ValueError.
     text = 'Analysis: x\nGuess: {"wumpus": ' + "[" * 100_000 + "}\nAction: <exit>"
-    turn = parse_cos_response(text, grid_size=3)
-    assert turn.malformed_guess and turn.guess_raw is None
+    parsed = parse_cos_response(text, grid_size=3)
+    assert parsed.flags == ["malformed-guess"] and parsed.guess_raw is None
     with MockChatServer([MockReply(text, 5, 5)]) as server:
         agent = LlmAgent(ChatClient(server.url, "m", max_retries=0), 3)
         decision = agent.decide(fresh_obs())
@@ -404,9 +411,9 @@ def test_sections_equal_those_of_the_reference_pattern(text):
 
 
 def test_parse_cos_response_reads_a_section_before_many_blank_lines():
-    turn = parse_cos_response("Action: <exit>\nAnalysis: x" + "\n" * 32_000)
-    assert turn.analysis == "x"
-    assert turn.action == Action.exit()
+    decision = parse_cos_response("Action: <exit>\nAnalysis: x" + "\n" * 32_000)
+    assert decision.analysis == "x"
+    assert decision.action == Action.exit()
 
 
 # ---------------------------------------------------------------------------
@@ -422,35 +429,25 @@ def test_run_cos_round_retries_until_parseable():
     obs = fresh_obs()
     with MockChatServer(script) as server:
         client = ChatClient(server.url, "m", max_retries=0)
-        turn, calls, flags = run_cos_round(
-            client,
-            obs,
-            None,
-            system_prompt="S",
-            grid_size=3,
-            max_parse_retries=3,
-        )
-    assert turn.action == Action.shoot("right")
-    assert len(calls) == 3
-    assert flags.count("unparseable-action") == 1
-    assert flags.count("illegal-action") == 1
+        decision = run_cos_round(client, obs, None, grid_size=3)
+    assert decision.action == Action.shoot("right")
+    assert decision.provenance == "model"
+    assert [c.response for c in decision.calls] == [r.content for r in script]
+    assert decision.flags == ["unparseable-action", "illegal-action"]
+    assert decision.guess == {"wumpus": [[2, 2]], "pits": []}
 
 
 def test_run_cos_round_exhaustion_is_protocol_failure():
-    script = [MockReply("still nothing", 1, 1)] * 3
+    # One reply more than the budget: the round must not ask for it.
+    script = [MockReply("still nothing", 1, 1)] * (MAX_PARSE_RETRIES + 2)
     obs = fresh_obs()
     with MockChatServer(script) as server:
         client = ChatClient(server.url, "m", max_retries=0)
         with pytest.raises(EpisodeProtocolFailure) as excinfo:
-            run_cos_round(
-                client,
-                obs,
-                None,
-                system_prompt="S",
-                grid_size=3,
-                max_parse_retries=2,
-            )
-    assert len(excinfo.value.calls) == 3
+            run_cos_round(client, obs, None, grid_size=3)
+        assert len(server.requests) == MAX_PARSE_RETRIES + 1
+    assert len(excinfo.value.calls) == MAX_PARSE_RETRIES + 1
+    assert excinfo.value.flags == ["unparseable-action"] * (MAX_PARSE_RETRIES + 1)
 
 
 def test_run_cos_round_endpoint_error_keeps_the_calls_made():
@@ -458,7 +455,7 @@ def test_run_cos_round_endpoint_error_keeps_the_calls_made():
     with MockChatServer([MockReply("no action here", 5, 5)]) as server:
         client = ChatClient(server.url, "m", max_retries=0)
         with pytest.raises(EpisodeProtocolFailure) as excinfo:
-            run_cos_round(client, fresh_obs(), None, system_prompt="S", grid_size=3)
+            run_cos_round(client, fresh_obs(), None, grid_size=3)
     assert str(excinfo.value).startswith("TransportError: ")
     assert [c.response for c in excinfo.value.calls] == ["no action here"]
 
@@ -502,3 +499,8 @@ def test_cot_agent_accepts_plain_reasoning():
     assert decision.action == Action.move(1, 2)
     assert decision.provenance == "model"
     assert decision.guess == {"wumpus": [], "pits": []}
+
+
+def test_llm_agent_refuses_an_unsupported_mechanism_as_a_configuration_error():
+    with pytest.raises(ConfigurationError, match="unsupported mechanism 'planner_critic'"):
+        LlmAgent(ChatClient("http://127.0.0.1:9/v1", "m"), 3, mechanism="planner_critic")

@@ -17,6 +17,7 @@ from wumpusbench import (
     build_observation,
 )
 from wumpusbench.errors import ActionParseError, ArbitrationError, ConfigurationError
+from wumpusbench.llm import MAX_PARSE_RETRIES
 from wumpusbench.planner_critic import (
     _ALTERNATIVE_RE,
     _CONFIDENCE_RE,
@@ -233,16 +234,21 @@ def test_critique_retries_low_confidence_without_legal_alternative():
 
 def test_critique_falls_back_to_full_confidence_after_malformed_verdicts():
     obs = build_observation(make_world(n=3, gold=(3, 3)))
-    script = [MockReply("no numbers here", 1, 1)] * 3
+    # One reply more than the budget: the critic must not ask for it.
+    script = [MockReply("no numbers here", 1, 1)] * (MAX_PARSE_RETRIES + 2)
     with MockChatServer(script) as server:
         client = ChatClient(server.url, "critic-model", max_retries=0)
         verdict, calls, flags = critique(
-            client, obs, Action.move(2, 1), threshold=0.7, grid_size=3, max_parse_retries=2
+            client, obs, Action.move(2, 1), threshold=0.7, grid_size=3
         )
+        assert len(server.requests) == MAX_PARSE_RETRIES + 1
     assert verdict.confidence == 1.0
     assert verdict.alternative is None
-    assert "critic-parse-failure" in flags
-    assert len(calls) == 3
+    assert flags == [
+        *["unparseable-verdict"] * (MAX_PARSE_RETRIES + 1),
+        "critic-parse-failure",
+    ]
+    assert len(calls) == MAX_PARSE_RETRIES + 1
 
 
 def test_critique_asks_again_after_a_percentage_confidence():
