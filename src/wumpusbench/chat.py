@@ -18,18 +18,44 @@ bundle and netrc credentials; on a small local call that scan costs more CPU
 than the rest of the post. The client resolves the same settings for its
 endpoint up front, turns the session's own lookup off and passes them with
 each post.
+
+The transport is chosen at the same moment. A plain ``http`` endpoint with a
+host, a valid port and no proxy that applies to it is posted to over one
+keep-alive ``http.client`` connection per thread, through a transport adapter
+that the client mounts on its session for that exact URL; a second client on
+the same session and endpoint shares it and its connections. On a local call
+requests' own adapter costs about as much CPU as the rest of the post: the
+urllib3 pool, its retry and timeout objects and its response wrapper. Every
+other endpoint (``https``, or one reached through a proxy) keeps requests'
+``HTTPAdapter``, the only path that handles TLS, CA bundles and proxies. The
+keep-alive path decodes ``gzip`` and ``deflate`` bodies and stores no
+``Set-Cookie`` in the session.
 """
 
 from __future__ import annotations
 
+import http.client
 import os
+import select
+import socket
+import threading
 import time
 import weakref
+import zlib
 from dataclasses import dataclass
 from typing import Sequence
+from urllib.parse import urlsplit
 
 import requests
-from requests.utils import get_environ_proxies, get_netrc_auth
+from requests.adapters import BaseAdapter, HTTPAdapter
+from requests.exceptions import ChunkedEncodingError, ContentDecodingError
+from requests.structures import CaseInsensitiveDict
+from requests.utils import (
+    get_encoding_from_headers,
+    get_environ_proxies,
+    get_netrc_auth,
+    select_proxy,
+)
 
 from .errors import ProtocolError, TransportError
 
@@ -41,7 +67,7 @@ _FALLBACK_KEY_ENV = "OPENAI_API_KEY"
 _TRANSIENT = (
     requests.ConnectionError,
     requests.Timeout,
-    requests.exceptions.ChunkedEncodingError,
+    ChunkedEncodingError,
 )
 
 # Sessions whose environment lookup a client turned off: they still trusted
@@ -68,6 +94,187 @@ def _environment_settings(session: requests.Session, url: str) -> dict:
     return settings
 
 
+def _mount_keep_alive(session: requests.Session, url: str, proxies: dict) -> None:
+    """Mount a :class:`_KeepAliveAdapter` on ``session`` for ``url`` when it
+    is a plain-HTTP URL with a host and a valid port that neither the
+    session's proxies nor ``proxies`` apply to; keep one mounted before."""
+    parts = urlsplit(url)
+    try:
+        port = parts.port or 80
+    except ValueError:  # not a number, or out of range
+        return
+    if (
+        parts.scheme != "http"
+        or not parts.hostname
+        or select_proxy(url, {**session.proxies, **proxies})
+        or isinstance(session.adapters.get(url), _KeepAliveAdapter)
+    ):
+        return
+    session.mount(url, _KeepAliveAdapter(parts.hostname, port))
+
+
+def _readable(sock: socket.socket) -> bool:
+    """Whether ``sock`` can be read without waiting: on an idle connection,
+    the server closed it or sent what no request asked for."""
+    if hasattr(select, "poll"):  # select.select fails on descriptors over 1023
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+def _decoded(body: bytes, coding: str | None) -> bytes:
+    """``body`` without its ``Content-Encoding``: the ``gzip`` and ``deflate``
+    that requests' default ``Accept-Encoding`` asks for."""
+    coding = (coding or "identity").strip().lower()
+    if coding == "identity" or not body:
+        return body
+    try:
+        if coding == "gzip":
+            return zlib.decompress(body, 16 + zlib.MAX_WBITS)
+        if coding == "deflate":
+            try:
+                return zlib.decompress(body)
+            except zlib.error:  # raw deflate without the zlib header, as urllib3 accepts
+                return zlib.decompress(body, -zlib.MAX_WBITS)
+    except zlib.error as exc:
+        raise ContentDecodingError(f"cannot decode the {coding} body: {exc}") from exc
+    raise ContentDecodingError(f"unsupported Content-Encoding {coding!r}")
+
+
+def _close_all(connections: set[http.client.HTTPConnection]) -> None:
+    for connection in connections:
+        connection.close()
+    connections.clear()
+
+
+# A reused connection that fails this way has not answered the request: the
+# server closed it while it sat idle, after the readability check.
+_DROPPED = (http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetError)
+
+
+class _KeepAliveAdapter(BaseAdapter):
+    """requests transport for one plain-HTTP host and port: one keep-alive
+    ``http.client`` connection per thread.
+
+    An idle connection that the server closed is replaced before it is used.
+    When the close races the request, the request goes once more over a new
+    connection; either way the caller sees one request and no error. The
+    whole body is read before ``send`` returns, also when streaming is asked
+    for. A request that a proxy applies to is sent through ``HTTPAdapter``.
+    """
+
+    def __init__(self, host: str, port: int):
+        super().__init__()
+        self._address = (host, port)
+        self._local = threading.local()  # .connection: the calling thread's
+        self._open: set[http.client.HTTPConnection] = set()
+        self._lock = threading.Lock()
+        self._proxied = HTTPAdapter()
+        # An adapter dropped unclosed, with its session, closes its sockets,
+        # as urllib3's pools do.
+        weakref.finalize(self, _close_all, self._open)
+
+    def send(self, request, stream=False, timeout=None, verify=True, cert=None, proxies=None):
+        # A later client on the same session may have been built with a proxy.
+        if proxies and select_proxy(request.url, proxies):
+            return self._proxied.send(request, stream, timeout, verify, cert, proxies)
+        connect_s, read_s = timeout if isinstance(timeout, tuple) else (timeout, timeout)
+        try:
+            raw, body = self._round_trip(request, connect_s, read_s)
+        except socket.timeout as exc:
+            raise requests.Timeout(exc, request=request) from exc
+        except http.client.IncompleteRead as exc:
+            raise ChunkedEncodingError(exc, request=request) from exc
+        except (OSError, http.client.HTTPException) as exc:
+            raise requests.ConnectionError(exc, request=request) from exc
+        # A body that cannot be decoded was still read in full, so the
+        # connection stays usable.
+        body = _decoded(body, raw.getheader("Content-Encoding"))
+
+        headers = CaseInsensitiveDict()
+        for name, value in raw.getheaders():
+            headers[name] = f"{headers[name]}, {value}" if name in headers else value
+        response = requests.Response()
+        response.status_code = raw.status
+        response.reason = raw.reason
+        response.headers = headers
+        response.encoding = get_encoding_from_headers(headers)
+        # A body already read: what requests holds once it has read ``raw``.
+        response._content = body
+        response._content_consumed = True
+        response.url = request.url
+        response.request = request
+        response.connection = self
+        return response
+
+    def close(self) -> None:
+        """Close every thread's connection."""
+        with self._lock:
+            self._local = threading.local()
+            _close_all(self._open)
+        self._proxied.close()
+
+    def _round_trip(self, request, connect_s, read_s) -> tuple[http.client.HTTPResponse, bytes]:
+        """The response to ``request`` and its body as sent; on any error the
+        connection is closed."""
+        connection = getattr(self._local, "connection", None)
+        try:
+            if connection is not None and _readable(connection.sock):
+                self._discard(connection)
+                connection = None
+            if connection is not None:
+                try:
+                    raw = self._exchange(connection, request, read_s)
+                except _DROPPED:
+                    self._discard(connection)
+                    connection = None
+            if connection is None:
+                connection = self._connect(connect_s)
+                raw = self._exchange(connection, request, read_s)
+            if raw.will_close:
+                self._discard(connection)
+            return raw, raw.read()
+        except BaseException:
+            if connection is not None:
+                self._discard(connection)
+            raise
+
+    def _connect(self, timeout) -> http.client.HTTPConnection:
+        connection = http.client.HTTPConnection(*self._address, timeout=timeout)
+        connection.connect()
+        # http.client sets this itself only from Python 3.11 on.
+        connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._local.connection = connection
+        with self._lock:
+            self._open.add(connection)
+        return connection
+
+    def _discard(self, connection: http.client.HTTPConnection) -> None:
+        if getattr(self._local, "connection", None) is connection:
+            del self._local.connection
+        with self._lock:
+            self._open.discard(connection)
+        connection.close()
+
+    @staticmethod
+    def _exchange(connection, request, read_s) -> http.client.HTTPResponse:
+        """Send ``request`` and read the response's status and headers."""
+        if connection.sock.gettimeout() != read_s:
+            connection.sock.settimeout(read_s)
+        body = request.body
+        if isinstance(body, str):  # as urllib3 sends it
+            body = body.encode("utf-8")
+        connection.request(
+            request.method,
+            request.path_url,
+            body,
+            request.headers,
+            encode_chunked="Transfer-Encoding" in request.headers,
+        )
+        return connection.getresponse()
+
+
 @dataclass(frozen=True)
 class ChatMessage:
     role: str  # "system" | "user" | "assistant"
@@ -91,7 +298,9 @@ class ChatClient:
     The environment (proxies, ``REQUESTS_CA_BUNDLE``/``CURL_CA_BUNDLE``,
     netrc) is read when the client is built, as a default session would read
     it for each request, and not again: set it before building the client.
-    A session passed in with ``trust_env = False`` keeps ignoring it.
+    A session passed in with ``trust_env = False`` keeps ignoring it. A
+    plain-HTTP endpoint that no proxy applies to is then given the session's
+    keep-alive transport (see the module docstring).
     """
 
     def __init__(
@@ -117,6 +326,7 @@ class ChatClient:
         )
         self._session = session or requests.Session()
         self._settings = _environment_settings(self._session, endpoint)
+        _mount_keep_alive(self._session, endpoint, self._settings.get("proxies", {}))
 
     def complete(self, messages: Sequence[ChatMessage]) -> tuple[str, UsageRecord]:
         """Run one completion; returns the assistant text and its usage."""

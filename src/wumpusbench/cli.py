@@ -19,6 +19,7 @@ import json
 import sys
 import threading
 import time
+from urllib.parse import urlsplit
 
 from .agents import ScriptedAgent
 from .chat import ChatClient
@@ -91,6 +92,20 @@ def _text(value):
     return value
 
 
+def _check_endpoint(endpoint: str) -> None:
+    """Raise :class:`ConfigurationError` naming the field unless ``endpoint``
+    is an ``http`` or ``https`` URL with a host and a valid port."""
+    parts = urlsplit(endpoint)
+    try:
+        parts.port
+    except ValueError as exc:
+        raise ConfigurationError(f"endpoint: {exc} in {endpoint!r:.80}") from exc
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ConfigurationError(
+            f"endpoint: expected an http or https URL with a host, not {endpoint!r:.80}"
+        )
+
+
 def _script_actions(path: str) -> list[Action]:
     """The actions of an ``--actions`` file, a JSON list of action texts; a
     malformed file raises :class:`ConfigurationError` naming the index."""
@@ -126,10 +141,11 @@ def _agent_factory(args, config: dict):
     model = _setting(args.model, config, "model", None, _text)
     if not endpoint or not model:
         raise SystemExit("--endpoint and --model are required with --agent llm")
+    _check_endpoint(endpoint)
     temperature = _setting(args.temperature, config, "temperature", 0.0, float)
-
-    def make_client(name: str) -> ChatClient:
-        return ChatClient(endpoint, name, temperature=temperature)
+    # One client per model for the whole run, shared by every episode and
+    # worker thread, so that a run keeps its connections open across episodes.
+    client = ChatClient(endpoint, model, temperature=temperature)
 
     if mechanism == MECHANISM_PLANNER_CRITIC:
         critic_model = (
@@ -138,12 +154,15 @@ def _agent_factory(args, config: dict):
         arbitration = ArbitrationConfig(
             _setting(args.critic_threshold, config, "critic_threshold", 0.7, float)
         )
+        critic = (
+            ChatClient(endpoint, critic_model, temperature=temperature)
+            if critic_model != model
+            else client
+        )
 
         def factory(cfg):
-            planner = make_client(model)
-            critic = make_client(critic_model) if critic_model != model else planner
             return PlannerCriticAgent(
-                planner, cfg.grid_size, critic_client=critic, arbitration=arbitration
+                client, cfg.grid_size, critic_client=critic, arbitration=arbitration
             )
 
         return factory, mechanism, {"planner": model, "critic": critic_model}
@@ -152,7 +171,7 @@ def _agent_factory(args, config: dict):
         raise SystemExit(f"unknown mechanism {mechanism!r}")
 
     def factory(cfg):
-        return LlmAgent(make_client(model), cfg.grid_size, mechanism=mechanism)
+        return LlmAgent(client, cfg.grid_size, mechanism=mechanism)
 
     return factory, mechanism, {"model": model}
 

@@ -130,6 +130,30 @@ def test_run_llm_against_mock_endpoint(tmp_path, capsys):
     assert "Total runs" in capsys.readouterr().out
 
 
+def test_run_llm_keeps_one_connection_across_episodes(tiny_matrix, capsys):
+    reply = 'Analysis: a\nGuess: {"wumpus": [], "pits": []}\nAction: <exit>'
+    with MockChatServer([MockReply(reply, 5, 5)] * 3) as server:
+        code = main(
+            [
+                "run",
+                "--agent",
+                "llm",
+                "--endpoint",
+                server.url,
+                "--model",
+                "mock-model",
+                "--matrix",
+                tiny_matrix,
+                "--parallelism",
+                "1",
+                "--quiet",
+            ]
+        )
+    assert code == 0
+    assert len(server.peers) == 3
+    assert len(set(server.peers)) == 1
+
+
 def test_cli_reports_package_errors_cleanly(tmp_path, capsys):
     missing = tmp_path / "missing.jsonl"
     missing.write_text("{broken\n")
@@ -317,6 +341,30 @@ LLM_CONFIG = '{"endpoint": "http://127.0.0.1:9/v1", "model": "m", %s}'
         ),
         (
             "config.json",
+            '{"endpoint": "not a url", "model": "m"}',
+            ["run", "--agent", "llm", "--config"],
+            "endpoint: expected an http or https URL with a host, not 'not a url'",
+        ),
+        (
+            "config.json",
+            '{"endpoint": "ftp://h/v1", "model": "m"}',
+            ["run", "--agent", "llm", "--config"],
+            "endpoint: expected an http or https URL",
+        ),
+        (
+            "config.json",
+            '{"endpoint": "http://", "model": "m"}',
+            ["run", "--agent", "llm", "--config"],
+            "endpoint: expected an http or https URL",
+        ),
+        (
+            "config.json",
+            '{"endpoint": "http://h:99999/v1", "model": "m"}',
+            ["run", "--agent", "llm", "--config"],
+            "endpoint: Port out of range",
+        ),
+        (
+            "config.json",
             '{"endpoint": "http://127.0.0.1:9/v1", "model": 5}',
             ["run", "--agent", "llm", "--config"],
             "model: malformed field (TypeError: expected a string, not 5)",
@@ -365,6 +413,10 @@ LLM_CONFIG = '{"endpoint": "http://127.0.0.1:9/v1", "model": "m", %s}'
         "config-mechanism-not-a-string",
         "config-critic-threshold-not-a-number",
         "config-endpoint-not-a-string",
+        "config-endpoint-not-a-url",
+        "config-endpoint-not-http",
+        "config-endpoint-without-host",
+        "config-endpoint-port-out-of-range",
         "config-model-not-a-string",
         "config-critic-model-not-a-string",
         "config-critic-threshold-out-of-range",

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import contextlib
+import gzip
+import json
 import os
 import socket
+import socketserver
 import threading
+import zlib
 
 import pytest
 import requests
+from requests.adapters import HTTPAdapter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -282,6 +288,217 @@ def test_client_sends_what_a_default_session_would(clean_environment, tmp_path):
     assert sent.headers == expected.headers
     assert expected.headers["Authorization"].startswith("Basic ")
     assert sent.body == expected.body
+
+
+def test_clients_on_one_session_share_its_connection(clean_environment):
+    session = requests.Session()
+    with MockChatServer([MockReply(str(i)) for i in range(4)]) as server:
+        for timeout in (5.0, (5.0, 5.0), None, 5.0):
+            client = ChatClient(
+                server.url, "m", max_retries=0, timeout=timeout, session=session
+            )
+            client.complete([ChatMessage("user", "hi")])
+    assert len(server.peers) == 4
+    assert len(set(server.peers)) == 1
+
+
+def test_each_thread_keeps_its_own_connection(clean_environment):
+    calls = 3
+    with MockChatServer([MockReply("ok")] * (2 * calls)) as server:
+        client = ChatClient(server.url, "m", max_retries=0)
+
+        def call(name):
+            for _ in range(calls):
+                client.complete([ChatMessage("user", name)])
+
+        threads = [threading.Thread(target=call, args=(f"t{i}",)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+    peers = {"t0": set(), "t1": set()}
+    for request, peer in zip(server.requests, server.peers):
+        peers[request["messages"][0]["content"]].add(peer)
+    assert len(server.peers) == 2 * calls
+    assert len(peers["t0"]) == len(peers["t1"]) == 1
+    assert peers["t0"] != peers["t1"]
+
+
+COMPLETION = json.dumps(
+    {
+        "choices": [{"message": {"role": "assistant", "content": "decoded"}}],
+        "usage": {"prompt_tokens": 3, "completion_tokens": 2},
+    }
+).encode()
+
+
+@contextlib.contextmanager
+def raw_server(response: bytes | None, *, close: bool = False):
+    """A one-route HTTP server that answers each request with ``response``
+    verbatim (never, when it is None) and then closes the connection when
+    ``close`` is set. Yields its URL and a semaphore released each time it
+    has closed a connection."""
+    release = threading.Event()
+    closed = threading.Semaphore(0)
+
+    class Handler(socketserver.StreamRequestHandler):
+        def handle(self):
+            while True:
+                length = 0
+                while (line := self.rfile.readline()) not in (b"\r\n", b""):
+                    name, _, value = line.partition(b":")
+                    if name.lower() == b"content-length":
+                        length = int(value)
+                if not line:
+                    return
+                self.rfile.read(length)
+                if response is None:
+                    release.wait(10)
+                    return
+                self.wfile.write(response)
+                if close:
+                    return
+
+    class Server(socketserver.ThreadingTCPServer):
+        daemon_threads = True
+
+        def shutdown_request(self, request):
+            super().shutdown_request(request)
+            closed.release()
+
+    server = Server(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions", closed
+    finally:
+        release.set()
+        server.shutdown()
+        server.server_close()
+
+
+def http_response(body: bytes, *headers: str) -> bytes:
+    head = "".join(f"{h}\r\n" for h in ("HTTP/1.1 200 OK", *headers))
+    return head.encode() + b"\r\n" + body
+
+
+def chunked(body: bytes) -> bytes:
+    parts = [body[i : i + 16] for i in range(0, len(body), 16)]
+    return b"".join(b"%x\r\n%s\r\n" % (len(p), p) for p in parts) + b"0\r\n\r\n"
+
+
+def test_a_server_that_closes_after_each_reply_is_answered_without_retries(
+    clean_environment,
+):
+    session = CountingPostSession()
+    reply = http_response(COMPLETION, f"Content-Length: {len(COMPLETION)}")
+    with raw_server(reply, close=True) as (url, closed):
+        client = ChatClient(url, "m", max_retries=0, session=session)
+        for i in range(6):
+            assert client.complete([ChatMessage("user", "hi")])[0] == "decoded"
+            # Every other call starts once the server has closed the idle
+            # connection; the rest race the close.
+            if i % 2:
+                assert all(closed.acquire(timeout=10) for _ in range(2))
+    assert session.posts == 6
+
+
+@pytest.mark.parametrize(
+    "response, close",
+    [
+        (http_response(COMPLETION, f"Content-Length: {len(COMPLETION)}"), False),
+        (http_response(chunked(COMPLETION), "Transfer-Encoding: chunked"), False),
+        (
+            http_response(
+                gzip.compress(COMPLETION),
+                "Content-Encoding: gzip",
+                f"Content-Length: {len(gzip.compress(COMPLETION))}",
+            ),
+            False,
+        ),
+        (
+            http_response(
+                chunked(zlib.compress(COMPLETION)),
+                "Content-Encoding: deflate",
+                "Transfer-Encoding: chunked",
+            ),
+            False,
+        ),
+        (http_response(COMPLETION, "Connection: close"), True),
+    ],
+    ids=["length", "chunked", "gzip", "deflate-chunked", "until-close"],
+)
+def test_every_body_framing_and_encoding_decodes_the_same(
+    clean_environment, response, close
+):
+    with raw_server(response, close=close) as (url, _):
+        client = ChatClient(url, "m", max_retries=0)
+        for _ in range(2):
+            content, usage = client.complete([ChatMessage("user", "hi")])
+            assert (content, usage.prompt_tokens, usage.total_tokens) == ("decoded", 3, 5)
+
+
+@pytest.mark.parametrize(
+    "coding, message",
+    [("br", "unsupported Content-Encoding 'br'"), ("gzip", "cannot decode the gzip body")],
+    ids=["unsupported", "corrupt"],
+)
+def test_an_undecodable_body_fails_at_once(clean_environment, coding, message):
+    session = CountingPostSession()
+    response = http_response(
+        COMPLETION, f"Content-Encoding: {coding}", f"Content-Length: {len(COMPLETION)}"
+    )
+    with raw_server(response) as (url, _):
+        client = ChatClient(url, "m", max_retries=3, backoff=0, session=session)
+        with pytest.raises(TransportError, match=message):
+            client.complete([ChatMessage("user", "hi")])
+    assert session.posts == 1
+
+
+@pytest.mark.parametrize("timeout", [0.05, (5.0, 0.05)], ids=["float", "tuple"])
+def test_a_read_timeout_is_retried_until_the_budget_is_spent(clean_environment, timeout):
+    session = CountingPostSession()
+    with raw_server(None) as (url, _):
+        client = ChatClient(
+            url, "m", max_retries=2, backoff=0, timeout=timeout, session=session
+        )
+        with pytest.raises(TransportError, match="after 3 attempts.*timed out"):
+            client.complete([ChatMessage("user", "hi")])
+    assert session.posts == 3
+
+
+def test_https_and_proxied_endpoints_keep_requests_adapter(clean_environment):
+    proxy = f"http://127.0.0.1:{closed_port()}"
+    plain, proxied = requests.Session(), requests.Session()
+    proxied.proxies = {"http": proxy}
+    for session, url in [
+        (plain, "http://127.0.0.1:8000/v1"),
+        (plain, "https://api.example/v1"),
+        (proxied, "http://127.0.0.1:8000/v1"),
+    ]:
+        ChatClient(url, "m", session=session)
+    assert not isinstance(plain.get_adapter("http://127.0.0.1:8000/v1"), HTTPAdapter)
+    assert type(plain.get_adapter("https://api.example/v1")) is HTTPAdapter
+    assert type(proxied.get_adapter("http://127.0.0.1:8000/v1")) is HTTPAdapter
+
+    clean_environment.setenv("HTTP_PROXY", proxy)
+    from_environment = requests.Session()
+    ChatClient("http://127.0.0.1:8000/v1", "m", session=from_environment)
+    assert type(from_environment.get_adapter("http://127.0.0.1:8000/v1")) is HTTPAdapter
+
+
+def test_a_later_client_with_a_proxy_reaches_the_proxy(clean_environment):
+    session = CountingPostSession()
+    with MockChatServer([MockReply("direct"), MockReply("again")]) as server:
+        direct = ChatClient(server.url, "m", max_retries=0, session=session)
+        assert direct.complete([ChatMessage("user", "hi")])[0] == "direct"
+        clean_environment.setenv("HTTP_PROXY", f"http://127.0.0.1:{closed_port()}")
+        proxied = ChatClient(server.url, "m", max_retries=0, session=session)
+        with pytest.raises(TransportError):
+            proxied.complete([ChatMessage("user", "hi")])
+        assert direct.complete([ChatMessage("user", "hi")])[0] == "again"
+    assert len(server.requests) == 2
 
 
 # ---------------------------------------------------------------------------
