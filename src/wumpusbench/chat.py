@@ -19,17 +19,24 @@ than the rest of the post. The client resolves the same settings for its
 endpoint up front, turns the session's own lookup off and passes them with
 each post.
 
-The transport is chosen at the same moment. A plain ``http`` endpoint with a
-host, a valid port and no proxy that applies to it is posted to over one
-keep-alive ``http.client`` connection per thread, through a transport adapter
-that the client mounts on its session for that exact URL; a second client on
-the same session and endpoint shares it and its connections. On a local call
-requests' own adapter costs about as much CPU as the rest of the post: the
-urllib3 pool, its retry and timeout objects and its response wrapper. Every
-other endpoint (``https``, or one reached through a proxy) keeps requests'
-``HTTPAdapter``, the only path that handles TLS, CA bundles and proxies. The
-keep-alive path decodes ``gzip`` and ``deflate`` bodies and stores no
-``Set-Cookie`` in the session.
+The transport is chosen at the same moment, once per session and endpoint
+URL. A plain ``http`` endpoint with a host and a valid port is posted to over
+one keep-alive ``http.client`` connection per thread, through a transport
+adapter that the client mounts on its session for that exact URL, when three
+more things hold: no proxy applies to it, the session would otherwise send it
+through requests' own ``HTTPAdapter`` with no urllib3 retries (a caller's
+adapter for the URL or a prefix of it is kept), and the session's
+``Accept-Encoding`` asks for nothing but ``gzip``, ``deflate`` or
+``identity``, the codings that path decodes. A second client on the same
+session and endpoint shares the adapter and its connections; a later client
+that a proxy applies to puts requests' adapter back for the URL, for every
+client. Every other endpoint (``https``, or one reached through a proxy)
+keeps ``HTTPAdapter``, the only path that handles TLS, CA bundles and
+proxies. On a local call requests' own adapter costs about as much CPU as the
+rest of the post: the urllib3 pool, its retry and timeout objects and its
+response wrapper. The keep-alive path is for local OpenAI-compatible servers,
+which commonly listen on plain ``http`` (and for ``mock-serve``); hosted APIs
+are ``https`` and never take it. It stores no ``Set-Cookie`` in the session.
 """
 
 from __future__ import annotations
@@ -94,23 +101,43 @@ def _environment_settings(session: requests.Session, url: str) -> dict:
     return settings
 
 
-def _mount_keep_alive(session: requests.Session, url: str, proxies: dict) -> None:
-    """Mount a :class:`_KeepAliveAdapter` on ``session`` for ``url`` when it
-    is a plain-HTTP URL with a host and a valid port that neither the
-    session's proxies nor ``proxies`` apply to; keep one mounted before."""
+_DECODED_CODINGS = frozenset({"gzip", "deflate", "identity"})
+
+
+def _choose_transport(session: requests.Session, url: str, proxies: dict) -> None:
+    """Mount a :class:`_KeepAliveAdapter` on ``session`` for the plain-HTTP
+    ``url`` when the module docstring's conditions hold.
+
+    An adapter mounted for ``url`` itself, by an earlier client or the
+    caller, stands. Only a proxy that applies (from the session's proxies or
+    ``proxies``) overrules a keep-alive adapter: the adapter the session had
+    before is mounted for ``url`` in its place, so that no later client
+    mounts one again and every client reaches the proxy.
+    """
     parts = urlsplit(url)
     try:
         port = parts.port or 80
     except ValueError:  # not a number, or out of range
         return
-    if (
-        parts.scheme != "http"
-        or not parts.hostname
-        or select_proxy(url, {**session.proxies, **proxies})
-        or isinstance(session.adapters.get(url), _KeepAliveAdapter)
-    ):
+    if parts.scheme != "http" or not parts.hostname:
         return
-    session.mount(url, _KeepAliveAdapter(parts.hostname, port))
+    mounted = session.adapters.get(url)
+    if select_proxy(url, {**session.proxies, **proxies}):
+        if isinstance(mounted, _KeepAliveAdapter):
+            del session.adapters[url]
+            mounted.close()
+        session.mount(url, session.get_adapter(url))
+        return
+    underneath = session.get_adapter(url)
+    accepted = session.headers.get("Accept-Encoding") or ""
+    codings = {c.split(";")[0].strip().lower() for c in accepted.split(",")}
+    if (
+        mounted is None
+        and type(underneath) is HTTPAdapter
+        and underneath.max_retries.total == 0
+        and codings <= _DECODED_CODINGS
+    ):
+        session.mount(url, _KeepAliveAdapter(parts.hostname, port))
 
 
 def _readable(sock: socket.socket) -> bool:
@@ -124,8 +151,8 @@ def _readable(sock: socket.socket) -> bool:
 
 
 def _decoded(body: bytes, coding: str | None) -> bytes:
-    """``body`` without its ``Content-Encoding``: the ``gzip`` and ``deflate``
-    that requests' default ``Accept-Encoding`` asks for."""
+    """``body`` without its ``Content-Encoding``: ``gzip`` or ``deflate``,
+    all that the session may ask for on this path besides ``identity``."""
     coding = (coding or "identity").strip().lower()
     if coding == "identity" or not body:
         return body
@@ -161,7 +188,8 @@ class _KeepAliveAdapter(BaseAdapter):
     When the close races the request, the request goes once more over a new
     connection; either way the caller sees one request and no error. The
     whole body is read before ``send`` returns, also when streaming is asked
-    for. A request that a proxy applies to is sent through ``HTTPAdapter``.
+    for. Proxies are not consulted: :func:`_choose_transport` mounts the
+    adapter only for a URL that no proxy applies to.
     """
 
     def __init__(self, host: str, port: int):
@@ -170,15 +198,11 @@ class _KeepAliveAdapter(BaseAdapter):
         self._local = threading.local()  # .connection: the calling thread's
         self._open: set[http.client.HTTPConnection] = set()
         self._lock = threading.Lock()
-        self._proxied = HTTPAdapter()
         # An adapter dropped unclosed, with its session, closes its sockets,
         # as urllib3's pools do.
         weakref.finalize(self, _close_all, self._open)
 
     def send(self, request, stream=False, timeout=None, verify=True, cert=None, proxies=None):
-        # A later client on the same session may have been built with a proxy.
-        if proxies and select_proxy(request.url, proxies):
-            return self._proxied.send(request, stream, timeout, verify, cert, proxies)
         connect_s, read_s = timeout if isinstance(timeout, tuple) else (timeout, timeout)
         try:
             raw, body = self._round_trip(request, connect_s, read_s)
@@ -213,7 +237,6 @@ class _KeepAliveAdapter(BaseAdapter):
         with self._lock:
             self._local = threading.local()
             _close_all(self._open)
-        self._proxied.close()
 
     def _round_trip(self, request, connect_s, read_s) -> tuple[http.client.HTTPResponse, bytes]:
         """The response to ``request`` and its body as sent; on any error the
@@ -298,9 +321,8 @@ class ChatClient:
     The environment (proxies, ``REQUESTS_CA_BUNDLE``/``CURL_CA_BUNDLE``,
     netrc) is read when the client is built, as a default session would read
     it for each request, and not again: set it before building the client.
-    A session passed in with ``trust_env = False`` keeps ignoring it. A
-    plain-HTTP endpoint that no proxy applies to is then given the session's
-    keep-alive transport (see the module docstring).
+    A session passed in with ``trust_env = False`` keeps ignoring it. The
+    transport for the endpoint is chosen then too (see the module docstring).
     """
 
     def __init__(
@@ -326,7 +348,7 @@ class ChatClient:
         )
         self._session = session or requests.Session()
         self._settings = _environment_settings(self._session, endpoint)
-        _mount_keep_alive(self._session, endpoint, self._settings.get("proxies", {}))
+        _choose_transport(self._session, endpoint, self._settings.get("proxies", {}))
 
     def complete(self, messages: Sequence[ChatMessage]) -> tuple[str, UsageRecord]:
         """Run one completion; returns the assistant text and its usage."""

@@ -21,6 +21,9 @@ import threading
 import time
 from urllib.parse import urlsplit
 
+import requests
+from requests.adapters import DEFAULT_POOLSIZE, HTTPAdapter
+
 from .agents import ScriptedAgent
 from .chat import ChatClient
 from .errors import ActionParseError, ConfigurationError, WumpusBenchError
@@ -143,9 +146,15 @@ def _agent_factory(args, config: dict):
         raise SystemExit("--endpoint and --model are required with --agent llm")
     _check_endpoint(endpoint)
     temperature = _setting(args.temperature, config, "temperature", 0.0, float)
-    # One client per model for the whole run, shared by every episode and
-    # worker thread, so that a run keeps its connections open across episodes.
-    client = ChatClient(endpoint, model, temperature=temperature)
+    # One client per model for the whole run, on one session, shared by every
+    # episode and worker thread, so that a run keeps its connections open
+    # across episodes. requests' pool for an https or proxied endpoint keeps
+    # a connection for each worker thread rather than urllib3's default ten.
+    session = requests.Session()
+    pool = HTTPAdapter(pool_maxsize=max(args.parallelism, DEFAULT_POOLSIZE))
+    session.mount("http://", pool)
+    session.mount("https://", pool)
+    client = ChatClient(endpoint, model, temperature=temperature, session=session)
 
     if mechanism == MECHANISM_PLANNER_CRITIC:
         critic_model = (
@@ -155,7 +164,7 @@ def _agent_factory(args, config: dict):
             _setting(args.critic_threshold, config, "critic_threshold", 0.7, float)
         )
         critic = (
-            ChatClient(endpoint, critic_model, temperature=temperature)
+            ChatClient(endpoint, critic_model, temperature=temperature, session=session)
             if critic_model != model
             else client
         )

@@ -4,6 +4,7 @@ import json
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -152,6 +153,34 @@ def test_run_llm_keeps_one_connection_across_episodes(tiny_matrix, capsys):
     assert code == 0
     assert len(server.peers) == 3
     assert len(set(server.peers)) == 1
+
+
+def test_run_llm_gives_both_models_one_session_pooled_per_worker():
+    args = cli.build_parser().parse_args(
+        [
+            "run",
+            "--agent",
+            "llm",
+            "--mechanism",
+            "planner-critic",
+            "--endpoint",
+            "https://api.example/v1",
+            "--model",
+            "planner",
+            "--critic-model",
+            "critic",
+            "--parallelism",
+            "16",
+        ]
+    )
+    factory, _, models = cli._agent_factory(args, {})
+    agent = factory(SimpleNamespace(grid_size=3))
+    assert models == {"planner": "planner", "critic": "critic"}
+    assert agent.critic_client is not agent.planner_client
+    session = agent.planner_client._session
+    assert agent.critic_client._session is session
+    pool = session.get_adapter("https://api.example/v1").poolmanager
+    assert pool.connection_pool_kw["maxsize"] == 16
 
 
 def test_cli_reports_package_errors_cleanly(tmp_path, capsys):

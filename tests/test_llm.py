@@ -11,7 +11,7 @@ import zlib
 
 import pytest
 import requests
-from requests.adapters import HTTPAdapter
+from requests.adapters import BaseAdapter, HTTPAdapter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -498,7 +498,63 @@ def test_a_later_client_with_a_proxy_reaches_the_proxy(clean_environment):
         with pytest.raises(TransportError):
             proxied.complete([ChatMessage("user", "hi")])
         assert direct.complete([ChatMessage("user", "hi")])[0] == "again"
+        assert type(session.get_adapter(server.url)) is HTTPAdapter
     assert len(server.requests) == 2
+
+
+def test_an_earlier_client_with_a_proxy_keeps_reaching_the_proxy(clean_environment):
+    session = CountingPostSession()
+    with MockChatServer([MockReply("direct")]) as server:
+        clean_environment.setenv("HTTP_PROXY", f"http://127.0.0.1:{closed_port()}")
+        proxied = ChatClient(server.url, "m", max_retries=0, session=session)
+        clean_environment.delenv("HTTP_PROXY")
+        direct = ChatClient(server.url, "m", max_retries=0, session=session)
+        assert type(session.get_adapter(server.url)) is HTTPAdapter
+        with pytest.raises(TransportError):
+            proxied.complete([ChatMessage("user", "hi")])
+        assert direct.complete([ChatMessage("user", "hi")])[0] == "direct"
+    assert len(server.requests) == 1
+
+
+class RefusingAdapter(BaseAdapter):
+    def send(self, request, **kwargs):
+        raise requests.ConnectionError("refused by the test adapter", request=request)
+
+    def close(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "prefix, adapter",
+    [("http://127.0.0.1", RefusingAdapter()), ("http://", HTTPAdapter(max_retries=2))],
+    ids=["host-test-double", "retrying-http-adapter"],
+)
+def test_a_callers_own_adapter_is_kept(clean_environment, prefix, adapter):
+    session = requests.Session()
+    session.mount(prefix, adapter)
+    ChatClient("http://127.0.0.1:8000/v1", "m", session=session)
+    assert session.get_adapter("http://127.0.0.1:8000/v1") is adapter
+
+
+@pytest.mark.parametrize(
+    "accept_encoding, keep_alive",
+    [
+        ("gzip, deflate", True),
+        ("gzip;q=1.0, identity; q=0.5", True),
+        ("gzip, deflate, br", False),
+        ("gzip, deflate, zstd", False),
+        ("", False),
+    ],
+    ids=["default", "q-values", "br", "zstd", "empty"],
+)
+def test_the_keep_alive_transport_needs_codings_it_can_decode(
+    clean_environment, accept_encoding, keep_alive
+):
+    session = requests.Session()
+    session.headers["Accept-Encoding"] = accept_encoding
+    ChatClient("http://127.0.0.1:8000/v1", "m", session=session)
+    adapter = session.get_adapter("http://127.0.0.1:8000/v1")
+    assert (type(adapter) is not HTTPAdapter) is keep_alive
 
 
 # ---------------------------------------------------------------------------
