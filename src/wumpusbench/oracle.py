@@ -30,6 +30,23 @@ only a pinpointed wumpus, and exits rather than gamble.
 Stench records are timestamped against the wumpus being alive: a cell visited
 after a kill shows no stench even next to the corpse, and consistency checking
 honors that.
+
+Knowledge bases are values: nothing mutates one in place once it is built.
+:func:`observe` shares ``records`` and ``shots`` between a parent and its
+child, and :class:`OracleAgent` shares whole knowledge bases between agents.
+
+The oracle is deterministic, so its play on a condition is a tree that
+branches only on what it observes. :class:`OracleAgent` walks that tree
+through a decision memo. Agents of a condition start from one shared empty
+knowledge base, and each knowledge base remembers, per observation folded
+into it, the next knowledge base and the action played. The key is the whole
+observation, the only input besides the knowledge base, so a remembered
+decision is exactly the one :func:`observe` and :func:`oracle_policy` would
+make. Episodes of a condition thus share their opening rounds. A knowledge
+base's size grows with the area of its grid, so the memo is capped at
+``MEMO_CELLS`` grid cells held. Reaching the cap drops the shared starts
+and everything remembered from them; agents already playing keep their own
+branch.
 """
 
 from __future__ import annotations
@@ -37,6 +54,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -109,6 +127,10 @@ class KnowledgeBase:
     wumpus_known_dead: bool = False
     # Derived from the fields above by observe.
     counts: HazardCounts | None = field(default=None, init=False, repr=False)
+    # The decision memo: observation -> (next knowledge base, action).
+    _next: dict[Observation, tuple[KnowledgeBase, Action]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def safe_cells(self) -> frozenset[Cell]:
@@ -347,18 +369,66 @@ def oracle_policy(kb: KnowledgeBase, obs: Observation) -> Action:
     return Action.exit()
 
 
+# The decision memo's cap, in grid cells: a remembered knowledge base holds a
+# few maps with an entry per cell, so its size grows with the grid's area.
+MEMO_CELLS = 1 << 16
+
+_starts: dict[tuple[int, int, int], KnowledgeBase] = {}
+_memo_cells = 0  # grid cells remembered since the starts were last dropped
+_memo_lock = threading.RLock()
+
+
+def clear_memo() -> None:
+    """Drop the shared start knowledge bases and every decision remembered
+    from them."""
+    global _memo_cells
+    with _memo_lock:
+        _starts.clear()
+        _memo_cells = 0
+
+
+def _remember(
+    kb: KnowledgeBase, obs: Observation, entry: tuple[KnowledgeBase, Action]
+) -> None:
+    """Store ``entry`` in ``kb``'s memo, first dropping the shared starts if
+    it would take the memo past its cap."""
+    global _memo_cells
+    cells = kb.grid_size**2
+    with _memo_lock:
+        if _memo_cells + cells > MEMO_CELLS:
+            clear_memo()
+        if cells <= MEMO_CELLS:  # no grid larger than the cap is remembered
+            kb._next[obs] = entry
+            _memo_cells += cells
+
+
 class OracleAgent:
     """Harness-facing wrapper: folds each observation into the knowledge base
     with :func:`observe` and plays :func:`oracle_policy`. One instance per
-    episode."""
+    episode.
+
+    Decisions go through the memo described in the module docstring: the
+    agent starts from its condition's shared empty knowledge base, and a
+    decision its knowledge base already remembers for the observation is
+    replayed instead of recomputed. The memo lives on the knowledge bases, so
+    assigning ``agent.kb`` moves the agent to that knowledge base's own memo
+    and cannot change what other agents remember.
+    """
 
     def __init__(self, grid_size: int, num_pits: int, num_wumpus: int):
         # Counts are derived by the first decide, which records a percept.
-        self.kb = KnowledgeBase(grid_size, num_pits, num_wumpus)
+        key = (grid_size, num_pits, num_wumpus)
+        self.kb = _starts.setdefault(key, KnowledgeBase(*key))
 
     def decide(self, obs: Observation) -> Decision:
-        self.kb = observe(self.kb, obs)
-        return Decision(action=oracle_policy(self.kb, obs), provenance="oracle")
+        kb = self.kb
+        entry = kb._next.get(obs)
+        if entry is None:
+            child = observe(kb, obs)
+            entry = (child, oracle_policy(child, obs))
+            _remember(kb, obs, entry)
+        self.kb, action = entry
+        return Decision(action=action, provenance="oracle")
 
 
 def full_info_solvable(world: WorldState) -> bool:

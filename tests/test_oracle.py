@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -32,6 +34,7 @@ from wumpusbench import (
     run_episode,
     run_trials,
 )
+from wumpusbench import oracle as oracle_module
 from wumpusbench.errors import InconsistentPerceptsError
 from wumpusbench.harness import DEFAULT_CONDITIONS
 from wumpusbench.observation import ArrowStatus, Suggestions, observation_from_dict
@@ -558,3 +561,133 @@ def test_enumeration_layout_counts_for_3x3():
     assert sum(1 for _ in enumerate_layouts(3, 0, 1)) == 48
     assert sum(1 for _ in enumerate_layouts(3, 1, 0)) == 42
     assert sum(1 for _ in enumerate_layouts(3, 1, 1)) == 210
+
+
+# ---------------------------------------------------------------------------
+# Decision memo
+
+
+def play_checked(world, agent, script=None, forget_at=None):
+    """Play ``world`` with ``agent``, or with ``script`` while the agent
+    watches, checking every action and knowledge base of the agent against
+    an uncached fold of :func:`observe` and :func:`oracle_policy`. At round
+    ``forget_at`` the agent's knowledge base is rebuilt from that round's
+    observation alone, by assigning ``agent.kb``. Returns the steps taken."""
+    config = world.config
+    start = (config.grid_size, config.num_pits, config.num_wumpus)
+    folded = KnowledgeBase(*start)
+    moves = iter(script or ())
+    while world.status is Status.RUNNING:
+        obs = build_observation(world)
+        if world.steps_taken == forget_at:
+            agent.kb = observe(KnowledgeBase(*start), obs)
+            folded = KnowledgeBase(*start)
+        action = agent.decide(obs).action
+        folded = observe(folded, obs)
+        assert agent.kb == folded
+        assert action == oracle_policy(folded, obs)
+        apply_action(world, parse_action(next(moves)) if script else action)
+    return world.steps_taken
+
+
+def memo_cells_held():
+    """Grid cells of the knowledge bases reachable from the shared starts."""
+    held = 0
+    stack = list(oracle_module._starts.values())
+    while stack:
+        kb = stack.pop()
+        for child, _ in kb._next.values():
+            held += child.grid_size**2
+            stack.append(child)
+    return held
+
+
+@pytest.mark.parametrize(
+    "n, num_pits, seeds", [(3, 1, 16), (4, 2, 10), (5, 2, 6), (6, 3, 4)]
+)
+def test_memoized_play_equals_the_uncached_fold(n, num_pits, seeds):
+    oracle_module.clear_memo()
+    configs = [
+        WorldConfig(grid_size=n, num_pits=num_pits, num_wumpus=1, seed=seed)
+        for seed in range(seeds)
+    ]
+    for _ in ("cold", "warm"):
+        steps = [
+            play_checked(generate_world(config), OracleAgent(n, num_pits, 1))
+            for config in configs
+        ]
+    # An agent whose knowledge is reassigned mid-game follows its own
+    # knowledge base, and what it remembers there reaches no other agent.
+    long_games = [config for config, taken in zip(configs, steps) if taken > 2]
+    assert long_games
+    for config in long_games[:2]:
+        for forget_at in (2, None):
+            agent = OracleAgent(n, num_pits, 1)
+            play_checked(generate_world(config), agent, forget_at=forget_at)
+
+
+def test_memo_tells_a_missed_shot_from_a_scream():
+    # The same script in two worlds: the shot up from (2,1) misses the
+    # wumpus in (3,2) and kills the one in (2,3). Every observation agrees
+    # until the scream, which only the arrow status reports.
+    oracle_module.clear_memo()
+    script = ["move to position (2,1)", "<shootup>", "<exit>"]
+    for wumpus in ((3, 2), (2, 3)):
+        world = make_world(n=3, wumpus=wumpus, gold=(3, 3))
+        play_checked(world, OracleAgent(3, 0, 1), script=script)
+        assert world.wumpus_alive is (wumpus == (3, 2))
+
+
+def test_memo_tells_apart_observations_that_differ_only_in_suggestions():
+    # In play the suggestions follow from the percept lists, but the policy
+    # reads them, so observations handed in by a caller may differ there only.
+    oracle_module.clear_memo()
+    obs = build_observation(make_world(n=3, wumpus=(3, 3), gold=(3, 1)))
+    narrowed = dataclasses.replace(
+        obs, suggestions=Suggestions((Cell(1, 2),), obs.suggestions.shoot_options)
+    )
+    assert OracleAgent(3, 0, 1).decide(obs).action == Action.move(2, 1)
+    assert OracleAgent(3, 0, 1).decide(narrowed).action == Action.move(1, 2)
+
+
+def test_memo_holds_at_most_its_cap_of_grid_cells():
+    # 12x12 games with 3 pits reach new knowledge states often enough to fill
+    # the memo several times over; the starts are dropped each time.
+    oracle_module.clear_memo()
+    start, starts = None, 0
+    for seed in range(60):
+        config = WorldConfig(grid_size=12, num_pits=3, num_wumpus=1, seed=seed)
+        agent = OracleAgent(12, 3, 1)
+        if agent.kb is not start:
+            start, starts = agent.kb, starts + 1
+        play_checked(generate_world(config), agent)
+        held = memo_cells_held()
+        assert held <= oracle_module._memo_cells <= oracle_module.MEMO_CELLS
+    assert starts > 2
+
+
+def test_threads_racing_on_a_cold_memo_play_as_one():
+    conditions = [
+        {"grid_size": c.grid_size, "num_pits": c.num_pits, "num_wumpus": c.num_wumpus}
+        for c in DEFAULT_CONDITIONS
+    ]
+    matrix = matrix_from_dict({"trials_per_condition": 40, "conditions": conditions})
+
+    def factory(cfg):
+        return OracleAgent(cfg.grid_size, cfg.num_pits, cfg.num_wumpus)
+
+    fingerprints = []
+    oracle_module.clear_memo()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the memo's updates
+    try:
+        for parallelism in (8, 1):
+            records = run_trials(
+                matrix, factory, agent_kind="oracle", parallelism=parallelism
+            )
+            fingerprints.append([r.core_fingerprint() for r in records])
+            # A lost update to the count would leave it below the cells held.
+            assert memo_cells_held() <= oracle_module._memo_cells
+    finally:
+        sys.setswitchinterval(interval)
+    assert fingerprints[0] == fingerprints[1]
