@@ -5,8 +5,10 @@ Speaks the prevailing commercial wire shape: POST a JSON body of
 ``choices[0].message.content`` plus the ``usage`` token counts back. Latency
 is measured locally around the successful request. Transient failures
 (connection errors, timeouts, a broken chunked body, 429 and 5xx statuses)
-are retried with exponential backoff; any other failure, such as an endpoint
-URL without a usable scheme or host, raises ``TransportError`` at once.
+are retried with exponential backoff; any other failure raises
+``TransportError`` at once. An endpoint that is not an ``http`` or ``https``
+URL with a host and a valid port is refused with ``ConfigurationError`` when
+the client is built.
 
 Credentials are never taken from config files: the client reads
 ``WUMPUSBENCH_API_KEY`` (falling back to ``OPENAI_API_KEY``) unless a key is
@@ -19,24 +21,17 @@ than the rest of the post. The client resolves the same settings for its
 endpoint up front, turns the session's own lookup off and passes them with
 each post.
 
-The transport is chosen at the same moment, once per session and endpoint
-URL. A plain ``http`` endpoint with a host and a valid port is posted to over
-one keep-alive ``http.client`` connection per thread, through a transport
-adapter that the client mounts on its session for that exact URL, when three
-more things hold: no proxy applies to it, the session would otherwise send it
-through requests' own ``HTTPAdapter`` with no urllib3 retries (a caller's
-adapter for the URL or a prefix of it is kept), and the session's
-``Accept-Encoding`` asks for nothing but ``gzip``, ``deflate`` or
-``identity``, the codings that path decodes. A second client on the same
-session and endpoint shares the adapter and its connections; a later client
-that a proxy applies to puts requests' adapter back for the URL, for every
-client. Every other endpoint (``https``, or one reached through a proxy)
-keeps ``HTTPAdapter``, the only path that handles TLS, CA bundles and
-proxies. On a local call requests' own adapter costs about as much CPU as the
-rest of the post: the urllib3 pool, its retry and timeout objects and its
-response wrapper. The keep-alive path is for local OpenAI-compatible servers,
-which commonly listen on plain ``http`` (and for ``mock-serve``); hosted APIs
-are ``https`` and never take it. It stores no ``Set-Cookie`` in the session.
+A client for a plain ``http`` endpoint mounts a keep-alive adapter on its
+session for that exact URL, unless one is mounted there already or the
+session would send the URL through anything but requests' stock
+``HTTPAdapter`` without retries: a caller's own adapter stands. The adapter
+posts over one keep-alive ``http.client`` connection per thread and asks for
+``gzip`` or ``deflate`` bodies only. A request that a proxy applies to goes
+on to the ``HTTPAdapter`` it replaced, which handles proxies; ``https``
+requests never meet it. On a local call requests' own adapter costs about as
+much CPU as the rest of the post, which matters to local OpenAI-compatible
+servers on plain ``http`` and to ``mock-serve``; hosted APIs are ``https``.
+The adapter stores no ``Set-Cookie`` in the session.
 """
 
 from __future__ import annotations
@@ -64,7 +59,7 @@ from requests.utils import (
     select_proxy,
 )
 
-from .errors import ProtocolError, TransportError
+from .errors import ConfigurationError, ProtocolError, TransportError
 
 API_KEY_ENV = "WUMPUSBENCH_API_KEY"
 _FALLBACK_KEY_ENV = "OPENAI_API_KEY"
@@ -101,45 +96,6 @@ def _environment_settings(session: requests.Session, url: str) -> dict:
     return settings
 
 
-_DECODED_CODINGS = frozenset({"gzip", "deflate", "identity"})
-
-
-def _choose_transport(session: requests.Session, url: str, proxies: dict) -> None:
-    """Mount a :class:`_KeepAliveAdapter` on ``session`` for the plain-HTTP
-    ``url`` when the module docstring's conditions hold.
-
-    An adapter mounted for ``url`` itself, by an earlier client or the
-    caller, stands. Only a proxy that applies (from the session's proxies or
-    ``proxies``) overrules a keep-alive adapter: the adapter the session had
-    before is mounted for ``url`` in its place, so that no later client
-    mounts one again and every client reaches the proxy.
-    """
-    parts = urlsplit(url)
-    try:
-        port = parts.port or 80
-    except ValueError:  # not a number, or out of range
-        return
-    if parts.scheme != "http" or not parts.hostname:
-        return
-    mounted = session.adapters.get(url)
-    if select_proxy(url, {**session.proxies, **proxies}):
-        if isinstance(mounted, _KeepAliveAdapter):
-            del session.adapters[url]
-            mounted.close()
-        session.mount(url, session.get_adapter(url))
-        return
-    underneath = session.get_adapter(url)
-    accepted = session.headers.get("Accept-Encoding") or ""
-    codings = {c.split(";")[0].strip().lower() for c in accepted.split(",")}
-    if (
-        mounted is None
-        and type(underneath) is HTTPAdapter
-        and underneath.max_retries.total == 0
-        and codings <= _DECODED_CODINGS
-    ):
-        session.mount(url, _KeepAliveAdapter(parts.hostname, port))
-
-
 def _readable(sock: socket.socket) -> bool:
     """Whether ``sock`` can be read without waiting: on an idle connection,
     the server closed it or sent what no request asked for."""
@@ -152,7 +108,7 @@ def _readable(sock: socket.socket) -> bool:
 
 def _decoded(body: bytes, coding: str | None) -> bytes:
     """``body`` without its ``Content-Encoding``: ``gzip`` or ``deflate``,
-    all that the session may ask for on this path besides ``identity``."""
+    the codings that :class:`_KeepAliveAdapter` asks for, or ``identity``."""
     coding = (coding or "identity").strip().lower()
     if coding == "identity" or not body:
         return body
@@ -182,18 +138,19 @@ _DROPPED = (http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetErro
 
 class _KeepAliveAdapter(BaseAdapter):
     """requests transport for one plain-HTTP host and port: one keep-alive
-    ``http.client`` connection per thread.
+    ``http.client`` connection per thread, and ``underneath``, the adapter it
+    was mounted over, for each request that a proxy applies to.
 
     An idle connection that the server closed is replaced before it is used.
     When the close races the request, the request goes once more over a new
     connection; either way the caller sees one request and no error. The
     whole body is read before ``send`` returns, also when streaming is asked
-    for. Proxies are not consulted: :func:`_choose_transport` mounts the
-    adapter only for a URL that no proxy applies to.
+    for.
     """
 
-    def __init__(self, host: str, port: int):
+    def __init__(self, host: str, port: int, underneath: HTTPAdapter):
         super().__init__()
+        self.underneath = underneath
         self._address = (host, port)
         self._local = threading.local()  # .connection: the calling thread's
         self._open: set[http.client.HTTPConnection] = set()
@@ -203,6 +160,10 @@ class _KeepAliveAdapter(BaseAdapter):
         weakref.finalize(self, _close_all, self._open)
 
     def send(self, request, stream=False, timeout=None, verify=True, cert=None, proxies=None):
+        # As HTTPAdapter.send itself reads the proxies.
+        if proxies and select_proxy(request.url, proxies):
+            return self.underneath.send(request, stream, timeout, verify, cert, proxies)
+        request.headers["Accept-Encoding"] = "gzip, deflate"  # what _decoded reads
         connect_s, read_s = timeout if isinstance(timeout, tuple) else (timeout, timeout)
         try:
             raw, body = self._round_trip(request, connect_s, read_s)
@@ -233,10 +194,11 @@ class _KeepAliveAdapter(BaseAdapter):
         return response
 
     def close(self) -> None:
-        """Close every thread's connection."""
+        """Close every thread's connection, and ``underneath``."""
         with self._lock:
             self._local = threading.local()
             _close_all(self._open)
+        self.underneath.close()
 
     def _round_trip(self, request, connect_s, read_s) -> tuple[http.client.HTTPResponse, bytes]:
         """The response to ``request`` and its body as sent; on any error the
@@ -321,8 +283,9 @@ class ChatClient:
     The environment (proxies, ``REQUESTS_CA_BUNDLE``/``CURL_CA_BUNDLE``,
     netrc) is read when the client is built, as a default session would read
     it for each request, and not again: set it before building the client.
-    A session passed in with ``trust_env = False`` keeps ignoring it. The
-    transport for the endpoint is chosen then too (see the module docstring).
+    A session passed in with ``trust_env = False`` keeps ignoring it. An
+    endpoint that is not an ``http`` or ``https`` URL with a host and a valid
+    port raises :class:`ConfigurationError`.
     """
 
     def __init__(
@@ -337,6 +300,15 @@ class ChatClient:
         api_key: str | None = None,
         session: requests.Session | None = None,
     ):
+        parts = urlsplit(endpoint)
+        try:
+            port = parts.port
+        except ValueError as exc:  # not a number, or out of range
+            raise ConfigurationError(f"endpoint: {exc} in {endpoint!r:.80}") from exc
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ConfigurationError(
+                f"endpoint: expected an http or https URL with a host, not {endpoint!r:.80}"
+            )
         self.endpoint = endpoint
         self.model = model
         self.temperature = temperature
@@ -348,7 +320,12 @@ class ChatClient:
         )
         self._session = session or requests.Session()
         self._settings = _environment_settings(self._session, endpoint)
-        _choose_transport(self._session, endpoint, self._settings.get("proxies", {}))
+        if parts.scheme == "http" and endpoint not in self._session.adapters:
+            underneath = self._session.get_adapter(endpoint)
+            if type(underneath) is HTTPAdapter and underneath.max_retries.total == 0:
+                self._session.mount(
+                    endpoint, _KeepAliveAdapter(parts.hostname, port or 80, underneath)
+                )
 
     def complete(self, messages: Sequence[ChatMessage]) -> tuple[str, UsageRecord]:
         """Run one completion; returns the assistant text and its usage."""

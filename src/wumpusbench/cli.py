@@ -19,7 +19,6 @@ import json
 import sys
 import threading
 import time
-from urllib.parse import urlsplit
 
 import requests
 from requests.adapters import DEFAULT_POOLSIZE, HTTPAdapter
@@ -95,20 +94,6 @@ def _text(value):
     return value
 
 
-def _check_endpoint(endpoint: str) -> None:
-    """Raise :class:`ConfigurationError` naming the field unless ``endpoint``
-    is an ``http`` or ``https`` URL with a host and a valid port."""
-    parts = urlsplit(endpoint)
-    try:
-        parts.port
-    except ValueError as exc:
-        raise ConfigurationError(f"endpoint: {exc} in {endpoint!r:.80}") from exc
-    if parts.scheme not in ("http", "https") or not parts.hostname:
-        raise ConfigurationError(
-            f"endpoint: expected an http or https URL with a host, not {endpoint!r:.80}"
-        )
-
-
 def _script_actions(path: str) -> list[Action]:
     """The actions of an ``--actions`` file, a JSON list of action texts; a
     malformed file raises :class:`ConfigurationError` naming the index."""
@@ -144,7 +129,6 @@ def _agent_factory(args, config: dict):
     model = _setting(args.model, config, "model", None, _text)
     if not endpoint or not model:
         raise SystemExit("--endpoint and --model are required with --agent llm")
-    _check_endpoint(endpoint)
     temperature = _setting(args.temperature, config, "temperature", 0.0, float)
     # One client per model for the whole run, on one session, shared by every
     # episode and worker thread, so that a run keeps its connections open
@@ -189,7 +173,10 @@ def cmd_run(args) -> int:
     config = _load_json(args.config) if args.config else {}
     if not isinstance(config, dict):
         raise ConfigurationError(f"{args.config}: expected a JSON object")
+    if args.parallelism < 1:
+        raise ConfigurationError(f"parallelism: expected at least 1, not {args.parallelism}")
     matrix = _build_matrix(args, config)
+    prices = price_table_from_dict(config.get("prices", {}))
     factory, mechanism, models = _agent_factory(args, config)
     total = matrix.total_trials()
     done = 0
@@ -221,15 +208,18 @@ def cmd_run(args) -> int:
     )
     if args.out:
         print(f"wrote {len(records)} episode records to {args.out}", file=sys.stderr)
-    prices = price_table_from_dict(config.get("prices", {}))
     print(summarize(records, prices).format_text())
     return 0
 
 
 def cmd_replay(args) -> int:
     records = read_records(args.log)
+    if not records:
+        raise ConfigurationError(f"{args.log}: the log holds no episodes")
     if not 0 <= args.episode < len(records):
-        raise SystemExit(f"episode index {args.episode} out of range 0..{len(records) - 1}")
+        raise ConfigurationError(
+            f"episode index {args.episode} out of range 0..{len(records) - 1}"
+        )
     record = records[args.episode]
     if not args.no_verify:
         verify_record(record)

@@ -342,6 +342,12 @@ LLM_CONFIG = '{"endpoint": "http://127.0.0.1:9/v1", "model": "m", %s}'
             ["summarize", "--log", str(V1_LOG), "--prices"],
             "price 'default': ",
         ),
+        (
+            "config.json",
+            '{"prices": {"default": {"input_per_1k": "x"}}}',
+            ["run", "--quiet", "--out", "episodes.jsonl", "--config"],
+            "price 'default': ",
+        ),
         ("matrix.json", "{broken", ["run", "--matrix"], "matrix.json: invalid JSON"),
         (None, None, ["replay", "--log"], "missing.jsonl"),
         (
@@ -436,6 +442,7 @@ LLM_CONFIG = '{"endpoint": "http://127.0.0.1:9/v1", "model": "m", %s}'
         "script-delay-not-a-number",
         "script-empty",
         "price-not-a-number",
+        "config-price-not-a-number",
         "invalid-json",
         "missing-log",
         "config-temperature-not-a-number",
@@ -455,8 +462,9 @@ LLM_CONFIG = '{"endpoint": "http://127.0.0.1:9/v1", "model": "m", %s}'
     ],
 )
 def test_cli_reports_a_malformed_input_file_as_an_error(
-    tmp_path, capsys, name, text, argv, message
+    tmp_path, capsys, monkeypatch, name, text, argv, message
 ):
+    monkeypatch.chdir(tmp_path)
     path = tmp_path / (name or "missing.jsonl")
     if text is not None:
         path.write_text(text)
@@ -464,3 +472,25 @@ def test_cli_reports_a_malformed_input_file_as_an_error(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+    # Refused before the first episode: no record was written.
+    assert list(tmp_path.iterdir()) == ([path] if text is not None else [])
+
+
+@pytest.mark.parametrize("parallelism", ["0", "-2"])
+def test_run_refuses_a_parallelism_below_one(tmp_path, capsys, parallelism):
+    out = tmp_path / "episodes.jsonl"
+    code = main(["run", "--parallelism", parallelism, "--out", str(out), "--quiet"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: parallelism: expected at least 1, not {parallelism}\n"
+    )
+    assert not out.exists()
+
+
+def test_replay_says_an_empty_log_holds_no_episodes(tmp_path, capsys):
+    log = tmp_path / "empty.jsonl"
+    log.write_text("")
+    assert main(["replay", "--log", str(log)]) == 1
+    assert capsys.readouterr().err == f"error: {log}: the log holds no episodes\n"
+    assert main(["replay", "--log", str(V1_LOG), "--episode", "5"]) == 1
+    assert capsys.readouterr().err == "error: episode index 5 out of range 0..4\n"

@@ -207,14 +207,19 @@ def closed_port() -> int:
 
 
 @pytest.mark.parametrize(
-    "endpoint", ["localhost:8000/v1/chat/completions", "htp://127.0.0.1:1/v1", "http://"]
+    "endpoint",
+    [
+        "localhost:8000/v1/chat/completions",
+        "htp://127.0.0.1:1/v1",
+        "http://",
+        "http://127.0.0.1:99999/v1",
+    ],
 )
 def test_client_does_not_retry_a_malformed_endpoint(clean_environment, endpoint):
     session = CountingPostSession()
-    client = ChatClient(endpoint, "test-model", max_retries=3, backoff=0, session=session)
-    with pytest.raises(TransportError):
-        client.complete([ChatMessage("user", "hi")])
-    assert session.posts == 1
+    with pytest.raises(ConfigurationError, match="^endpoint: "):
+        ChatClient(endpoint, "test-model", max_retries=3, backoff=0, session=session)
+    assert session.posts == 0
 
 
 def test_client_reads_proxies_from_the_environment_when_built(clean_environment):
@@ -334,25 +339,33 @@ COMPLETION = json.dumps(
 
 
 @contextlib.contextmanager
-def raw_server(response: bytes | None, *, close: bool = False):
+def raw_server(
+    response: bytes | None, *, close: bool = False, received: list | None = None
+):
     """A one-route HTTP server that answers each request with ``response``
     verbatim (never, when it is None) and then closes the connection when
-    ``close`` is set. Yields its URL and a semaphore released each time it
-    has closed a connection."""
+    ``close`` is set. Appends each request to ``received``, when given, as
+    its request line, its header lines and its body. Yields its URL and a
+    semaphore released each time it has closed a connection."""
     release = threading.Event()
     closed = threading.Semaphore(0)
 
     class Handler(socketserver.StreamRequestHandler):
         def handle(self):
             while True:
-                length = 0
+                lines = []
                 while (line := self.rfile.readline()) not in (b"\r\n", b""):
-                    name, _, value = line.partition(b":")
-                    if name.lower() == b"content-length":
-                        length = int(value)
+                    lines.append(line.rstrip(b"\r\n"))
                 if not line:
                     return
-                self.rfile.read(length)
+                length = 0
+                for header in lines[1:]:
+                    name, _, value = header.partition(b":")
+                    if name.lower() == b"content-length":
+                        length = int(value)
+                body = self.rfile.read(length)
+                if received is not None:
+                    received.append((lines[0], lines[1:], body))
                 if response is None:
                     release.wait(10)
                     return
@@ -383,6 +396,13 @@ def http_response(body: bytes, *headers: str) -> bytes:
     return head.encode() + b"\r\n" + body
 
 
+REPLY = http_response(COMPLETION, f"Content-Length: {len(COMPLETION)}")
+
+# A deflate stream without the zlib header and checksum, as some servers send.
+_raw = zlib.compressobj(wbits=-zlib.MAX_WBITS)
+RAW_DEFLATE = _raw.compress(COMPLETION) + _raw.flush()
+
+
 def chunked(body: bytes) -> bytes:
     parts = [body[i : i + 16] for i in range(0, len(body), 16)]
     return b"".join(b"%x\r\n%s\r\n" % (len(p), p) for p in parts) + b"0\r\n\r\n"
@@ -392,8 +412,7 @@ def test_a_server_that_closes_after_each_reply_is_answered_without_retries(
     clean_environment,
 ):
     session = CountingPostSession()
-    reply = http_response(COMPLETION, f"Content-Length: {len(COMPLETION)}")
-    with raw_server(reply, close=True) as (url, closed):
+    with raw_server(REPLY, close=True) as (url, closed):
         client = ChatClient(url, "m", max_retries=0, session=session)
         for i in range(6):
             assert client.complete([ChatMessage("user", "hi")])[0] == "decoded"
@@ -407,7 +426,7 @@ def test_a_server_that_closes_after_each_reply_is_answered_without_retries(
 @pytest.mark.parametrize(
     "response, close",
     [
-        (http_response(COMPLETION, f"Content-Length: {len(COMPLETION)}"), False),
+        (REPLY, False),
         (http_response(chunked(COMPLETION), "Transfer-Encoding: chunked"), False),
         (
             http_response(
@@ -425,9 +444,17 @@ def test_a_server_that_closes_after_each_reply_is_answered_without_retries(
             ),
             False,
         ),
+        (
+            http_response(
+                RAW_DEFLATE,
+                "Content-Encoding: deflate",
+                f"Content-Length: {len(RAW_DEFLATE)}",
+            ),
+            False,
+        ),
         (http_response(COMPLETION, "Connection: close"), True),
     ],
-    ids=["length", "chunked", "gzip", "deflate-chunked", "until-close"],
+    ids=["length", "chunked", "gzip", "deflate-chunked", "deflate-raw", "until-close"],
 )
 def test_every_body_framing_and_encoding_decodes_the_same(
     clean_environment, response, close
@@ -468,52 +495,113 @@ def test_a_read_timeout_is_retried_until_the_budget_is_spent(clean_environment, 
     assert session.posts == 3
 
 
-def test_https_and_proxied_endpoints_keep_requests_adapter(clean_environment):
-    proxy = f"http://127.0.0.1:{closed_port()}"
-    plain, proxied = requests.Session(), requests.Session()
-    proxied.proxies = {"http": proxy}
-    for session, url in [
-        (plain, "http://127.0.0.1:8000/v1"),
-        (plain, "https://api.example/v1"),
-        (proxied, "http://127.0.0.1:8000/v1"),
-    ]:
-        ChatClient(url, "m", session=session)
-    assert not isinstance(plain.get_adapter("http://127.0.0.1:8000/v1"), HTTPAdapter)
-    assert type(plain.get_adapter("https://api.example/v1")) is HTTPAdapter
-    assert type(proxied.get_adapter("http://127.0.0.1:8000/v1")) is HTTPAdapter
+@contextlib.contextmanager
+def recording_proxy():
+    """A :func:`raw_server` to name as a proxy: yields its origin and the
+    list of the requests it answers."""
+    received = []
+    with raw_server(REPLY, received=received) as (url, _):
+        yield url.removesuffix("/v1/chat/completions"), received
 
-    clean_environment.setenv("HTTP_PROXY", proxy)
-    from_environment = requests.Session()
-    ChatClient("http://127.0.0.1:8000/v1", "m", session=from_environment)
-    assert type(from_environment.get_adapter("http://127.0.0.1:8000/v1")) is HTTPAdapter
+
+def test_an_https_endpoint_never_gets_the_keep_alive_transport(clean_environment):
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        url = f"https://127.0.0.1:{listener.getsockname()[1]}/v1"
+        client = ChatClient(url, "m", max_retries=0, timeout=0.5)
+        with pytest.raises(TransportError):
+            client.complete([ChatMessage("user", "hi")])
+        connection, _ = listener.accept()
+        with connection:
+            connection.settimeout(5)
+            # A TLS handshake record, where the keep-alive path sends "POST".
+            assert connection.recv(1) == b"\x16"
 
 
 def test_a_later_client_with_a_proxy_reaches_the_proxy(clean_environment):
-    session = CountingPostSession()
-    with MockChatServer([MockReply("direct"), MockReply("again")]) as server:
+    with (
+        MockChatServer([MockReply("direct"), MockReply("again")]) as server,
+        recording_proxy() as (proxy, proxied_requests),
+    ):
+        session = requests.Session()
         direct = ChatClient(server.url, "m", max_retries=0, session=session)
         assert direct.complete([ChatMessage("user", "hi")])[0] == "direct"
-        clean_environment.setenv("HTTP_PROXY", f"http://127.0.0.1:{closed_port()}")
+        clean_environment.setenv("HTTP_PROXY", proxy)
         proxied = ChatClient(server.url, "m", max_retries=0, session=session)
-        with pytest.raises(TransportError):
-            proxied.complete([ChatMessage("user", "hi")])
+        assert proxied.complete([ChatMessage("user", "hi")])[0] == "decoded"
         assert direct.complete([ChatMessage("user", "hi")])[0] == "again"
-        assert type(session.get_adapter(server.url)) is HTTPAdapter
-    assert len(server.requests) == 2
+    assert [line for line, _, _ in proxied_requests] == [
+        f"POST {server.url} HTTP/1.1".encode()
+    ]
+    assert len(server.peers) == 2
+    assert len(set(server.peers)) == 1
 
 
 def test_an_earlier_client_with_a_proxy_keeps_reaching_the_proxy(clean_environment):
-    session = CountingPostSession()
-    with MockChatServer([MockReply("direct")]) as server:
-        clean_environment.setenv("HTTP_PROXY", f"http://127.0.0.1:{closed_port()}")
+    with (
+        MockChatServer([MockReply("direct"), MockReply("again")]) as server,
+        recording_proxy() as (proxy, proxied_requests),
+    ):
+        session = requests.Session()
+        clean_environment.setenv("HTTP_PROXY", proxy)
         proxied = ChatClient(server.url, "m", max_retries=0, session=session)
         clean_environment.delenv("HTTP_PROXY")
         direct = ChatClient(server.url, "m", max_retries=0, session=session)
-        assert type(session.get_adapter(server.url)) is HTTPAdapter
-        with pytest.raises(TransportError):
-            proxied.complete([ChatMessage("user", "hi")])
-        assert direct.complete([ChatMessage("user", "hi")])[0] == "direct"
+        for expected in ("direct", "again"):
+            assert proxied.complete([ChatMessage("user", "hi")])[0] == "decoded"
+            assert direct.complete([ChatMessage("user", "hi")])[0] == expected
+    assert len(proxied_requests) == 2
+    assert len(server.peers) == 2
+    assert len(set(server.peers)) == 1
+
+
+def test_the_sessions_own_proxies_reach_the_proxy(clean_environment):
+    with (
+        MockChatServer([MockReply("direct")]) as server,
+        recording_proxy() as (proxy, proxied_requests),
+    ):
+        session = requests.Session()
+        session.proxies = {"http": proxy}
+        client = ChatClient(server.url, "m", max_retries=0, session=session)
+        assert client.complete([ChatMessage("user", "hi")])[0] == "decoded"
+        session.proxies = {}  # the same client and session, now direct
+        assert client.complete([ChatMessage("user", "hi")])[0] == "direct"
+    assert len(proxied_requests) == 1
     assert len(server.requests) == 1
+
+
+class CountingAdapter(HTTPAdapter):
+    """requests' own transport, mounted by the caller."""
+
+    sent = 0
+
+    def send(self, request, **kwargs):
+        self.sent += 1
+        return super().send(request, **kwargs)
+
+
+def test_both_transports_send_the_same_request(clean_environment):
+    received = []
+    with raw_server(REPLY, received=received) as (url, _):
+        keep_alive, stock = requests.Session(), requests.Session()
+        stock.mount("http://", adapter := CountingAdapter())
+        for session in (keep_alive, stock):
+            # A coding that only requests' own transport may ask for.
+            session.headers["Accept-Encoding"] = "gzip, deflate, br"
+            client = ChatClient(url, "m", max_retries=0, api_key="k", session=session)
+            assert client.complete([ChatMessage("user", "hi")])[0] == "decoded"
+    assert adapter.sent == 1
+    (line, sent, body), (expected_line, expected, expected_body) = received
+    assert (line, body) == (expected_line, expected_body)
+
+    def coding(lines):
+        return [h for h in lines if h.lower().startswith(b"accept-encoding:")]
+
+    assert coding(sent) == [b"Accept-Encoding: gzip, deflate"]
+    assert coding(expected) == [b"Accept-Encoding: gzip, deflate, br"]
+    # In any order: where Host goes is up to each transport.
+    assert sorted(h for h in sent if h not in coding(sent)) == sorted(
+        h for h in expected if h not in coding(expected)
+    )
 
 
 class RefusingAdapter(BaseAdapter):
@@ -537,24 +625,32 @@ def test_a_callers_own_adapter_is_kept(clean_environment, prefix, adapter):
 
 
 @pytest.mark.parametrize(
-    "accept_encoding, keep_alive",
+    "accept_encoding",
     [
-        ("gzip, deflate", True),
-        ("gzip;q=1.0, identity; q=0.5", True),
-        ("gzip, deflate, br", False),
-        ("gzip, deflate, zstd", False),
-        ("", False),
+        "gzip, deflate",
+        "gzip;q=1.0, identity; q=0.5",
+        "gzip, deflate, br",
+        "gzip, deflate, zstd",
+        "",
     ],
     ids=["default", "q-values", "br", "zstd", "empty"],
 )
 def test_the_keep_alive_transport_needs_codings_it_can_decode(
-    clean_environment, accept_encoding, keep_alive
+    clean_environment, accept_encoding
 ):
-    session = requests.Session()
-    session.headers["Accept-Encoding"] = accept_encoding
-    ChatClient("http://127.0.0.1:8000/v1", "m", session=session)
-    adapter = session.get_adapter("http://127.0.0.1:8000/v1")
-    assert (type(adapter) is not HTTPAdapter) is keep_alive
+    received = []
+    body = gzip.compress(COMPLETION)
+    reply = http_response(body, "Content-Encoding: gzip", f"Content-Length: {len(body)}")
+    with raw_server(REPLY, received=received) as (url, _):
+        session = requests.Session()
+        session.headers["Accept-Encoding"] = accept_encoding
+        client = ChatClient(url, "m", max_retries=0, session=session)
+        assert client.complete([ChatMessage("user", "hi")])[0] == "decoded"
+    # Whatever the session asks for, the request asks for what _decoded reads.
+    [(_, headers, _)] = received
+    assert [h for h in headers if h.lower().startswith(b"accept-encoding:")] == [
+        b"Accept-Encoding: gzip, deflate"
+    ]
 
 
 # ---------------------------------------------------------------------------
