@@ -121,14 +121,16 @@ def _agent_factory(args, config: dict):
         )
     if args.agent == "scripted":
         if not args.actions:
-            raise SystemExit("--actions FILE is required with --agent scripted")
+            raise ConfigurationError("--actions FILE is required with --agent scripted")
         actions = _script_actions(args.actions)
         return lambda cfg: ScriptedAgent(actions), None, {}
 
     endpoint = _setting(args.endpoint, config, "endpoint", None, _text)
     model = _setting(args.model, config, "model", None, _text)
     if not endpoint or not model:
-        raise SystemExit("--endpoint and --model are required with --agent llm")
+        raise ConfigurationError("--endpoint and --model are required with --agent llm")
+    if mechanism not in (MECHANISM_COT, MECHANISM_COS, MECHANISM_PLANNER_CRITIC):
+        raise ConfigurationError(f"unknown mechanism {mechanism!r}")
     temperature = _setting(args.temperature, config, "temperature", 0.0, float)
     # One client per model for the whole run, on one session, shared by every
     # episode and worker thread, so that a run keeps its connections open
@@ -159,9 +161,6 @@ def _agent_factory(args, config: dict):
             )
 
         return factory, mechanism, {"planner": model, "critic": critic_model}
-
-    if mechanism not in (MECHANISM_COT, MECHANISM_COS):
-        raise SystemExit(f"unknown mechanism {mechanism!r}")
 
     def factory(cfg):
         return LlmAgent(client, cfg.grid_size, mechanism=mechanism)

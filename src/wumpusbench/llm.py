@@ -131,33 +131,23 @@ def _split_sections(text: str) -> dict[str, str]:
     return sections
 
 
-def _first_json_object(text: str) -> str | None:
-    """The first balanced {...} block in ``text``, or None."""
-    start = text.find("{")
+_DECODER = json.JSONDecoder()
+
+
+def _parse_guess(section: str, grid_size: int | None) -> tuple[dict, str] | None:
+    """The wire form of the first JSON object in a Guess section, read by the
+    standard decoder and tolerating tuple-style parentheses, with its text as
+    written; None when there is none, it is malformed or, given
+    ``grid_size``, it names a cell outside the grid."""
+    start = section.find("{")
     if start < 0:
         return None
-    depth = 0
-    for i in range(start, len(text)):
-        if text[i] == "{":
-            depth += 1
-        elif text[i] == "}":
-            depth -= 1
-            if depth == 0:
-                return text[start : i + 1]
-    return None
-
-
-def _parse_guess_block(block: str, grid_size: int | None) -> dict | None:
-    """The wire form of a guess JSON object, tolerating tuple-style
-    parentheses; None when it is malformed or, given ``grid_size``, names a
-    cell outside the grid."""
-    for candidate in (block, block.replace("(", "[").replace(")", "]")):
+    # The swap is one character for one, so the object spans the same text.
+    for candidate in (section, section.replace("(", "[").replace(")", "]")):
         try:
-            data = json.loads(candidate)
+            data, end = _DECODER.raw_decode(candidate, start)
         except (ValueError, RecursionError):  # too deep a nesting is malformed too
             continue
-        if not isinstance(data, dict):
-            return None
         try:
             cells = {
                 key: [Cell(int(x), int(y)) for x, y in data.get(key, [])]
@@ -169,7 +159,8 @@ def _parse_guess_block(block: str, grid_size: int | None) -> dict | None:
             in_grid(c, grid_size) for c in (*cells["wumpus"], *cells["pits"])
         ):
             return None
-        return {key: [list(c) for c in value] for key, value in cells.items()}
+        guess = {key: [list(c) for c in value] for key, value in cells.items()}
+        return guess, section[start:end]
     return None
 
 
@@ -183,14 +174,13 @@ def parse_cos_response(text: str, grid_size: int | None = None) -> Decision:
     """
     sections = _split_sections(text)
     action = parse_action(text)  # raises when absent; last match wins
-    block = _first_json_object(sections.get("guess", ""))
-    guess = None if block is None else _parse_guess_block(block, grid_size)
+    parsed = _parse_guess(sections.get("guess", ""), grid_size)
     decision = Decision(action, "model", analysis=sections.get("analysis", ""))
-    if guess is None:
+    if parsed is None:
         decision.guess = {"wumpus": [], "pits": []}
         decision.flags.append("malformed-guess")
     else:
-        decision.guess, decision.guess_raw = guess, block
+        decision.guess, decision.guess_raw = parsed
     return decision
 
 

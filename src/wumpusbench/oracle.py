@@ -4,7 +4,7 @@ Inference is exact model counting over every hazard layout consistent with
 the placement rules and the recorded percepts, without listing the layouts.
 Pits and the wumpus interact only through the rule that the wumpus is not in
 a pit, so the two sides are counted separately and combined exactly: the
-wumpus cells that explain the stenches and the shots, and the pit sets that
+wumpus cells that explain the stenches and the shot, and the pit sets that
 explain the breezes. Pit sets are enumerated over the frontier only, the
 cells next to a breezy record (the "frontier" of AIMA §13.6). No percept
 constrains the other cells that may hold a pit, so they are exchangeable
@@ -32,7 +32,7 @@ after a kill shows no stench even next to the corpse, and consistency checking
 honors that.
 
 Knowledge bases are values: nothing mutates one in place once it is built.
-:func:`observe` shares ``records`` and ``shots`` between a parent and its
+:func:`observe` shares ``records`` and the shot between a parent and its
 child, and :class:`OracleAgent` shares whole knowledge bases between agents.
 
 The oracle is deterministic, so its play on a condition is a tree that
@@ -123,14 +123,18 @@ class KnowledgeBase:
     num_pits: int
     num_wumpus: int
     records: dict[Cell, PerceptRecord] = field(default_factory=dict)
-    shots: list[ShotRecord] = field(default_factory=list)
-    wumpus_known_dead: bool = False
+    shot: ShotRecord | None = None  # the cave's one arrow, once fired
     # Derived from the fields above by observe.
     counts: HazardCounts | None = field(default=None, init=False, repr=False)
     # The decision memo: observation -> (next knowledge base, action).
     _next: dict[Observation, tuple[KnowledgeBase, Action]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    @property
+    def wumpus_known_dead(self) -> bool:
+        """Whether the shot was heard to scream."""
+        return self.shot is not None and self.shot.scream
 
     @property
     def safe_cells(self) -> frozenset[Cell]:
@@ -205,11 +209,11 @@ def _frontier_pit_sets(
 
 
 def _wumpus_cells(kb: KnowledgeBase, grid: _Grid) -> list[int | None]:
-    """Bits of the wumpus cells that explain every stench record and every
+    """Bits of the wumpus cells that explain every stench record and the
     shot; ``[None]`` stands for the absent wumpus of a wumpus-free world."""
     if not kb.num_wumpus:
         silent = not any(r.stench for r in kb.records.values())
-        return [None] if silent and not any(s.scream for s in kb.shots) else []
+        return [None] if silent and not kb.wumpus_known_dead else []
     allowed = grid.hazard_zone
     for cell, record in kb.records.items():
         if not record.wumpus_alive:
@@ -219,7 +223,8 @@ def _wumpus_cells(kb: KnowledgeBase, grid: _Grid) -> list[int | None]:
         allowed &= ~grid.bit[cell]  # the agent survived this cell while it lived
         near = grid.neighbors[cell]
         allowed &= near if record.stench else ~near
-    for shot in kb.shots:
+    shot = kb.shot
+    if shot is not None:
         trajectory = shoot_trajectory(shot.origin, shot.direction, kb.grid_size)
         path = sum(grid.bit[c] for c in trajectory)
         allowed &= path if shot.scream else ~path
@@ -303,32 +308,30 @@ def hazard_counts(kb: KnowledgeBase) -> HazardCounts:
 
 
 def observe(kb: KnowledgeBase, obs: Observation) -> KnowledgeBase:
-    """A new knowledge base that adds ``obs`` to ``kb``: its scream, its shot
-    and the percept at its position, with the counts derived once.
+    """A new knowledge base that adds ``obs`` to ``kb``: its shot, with the
+    scream, and the percept at its position, with the counts derived once.
 
     The shot is read from the arrow status, fired from the current position:
-    a shot does not move the agent, and the next observation reports it. A
-    position already recorded keeps its first record. Raises
-    :class:`InconsistentPerceptsError` when no layout explains the records,
-    which indicates an environment bug.
+    a shot does not move the agent, and the next observation reports it. The
+    first shot reported is kept, as the cave holds one arrow, and so is the
+    first record of a position. Raises :class:`InconsistentPerceptsError`
+    when no layout explains the records, which indicates an environment bug.
     """
     arrow = obs.arrow_status
-    dead = kb.wumpus_known_dead or arrow.scream_heard
-    shots = kb.shots
+    shot = kb.shot
     pos = obs.current_position
-    if arrow.direction is not None and not shots:
-        shots = [ShotRecord(pos, arrow.direction, arrow.scream_heard)]
-    records = kb.records
-    if pos not in records:
-        records = {
-            **records,
+    if arrow.direction is not None and shot is None:
+        shot = ShotRecord(pos, arrow.direction, arrow.scream_heard)
+    out = KnowledgeBase(kb.grid_size, kb.num_pits, kb.num_wumpus, kb.records, shot)
+    if pos not in out.records:
+        out.records = {
+            **out.records,
             pos: _PERCEPT_RECORDS[
-                pos in obs.breeze_locations, pos in obs.stench_locations, not dead
+                pos in obs.breeze_locations,
+                pos in obs.stench_locations,
+                not out.wumpus_known_dead,
             ],
         }
-    out = KnowledgeBase(
-        kb.grid_size, kb.num_pits, kb.num_wumpus, records, shots, dead
-    )
     out.counts = hazard_counts(out)
     if not out.counts.total:
         raise InconsistentPerceptsError(

@@ -434,6 +434,24 @@ LLM_CONFIG = '{"endpoint": "http://127.0.0.1:9/v1", "model": "m", %s}'
             ["run", "--agent", "scripted", "--actions"],
             "actions.json: expected a JSON list",
         ),
+        (
+            "config.json",
+            "{}",
+            ["run", "--agent", "scripted", "--config"],
+            "--actions FILE is required with --agent scripted",
+        ),
+        (
+            "config.json",
+            '{"model": "m"}',
+            ["run", "--agent", "llm", "--config"],
+            "--endpoint and --model are required with --agent llm",
+        ),
+        (
+            "config.json",
+            LLM_CONFIG % '"mechanism": "tot"',
+            ["run", "--agent", "llm", "--config"],
+            "unknown mechanism 'tot'",
+        ),
     ],
     ids=[
         "matrix-conditions-not-a-list",
@@ -459,6 +477,9 @@ LLM_CONFIG = '{"endpoint": "http://127.0.0.1:9/v1", "model": "m", %s}'
         "actions-not-an-action",
         "actions-not-a-string",
         "actions-not-a-list",
+        "scripted-without-actions",
+        "llm-without-endpoint",
+        "config-unknown-mechanism",
     ],
 )
 def test_cli_reports_a_malformed_input_file_as_an_error(

@@ -222,6 +222,41 @@ def test_run_trials_logs_an_inference_crash_as_a_harness_error(tmp_path):
     assert "Harness errors          1" in summary.format_text()
 
 
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_an_episode_that_fails_before_its_first_round_is_logged_with_no_rounds(
+    parallelism,
+):
+    # The factory's RuntimeError is the agent failing to act; three pits do
+    # not fit on a 2x2 grid, so generate_world raises ConfigurationError.
+    def factory(cfg):
+        if cfg.seed == 2:
+            raise RuntimeError("no agent for seed 2")
+        return oracle_factory(cfg)
+
+    matrix = matrix_from_dict(
+        {
+            "conditions": [
+                {"grid_size": 3, "num_pits": 0, "num_wumpus": 1, "seeds": [1, 2, 3]},
+                {"grid_size": 2, "num_pits": 3, "num_wumpus": 0, "seeds": [4]},
+                {"grid_size": 3, "num_pits": 0, "num_wumpus": 1, "seeds": [5]},
+            ]
+        }
+    )
+    records = run_trials(matrix, factory, agent_kind="oracle", parallelism=parallelism)
+    assert [r.seed for r in records] == [1, 2, 3, 4, 5]
+    failed = {r.seed: r for r in records if r.seed in (2, 4)}
+    assert [(r.status, r.rounds, r.score) for r in failed.values()] == [
+        ("protocol_failure", [], 50),
+        ("harness_error", [], 50),
+    ]
+    assert failed[2].error == "RuntimeError: no agent for seed 2"
+    assert failed[4].error == (
+        "wumpusbench.errors.ConfigurationError: cannot place 3 pits on a 2x2 grid"
+    )
+    assert failed[4].condition == "2x2_p3_w0"
+    assert all(r.rounds and not r.error for r in records if r.seed not in failed)
+
+
 def test_an_agent_crash_keeps_the_rounds_and_tokens_already_spent(tmp_path):
     # Round 1 makes one model call and moves; round 2 raises.
     class CrashesInRoundTwo:
@@ -280,6 +315,22 @@ def test_corrupt_log_line_is_named(tmp_path):
     with open(path, "a", encoding="utf-8") as handle:
         handle.write("{this is not json\n")
     with pytest.raises(LogCorruptionError, match="line 2"):
+        read_records(path)
+
+
+@pytest.mark.parametrize("schema", [None, 0, 2, "1"])
+def test_a_record_of_an_unsupported_schema_is_named(tmp_path, schema):
+    config = WorldConfig(grid_size=3, num_pits=0, num_wumpus=1, seed=1)
+    data = run_episode(config, oracle_factory(config), agent_kind="oracle").to_dict()
+    if schema is None:
+        del data["schema"]
+    else:
+        data["schema"] = schema
+    path = tmp_path / "episodes.jsonl"
+    path.write_text(json.dumps(data) + "\n")
+    with pytest.raises(
+        LogCorruptionError, match=f"line 1: unsupported record schema {schema!r}$"
+    ):
         read_records(path)
 
 

@@ -483,6 +483,59 @@ def test_an_undecodable_body_fails_at_once(clean_environment, coding, message):
     assert session.posts == 1
 
 
+NOT_TEXT = json.dumps(
+    {
+        "choices": [{"message": {"role": "assistant", "content": 42}}],
+        "usage": {"prompt_tokens": 3, "completion_tokens": 2},
+    }
+).encode()
+
+
+@pytest.mark.parametrize(
+    "response, error, message",
+    [
+        (
+            b"HTTP/1.1 401 Unauthorized\r\nContent-Length: 6\r\n\r\ndenied",
+            TransportError,
+            "^endpoint returned 401: denied$",
+        ),
+        (
+            http_response(b"not json", "Content-Length: 8"),
+            ProtocolError,
+            "^response body is not JSON",
+        ),
+        (
+            http_response(NOT_TEXT, f"Content-Length: {len(NOT_TEXT)}"),
+            ProtocolError,
+            "^chat response content is not text$",
+        ),
+    ],
+    ids=["unauthorized", "not-json", "content-not-text"],
+)
+def test_a_refused_or_malformed_answer_is_not_retried(
+    clean_environment, response, error, message
+):
+    received = []
+    with raw_server(response, received=received) as (url, _):
+        client = ChatClient(url, "m", max_retries=3, backoff=0)
+        with pytest.raises(error, match=message):
+            client.complete([ChatMessage("user", "hi")])
+    assert len(received) == 1
+
+
+def test_closing_the_session_ends_the_kept_alive_connection(clean_environment):
+    with raw_server(REPLY) as (url, closed):
+        session = requests.Session()
+        client = ChatClient(url, "m", max_retries=0, session=session)
+        for _ in range(2):
+            assert client.complete([ChatMessage("user", "hi")])[0] == "decoded"
+        assert not closed.acquire(timeout=0.2)  # one connection, kept alive
+        session.close()
+        assert closed.acquire(timeout=10)  # the server saw it end
+        # So the next post comes from a new connection.
+        assert client.complete([ChatMessage("user", "hi")])[0] == "decoded"
+
+
 @pytest.mark.parametrize("timeout", [0.05, (5.0, 0.05)], ids=["float", "tuple"])
 def test_a_read_timeout_is_retried_until_the_budget_is_spent(clean_environment, timeout):
     session = CountingPostSession()
@@ -710,6 +763,23 @@ def test_parse_cos_response_tolerates_tuple_syntax():
     decision = parse_cos_response(text, grid_size=3)
     assert decision.guess == {"wumpus": [[2, 2]], "pits": [[3, 1]]}
     assert decision.flags == []
+
+
+@pytest.mark.parametrize(
+    "guess",
+    [
+        '{"wumpus": [[2,2]], "pits": [], "note": "ends with }"}',
+        '{"wumpus": [[2,2]], "pits": [], "note": "{ opens"}',
+        '{"wumpus": [(2,2)], "pits": [], "note": "(ends with })"}',
+    ],
+    ids=["closing-brace", "opening-brace", "tuple-syntax"],
+)
+def test_a_brace_inside_a_guess_string_is_read_as_text(guess):
+    text = f"Analysis: x\nGuess: {guess} trailing words\nAction: <exit>"
+    decision = parse_cos_response(text, grid_size=3)
+    assert decision.flags == []
+    assert decision.guess == {"wumpus": [[2, 2]], "pits": []}
+    assert decision.guess_raw == guess
 
 
 def test_parse_cos_response_missing_guess_degrades():

@@ -218,7 +218,11 @@ def assert_counts_exact(kb, layouts):
     records = {
         tuple(c): (r.breeze, r.stench, r.wumpus_alive) for c, r in kb.records.items()
     }
-    shots = [(tuple(s.origin), s.direction.value, s.scream) for s in kb.shots]
+    shots = [
+        (tuple(s.origin), s.direction.value, s.scream)
+        for s in (kb.shot,)
+        if s is not None
+    ]
     layouts = [
         (pits, w)
         for pits, w in layouts
@@ -272,14 +276,15 @@ def test_hazard_counts_match_brute_force_during_oracle_play():
                     assert action.kind is ActionKind.MOVE
                     apply_action(world, Action.shoot(Direction.UP))
                     agent.kb = observe(agent.kb, build_observation(world))
-                    assert agent.kb.shots == [
-                        ShotRecord(Cell(1, 1), Direction.UP, world.arrow_report.scream)
-                    ]
+                    assert agent.kb.shot == ShotRecord(
+                        Cell(1, 1), Direction.UP, world.arrow_report.scream
+                    )
                     layouts = assert_counts_exact(agent.kb, layouts)
                     continue
                 apply_action(world, action)
             assert world.status not in (Status.DEATH_PIT, Status.DEATH_WUMPUS)
-            screams.update(shot.scream for shot in agent.kb.shots)
+            if agent.kb.shot is not None:
+                screams.add(agent.kb.shot.scream)
     assert screams == {True, False}
 
 
@@ -406,14 +411,13 @@ def test_oracle_reads_a_shot_it_did_not_fire_from_the_observations(script, shot)
         apply_action(world, parse_action(text))
     agent.decide(build_observation(world))
     assert world.status is Status.RUNNING
-    assert agent.kb.shots == [shot]
+    assert agent.kb.shot == shot
     assert agent.kb.wumpus_known_dead is shot.scream
 
 
 def fold(record):
     """The knowledge base that observing a logged episode's rounds builds.
-    Knowledge bases compare equal when their records, shots, wumpus_known_dead
-    and counts are."""
+    Knowledge bases compare equal when their records, shot and counts are."""
     config = record.config
     return functools.reduce(
         observe,
@@ -471,7 +475,7 @@ def test_observe_folds_a_scripted_log(script, scream):
     record = run_episode(config, Watched(script, oracle), agent_kind="scripted")
     assert record.status == "exited" and record.wumpus_killed is scream
     folded = fold(record)
-    assert [shot.scream for shot in folded.shots] == [scream]
+    assert folded.shot.scream is scream
     assert folded == oracle.kb
 
 

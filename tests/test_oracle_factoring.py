@@ -42,11 +42,15 @@ from wumpusbench.oracle import (
 
 
 def as_tuples(kb):
-    """The kb's records and shots in the helpers' plain-tuple form."""
+    """The kb's records and shot in the helpers' plain-tuple form."""
     records = {
         tuple(c): (r.breeze, r.stench, r.wumpus_alive) for c, r in kb.records.items()
     }
-    shots = [(tuple(s.origin), s.direction.value, s.scream) for s in kb.shots]
+    shots = [
+        (tuple(s.origin), s.direction.value, s.scream)
+        for s in (kb.shot,)
+        if s is not None
+    ]
     return records, shots
 
 
@@ -95,9 +99,8 @@ def built_kb(n, num_pits, num_wumpus, pits, wumpus, visits, shot=None, after=())
     if shot is not None:
         origin, direction = shot
         scream = wumpus in brute_trajectory(origin, direction.value, n)
-        kb.shots.append(ShotRecord(Cell(*origin), direction, scream))
+        kb.shot = ShotRecord(Cell(*origin), direction, scream)
         alive = not scream
-        kb.wumpus_known_dead = scream
     for cell in after:
         visit(cell)
     return kb
@@ -173,7 +176,7 @@ def test_wumpus_candidates_among_unconstrained_cells():
     frontier, unconstrained = pit_pool_split(5, as_tuples(kb)[0])
     assert frontier == [(3, 1)]
     _, pit, wumpus = assert_matches_reference(kb)
-    assert not kb.shots[0].scream
+    assert not kb.shot.scream
     assert {c for c in unconstrained if pit[c] and not wumpus[c]} == {(1, 4), (1, 5)}
     assert sum(bool(pit[c] and wumpus[c]) for c in unconstrained) >= 2
     assert_layouts_match_brute_force(kb)

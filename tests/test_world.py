@@ -30,6 +30,7 @@ from wumpusbench import (
     generate_world,
     legal_actions_from,
     percepts_at,
+    world_from_layout,
 )
 from wumpusbench.errors import ConfigurationError, IllegalActionError
 from wumpusbench.world import (
@@ -120,6 +121,26 @@ def test_config_validation():
         WorldConfig(grid_size=3, num_pits=0, num_wumpus=2, seed=0)
     with pytest.raises(ConfigurationError):
         WorldConfig(grid_size=3, num_pits=0, num_wumpus=0, seed=0, step_limit=0)
+
+
+@pytest.mark.parametrize(
+    "num_pits, num_wumpus, pits, wumpus, gold, message",
+    [
+        (2, 1, [(3, 3), (3, 3)], (2, 3), (3, 2), "pairwise distinct and match num_pits"),
+        (1, 1, [(3, 3)], None, (3, 2), "wumpus presence must match num_wumpus"),
+        (1, 0, [(3, 3)], None, (4, 1), r"Cell\(x=4, y=1\) outside the 3x3 grid"),
+        (1, 1, [(2, 1)], (3, 3), (3, 2), "hazards may not be placed in the safe start zone"),
+        (1, 1, [(3, 3)], (3, 3), (3, 2), "wumpus may not share a pit cell"),
+        (1, 1, [(3, 3)], (2, 3), (1, 1), "gold may not be in a pit or the start cell"),
+    ],
+    ids=["pits", "wumpus-presence", "off-grid", "start-zone", "shared-cell", "gold"],
+)
+def test_world_from_layout_refuses_a_misplaced_layout(
+    num_pits, num_wumpus, pits, wumpus, gold, message
+):
+    cfg = config(n=3, pits=num_pits, wumpus=num_wumpus)
+    with pytest.raises(ConfigurationError, match=message):
+        world_from_layout(cfg, [Cell(*p) for p in pits], wumpus, Cell(*gold))
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +424,13 @@ def test_quiet_cell_has_no_percepts():
     percept = percepts_at(world, Cell(1, 1))
     assert percept == percepts_at(world, Cell(1, 1))
     assert not (percept.breeze or percept.stench or percept.glitter)
+
+
+@pytest.mark.parametrize("cell", [(0, 1), (1, 0), (4, 2), (2, 4)])
+def test_percepts_outside_the_grid_are_refused(cell):
+    world = make_world(n=3, gold=(2, 2))
+    with pytest.raises(ConfigurationError, match=r"outside the 3x3 grid"):
+        percepts_at(world, Cell(*cell))
 
 
 def test_glitter_only_on_gold_cell():
