@@ -121,11 +121,12 @@ class EpisodeRecord:
         ``config.seed``."""
         rest = {**data}
         schema = rest.pop("schema", None)
-        if schema != SCHEMA_VERSION:
+        # True == 1 == 1.0, so an equality test alone would let both through.
+        if type(schema) is not int or schema != SCHEMA_VERSION:
             raise LogCorruptionError(f"unsupported record schema {schema!r}")
         seed = rest.pop("seed", None)
         record = _decoder(EpisodeRecord)(rest)
-        if seed != record.seed:
+        if type(seed) is not int or seed != record.seed:
             raise LogCorruptionError(
                 f"top-level seed {seed!r} != config.seed {record.seed!r}"
             )
@@ -167,8 +168,9 @@ def run_episode(
     rounds: list[RoundRecord] = []
     error: str | None = None
 
+    obs = None
     while state.status is Status.RUNNING:
-        obs = build_observation(state)
+        obs = build_observation(state, obs)
         obs_dict = observation_to_dict(obs)
         try:
             decision = agent.decide(obs)

@@ -5,10 +5,15 @@ the percept history of visited cells plus frontier/shooting suggestions. It
 serializes to a single JSON object whose keys are fixed wire strings (see
 ``OBSERVATION_KEYS``); parsing that text back yields an identical observation.
 
-Building one is cheap per round: the percept log is sorted once and split, in
-that order, into the quiet, breeze and stench lists; the arrow status is one
-of its nine shared, frozen values (unfired, or fired in a direction with or
-without a scream), and the shot options are ``DIRECTIONS`` itself or ``()``.
+Building one is cheap per round. From scratch, the percept log is sorted once
+and split, in that order, into the quiet, breeze and stench lists, and the
+frontier is built from the explored cells' neighbors. Given the observation
+built before the episode's latest action, :func:`build_observation` instead
+inserts the one cell that action may have explored into the sorted tuples and
+the frontier, and shares every tuple the action left unchanged. The arrow
+status is always one of its nine shared, frozen values (unfired, or fired in a
+direction with or without a scream), and the shot options are ``DIRECTIONS``
+itself or ``()``.
 
 Action grammar (case-insensitive, last match in the text wins so that
 chain-of-thought replies can mention candidates before the final choice):
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import ActionParseError
@@ -34,6 +40,7 @@ from .world import (
     DIRECTIONS,
     WorldState,
     frontier,
+    geometry,
     sort_key,
 )
 
@@ -107,35 +114,86 @@ _ARROW_STATUS = {
 }
 
 
-def build_observation(state: WorldState) -> Observation:
+def build_observation(
+    state: WorldState, previous: Observation | None = None
+) -> Observation:
     """Aggregate the full percept history of ``state`` into an observation.
 
     Location lists reflect the percepts recorded when each cell was first
     visited; a stench recorded before the wumpus died stays recorded. A cell
     is quiet only if it had neither breeze nor stench, and a cell with both
-    appears in both lists. The log is sorted once and split in that order.
+    appears in both lists.
+
+    Without ``previous`` the log is sorted once and split in that order. With
+    ``previous``, the observation built for the same episode before its
+    latest action, the result is advanced from it instead: the one cell a
+    move explored is inserted into the location tuples and the frontier, and
+    every tuple the action did not change is shared. Both give equal results.
+    Raises :class:`ValueError` when the log shows that ``previous`` is stale:
+    its position is neither the agent's cell nor the cell explored before it.
     """
     log = state.percept_log
-    quiet, breeze, stench = [], [], []
-    for cell in sorted(log, key=sort_key):
-        percept = log[cell]
-        if percept.breeze:
-            breeze.append(cell)
-        if percept.stench:
-            stench.append(cell)
-        if not percept.breeze and not percept.stench:
-            quiet.append(cell)
+    visited = reversed(log)
+    position = next(visited)
+    if previous is None:
+        quiet, breeze, stench = [], [], []
+        for cell in sorted(log, key=sort_key):
+            percept = log[cell]
+            if percept.breeze:
+                breeze.append(cell)
+            if percept.stench:
+                stench.append(cell)
+            if not percept.breeze and not percept.stench:
+                quiet.append(cell)
+        quiet, breeze, stench = tuple(quiet), tuple(breeze), tuple(stench)
+        suggestions = frontier_suggestions(state)
+    else:
+        quiet = previous.quiet_locations
+        breeze = previous.breeze_locations
+        stench = previous.stench_locations
+        frontier_cells = previous.suggestions.frontier_cells
+        if previous.current_position != position:
+            if previous.current_position != next(visited, None):
+                raise ValueError(
+                    f"previous observation at {tuple(previous.current_position)} "
+                    f"is stale for an agent at {tuple(position)}"
+                )
+            near = set(frontier_cells)
+            if position not in near:
+                raise ValueError(
+                    f"previous observation is stale: its frontier lacks "
+                    f"{tuple(position)}, the cell explored since"
+                )
+            near.update(geometry(state.config.grid_size).neighbors[position])
+            near.difference_update(log)
+            frontier_cells = tuple(sorted(near, key=sort_key))
+            percept = log[position]
+            if percept.breeze:
+                breeze = _inserted(breeze, position)
+            if percept.stench:
+                stench = _inserted(stench, position)
+            if not percept.breeze and not percept.stench:
+                quiet = _inserted(quiet, position)
+        suggestions = Suggestions(
+            frontier_cells, DIRECTIONS if state.arrow_available else ()
+        )
     config = state.config
     return Observation(
         config.num_wumpus,
         config.num_pits,
-        state.agent_cell,
-        tuple(quiet),
-        tuple(breeze),
-        tuple(stench),
-        frontier_suggestions(state),
+        position,
+        quiet,
+        breeze,
+        stench,
+        suggestions,
         _ARROW_STATUS[state.arrow_report],
     )
+
+
+def _inserted(cells: tuple[Cell, ...], cell: Cell) -> tuple[Cell, ...]:
+    """The (y, x)-sorted ``cells``, which lack ``cell``, with ``cell`` in order."""
+    i = bisect_left(cells, sort_key(cell), key=sort_key)
+    return (*cells[:i], cell, *cells[i:])
 
 
 # The plain wire string of each direction, and None for no direction: a

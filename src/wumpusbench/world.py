@@ -23,10 +23,12 @@ call; world generation copies its hazard pool from it. There are only eight
 percepts, and :func:`percepts_at` returns one of eight shared, frozen
 :class:`Percept` values instead of building one per cell entered. One predicate,
 :func:`_on_frontier`, decides whether a cell is a legal move target, and
-:func:`apply_action`'s legality check uses it. The frontier listed in
-observations is built from the neighbors of the explored cells instead, so
-its cost follows the explored region, not the grid area; the tests pin that
-listing against the predicate, cell by cell, along seeded random play.
+:func:`apply_action`'s legality check uses it. :func:`frontier` lists the
+frontier from the neighbors of the explored cells instead, so its cost
+follows the explored region, not the grid area; the tests pin that listing
+against the predicate, cell by cell, along seeded random play. Only a fresh
+observation calls it: during play each observation advances the frontier by
+the neighbors of the one cell explored since the last.
 
 :class:`WorldState` stores the layout, the percept log, the arrow report, the
 status and the reward ledger; its other attributes are read-only views of them.

@@ -164,6 +164,7 @@ DROP = object()
         (("config", "grid_size"), 1, "grid_size"),
         (("seed",), 12345, "seed"),
         (("seed",), DROP, "seed"),
+        (("seed",), 1622631747.0, "seed"),  # equal to config.seed, but a float
         (("rounds", 0, "mood"), "calm", "mood"),
         (("mechanism",), DROP, "mechanism"),
         (("config", "colour"), "red", "colour"),
@@ -173,6 +174,7 @@ DROP = object()
         "invalid-config",
         "seed-mismatch",
         "missing-seed",
+        "float-seed",
         "unknown-round-key",
         "missing-required-key",
         "unknown-config-key",

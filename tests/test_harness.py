@@ -35,6 +35,7 @@ from wumpusbench import (
 from wumpusbench.errors import LogCorruptionError, ReplayMismatchError, SummaryError
 from wumpusbench.harness import DEFAULT_TRIALS_PER_CONDITION, Condition
 from wumpusbench.mockserver import script_from_json
+from wumpusbench.observation import KEY_BREEZE, KEY_POSITION, KEY_QUIET, KEY_SUGGESTIONS
 
 
 class FirstFrontierAgent:
@@ -318,7 +319,7 @@ def test_corrupt_log_line_is_named(tmp_path):
         read_records(path)
 
 
-@pytest.mark.parametrize("schema", [None, 0, 2, "1"])
+@pytest.mark.parametrize("schema", [None, 0, 2, "1", True, 1.0])
 def test_a_record_of_an_unsupported_schema_is_named(tmp_path, schema):
     config = WorldConfig(grid_size=3, num_pits=0, num_wumpus=1, seed=1)
     data = run_episode(config, oracle_factory(config), agent_kind="oracle").to_dict()
@@ -356,6 +357,42 @@ def test_verify_record_detects_tampered_score():
     record.score += 1
     with pytest.raises(ReplayMismatchError):
         verify_record(record)
+
+
+def _move_a_breeze_cell_to_quiet(obs):
+    cell = obs[KEY_BREEZE].pop(0)
+    obs[KEY_QUIET] = sorted([*obs[KEY_QUIET], cell], key=lambda c: (c[1], c[0]))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda obs: obs.update({KEY_POSITION: obs[KEY_SUGGESTIONS]["frontier_cells"][0]}),
+        lambda obs: obs[KEY_SUGGESTIONS]["frontier_cells"].pop(),
+        _move_a_breeze_cell_to_quiet,
+        lambda obs: obs.update({"ninth key": []}),
+    ],
+    ids=["position", "frontier-cell-dropped", "breeze-cell-quiet", "ninth-key"],
+)
+def test_a_logged_observation_that_differs_from_the_replay_is_refused(tmp_path, edit):
+    # Play builds each observation from the one before; the replay builds it
+    # from scratch. This comparison is what holds the two to the same result.
+    config = WorldConfig(grid_size=4, num_pits=2, num_wumpus=1, seed=3)
+    record = run_episode(config, oracle_factory(config), agent_kind="oracle")
+    data = record.to_dict()
+    index, obs = next(
+        (i, r["observation"])
+        for i, r in enumerate(data["rounds"])
+        if r["observation"][KEY_BREEZE] and r["observation"][KEY_SUGGESTIONS]["frontier_cells"]
+    )
+    edit(obs)
+    path = tmp_path / "episodes.jsonl"
+    path.write_text(json.dumps(data) + "\n")
+    [edited] = read_records(path)
+    with pytest.raises(
+        ReplayMismatchError, match=f"round {index}: observation diverges"
+    ):
+        verify_record(edited)
 
 
 def _kill_and_success_records():

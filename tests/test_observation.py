@@ -13,12 +13,15 @@ from wumpusbench import (
     Action,
     Cell,
     Direction,
+    OracleAgent,
     RandomLegalAgent,
     Status,
     apply_action,
     build_observation,
+    default_matrix,
     generate_world,
     legal_actions_from,
+    matrix_from_dict,
     observation_to_json,
     parse_action,
     WorldConfig,
@@ -130,6 +133,7 @@ def test_observation_matches_the_plain_reference_along_random_play():
                 got = build_observation(after)
                 reference = reference_build_observation(after)
                 assert got == reference, (after, action)
+                assert build_observation(after, obs) == reference, (after, action)
                 assert observation_to_dict(got) == observation_to_dict(reference)
                 report = after.arrow_report
                 arrow_states.add(report and (report.direction, report.scream))
@@ -137,6 +141,53 @@ def test_observation_matches_the_plain_reference_along_random_play():
             decision = agent.decide(dataclasses.replace(obs, suggestions=walk))
             apply_action(state, decision.action)
     assert arrow_states == {None} | set(itertools.product(DIRECTIONS, (False, True)))
+
+
+ORACLE_MATRICES = [
+    *(default_matrix(seed) for seed in range(3)),
+    # The benchmark's seed-0 oracle-large matrix.
+    matrix_from_dict(
+        {
+            "master_seed": 0,
+            "conditions": [
+                {"grid_size": 5, "num_pits": 2, "num_wumpus": 1, "trials": 8},
+                {"grid_size": 5, "num_pits": 3, "num_wumpus": 1, "trials": 4},
+            ],
+        }
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "matrix", ORACLE_MATRICES, ids=["default-0", "default-1", "default-2", "large-0"]
+)
+def test_advanced_observation_equals_a_fresh_build_along_oracle_play(matrix):
+    for _, config in matrix.configs():
+        state = generate_world(config)
+        agent = OracleAgent(config.grid_size, config.num_pits, config.num_wumpus)
+        obs = None
+        while state.status is Status.RUNNING:
+            obs = build_observation(state, obs)
+            assert obs == build_observation(state), (config, state.percept_log)
+            apply_action(state, agent.decide(obs).action)
+
+
+def test_a_stale_previous_observation_is_refused():
+    world = make_world(n=4, gold=(4, 4))
+    before = build_observation(world)
+    apply_action(world, Action.move(2, 1))
+    apply_action(world, Action.move(1, 2))
+    # Two moves back: (1,2) was on that frontier too, but the agent was at
+    # (1,1), not at the cell it left for (1,2).
+    with pytest.raises(ValueError, match="stale for an agent at"):
+        build_observation(world, before)
+    # Another episode whose agent is at (2,1), like this one's before its
+    # last move, but which has explored (1,2) already.
+    other = make_world(n=4, gold=(4, 4))
+    apply_action(other, Action.move(1, 2))
+    apply_action(other, Action.move(2, 1))
+    with pytest.raises(ValueError, match="stale: its frontier lacks"):
+        build_observation(world, build_observation(other))
 
 
 @pytest.mark.parametrize(
