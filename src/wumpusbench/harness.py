@@ -11,7 +11,9 @@ A logged action is its canonical text, and reading decodes it by exact match:
 the five token actions from a table of their shared values, a move by one
 full match of ``move to position (x,y)`` with plain decimal coordinates. Only
 text that fails the match goes to the free-text reply parser, which names
-the fault: no recognizable action, or a non-canonical text.
+the fault: no recognizable action, or a non-canonical text. A round keeps the
+:class:`Observation` its agent saw; the log holds its eight-key wire form,
+built as the record is written and decoded exactly as it is read.
 """
 
 from __future__ import annotations
@@ -32,7 +34,13 @@ from .errors import (
     ConfigurationError, EpisodeProtocolFailure, LogCorruptionError, ReplayMismatchError,
     WumpusBenchError,
 )
-from .observation import build_observation, observation_to_dict, parse_action
+from .observation import (
+    Observation,
+    build_observation,
+    observation_from_dict,
+    observation_to_dict,
+    parse_action,
+)
 from .world import (
     Action,
     ActionKind,
@@ -55,7 +63,7 @@ SCHEMA_VERSION = 1
 @dataclass
 class RoundRecord:
     index: int
-    observation: dict  # eight-key wire form
+    observation: Observation  # the object the agent saw
     action: Action
     provenance: str
     reward_delta: int
@@ -171,7 +179,6 @@ def run_episode(
     obs = None
     while state.status is Status.RUNNING:
         obs = build_observation(state, obs)
-        obs_dict = observation_to_dict(obs)
         try:
             decision = agent.decide(obs)
             reward = apply_action(state, decision.action)
@@ -189,7 +196,7 @@ def run_episode(
         rounds.append(
             RoundRecord(
                 index=len(rounds),
-                observation=obs_dict,
+                observation=obs,
                 action=decision.action,
                 provenance=decision.provenance,
                 reward_delta=reward,
@@ -430,10 +437,13 @@ def run_trials(
 
 
 def _value_decoder(hint) -> Callable | None:
-    """How to rebuild a value annotated ``hint`` (a dataclass or an action,
-    alone or as list items) from its JSON form; None to keep the JSON value."""
+    """How to rebuild a value annotated ``hint`` (a dataclass, an action or
+    an observation, alone or as list items) from its JSON form; None to keep
+    the JSON value."""
     if hint is Action:
         return _decode_action
+    if hint is Observation:
+        return observation_from_dict
     if is_dataclass(hint):
         return _decoder(hint)
     if get_origin(hint) is list and (item := _value_decoder(get_args(hint)[0])):
@@ -513,11 +523,14 @@ def _decoder(cls: type) -> Callable[[dict], object]:
 
 
 def _to_json(obj) -> object:
-    """``json`` hook: an action as its canonical text, any other dataclass as
-    its instance dictionary, which holds exactly its fields; an episode also
-    gets its ``schema`` and ``seed``."""
+    """``json`` hook: an action as its canonical text, an observation as its
+    eight-key wire form, any other dataclass as its instance dictionary,
+    which holds exactly its fields; an episode also gets its ``schema`` and
+    ``seed``."""
     if isinstance(obj, Action):
         return obj.to_text()
+    if isinstance(obj, Observation):
+        return observation_to_dict(obj)
     if not is_dataclass(obj):
         raise TypeError(f"{type(obj).__name__} is not part of a record")
     if isinstance(obj, EpisodeRecord):
@@ -556,14 +569,15 @@ def read_records(path: str | Path) -> list[EpisodeRecord]:
 
 def _replay(
     state: WorldState, record: EpisodeRecord
-) -> Iterator[tuple[RoundRecord, dict, int]]:
+) -> Iterator[tuple[RoundRecord, Observation, int]]:
     """Step ``state``, fresh from ``record``'s seed, through the record's
     executed rounds, up to a protocol failure: per round, the round, the
-    observation before its action, and the action's reward."""
+    observation before its action, built from scratch so that it checks the
+    one play advanced from the previous round's, and the action's reward."""
     for round_record in record.rounds:
         if "protocol-failure" in round_record.flags:
             return
-        observation = observation_to_dict(build_observation(state))
+        observation = build_observation(state)
         reward = apply_action(state, round_record.action)
         yield round_record, observation, reward
 

@@ -3,7 +3,9 @@
 The observation is what agents see: it never exposes hazard positions, only
 the percept history of visited cells plus frontier/shooting suggestions. It
 serializes to a single JSON object whose keys are fixed wire strings (see
-``OBSERVATION_KEYS``); parsing that text back yields an identical observation.
+``OBSERVATION_KEYS``). :func:`observation_from_dict` decodes that object back
+to an identical observation, and refuses one whose keys, types or values are
+not exactly those of the wire form.
 
 Building one is cheap per round. From scratch, the percept log is sorted once
 and split, in that order, into the quiet, breeze and stench lists, and the
@@ -202,18 +204,20 @@ _WIRE = {None: None, **{d: d.value for d in DIRECTIONS}}
 
 
 def observation_to_dict(obs: Observation) -> dict:
-    """The eight-key wire form of an observation."""
+    """The eight-key wire form of an observation, ready for ``json``: each
+    cell stays a ``Cell`` and each cell list a tuple, which ``json`` writes
+    as arrays; directions become their plain strings."""
     suggestions = obs.suggestions
     arrow = obs.arrow_status
     return {
         KEY_NUM_WUMPUS: obs.num_wumpus,
         KEY_NUM_PITS: obs.num_pits,
-        KEY_POSITION: list(obs.current_position),
-        KEY_QUIET: list(map(list, obs.quiet_locations)),
-        KEY_BREEZE: list(map(list, obs.breeze_locations)),
-        KEY_STENCH: list(map(list, obs.stench_locations)),
+        KEY_POSITION: obs.current_position,
+        KEY_QUIET: obs.quiet_locations,
+        KEY_BREEZE: obs.breeze_locations,
+        KEY_STENCH: obs.stench_locations,
         KEY_SUGGESTIONS: {
-            "frontier_cells": list(map(list, suggestions.frontier_cells)),
+            "frontier_cells": suggestions.frontier_cells,
             "shoot_options": [_WIRE[d] for d in suggestions.shoot_options],
         },
         KEY_ARROW: {
@@ -228,28 +232,106 @@ def observation_to_json(obs: Observation) -> str:
     return json.dumps(observation_to_dict(obs), indent=2)
 
 
-def observation_from_dict(data: dict) -> Observation:
-    def cells(raw) -> tuple[Cell, ...]:
-        return tuple(Cell(int(x), int(y)) for x, y in raw)
+class _CellTable(dict):
+    """Decoded cells keyed by their (x, y) pair, each built on first use and
+    then shared: a lookup costs less than building a ``Cell``. At most
+    ``_CELL_TABLE_SIZE`` cells are kept; any later one is built each time."""
 
-    suggestions = data[KEY_SUGGESTIONS]
-    arrow = data[KEY_ARROW]
+    def __missing__(self, pair: tuple[int, int]) -> Cell:
+        cell = Cell(*pair)
+        if len(self) < _CELL_TABLE_SIZE:
+            self[pair] = cell
+        return cell
+
+
+_CELL_TABLE_SIZE = 4096  # every cell of a 64x64 grid
+_CELLS = _CellTable()
+_LISTS = frozenset((list, tuple))
+_KEYS = frozenset(OBSERVATION_KEYS)
+_SUGGESTION_KEYS = frozenset(("frontier_cells", "shoot_options"))
+_ARROW_KEYS = frozenset(("fired", "direction", "scream_heard"))
+# The two shot options a built observation can hold, by their wire strings.
+_SHOTS = {(): (), tuple(_WIRE[d] for d in DIRECTIONS): DIRECTIONS}
+# The nine arrow states by their wire values (fired, direction, scream).
+_ARROWS = {
+    (status.fired, _WIRE[status.direction], status.scream_heard): status
+    for status in _ARROW_STATUS.values()
+}
+
+
+def _object(data, keys: frozenset[str], name: str) -> dict:
+    """``data``, which must be an object with exactly the ``keys``."""
+    if type(data) is not dict:
+        raise ValueError(f"{name} must be an object, not {data!r:.80}")
+    if data.keys() != keys:
+        faults = [
+            f"{fault} keys {sorted(names)}"
+            for fault, names in (("missing", keys - data.keys()), ("unknown", data.keys() - keys))
+            if names
+        ]
+        raise ValueError(f"{name}: {', '.join(faults)}")
+    return data
+
+
+def _cells(raw, name: str) -> tuple[Cell, ...]:
+    """The cells of the list ``raw``, each an [x, y] pair of ints. The type
+    test matters: a float or a bool would find the cell of the int it equals."""
+    if type(raw) in _LISTS:
+        try:
+            cells = [_CELLS[x, y] for x, y in raw if type(x) is int is type(y)]
+        except (TypeError, ValueError):  # an item that is not a pair
+            cells = ()
+        if len(cells) == len(raw):
+            return tuple(cells)
+    raise ValueError(
+        f"observation {name} {raw!r:.80}: each cell must be an [x, y] pair of ints"
+    )
+
+
+def observation_from_dict(data: dict) -> Observation:
+    """Decode the wire form exactly, coercing nothing: each object must hold
+    exactly its keys, a count or coordinate must be an int, a cell a pair, a
+    shot option one of the four wire directions, and the arrow one of its
+    nine states. Raises :class:`ValueError` naming the first fault. Cells,
+    the usual shot options and the arrow status come from shared tables."""
+    _object(data, _KEYS, "observation")
+    num_wumpus, num_pits = data[KEY_NUM_WUMPUS], data[KEY_NUM_PITS]
+    if not type(num_wumpus) is int is type(num_pits):
+        raise ValueError(
+            f"observation counts must be ints, not {num_wumpus!r} and {num_pits!r}"
+        )
+    suggestions = _object(
+        data[KEY_SUGGESTIONS], _SUGGESTION_KEYS, "observation suggestions"
+    )
+    (position,) = _cells((data[KEY_POSITION],), "position")
+    shots = suggestions["shoot_options"]
+    try:
+        if type(shots) not in _LISTS:
+            raise TypeError
+        options = _SHOTS.get(tuple(shots))
+        if options is None:
+            options = tuple(map(Direction, shots))
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"observation shoot options {shots!r:.80} must be a list of directions"
+        ) from None
+    arrow = _object(data[KEY_ARROW], _ARROW_KEYS, "observation arrow status")
+    wire = arrow["fired"], arrow["direction"], arrow["scream_heard"]
+    try:
+        status = _ARROWS.get(wire) if type(wire[0]) is bool is type(wire[2]) else None
+    except TypeError:  # an unhashable direction
+        status = None
+    if status is None:
+        raise ValueError(f"observation arrow status {arrow!r:.80} is not a valid state")
     return Observation(
-        num_wumpus=int(data[KEY_NUM_WUMPUS]),
-        num_pits=int(data[KEY_NUM_PITS]),
-        current_position=Cell(*map(int, data[KEY_POSITION])),
-        quiet_locations=cells(data[KEY_QUIET]),
-        breeze_locations=cells(data[KEY_BREEZE]),
-        stench_locations=cells(data[KEY_STENCH]),
-        suggestions=Suggestions(
-            frontier_cells=cells(suggestions["frontier_cells"]),
-            shoot_options=tuple(Direction(d) for d in suggestions["shoot_options"]),
-        ),
-        arrow_status=ArrowStatus(
-            fired=bool(arrow["fired"]),
-            direction=Direction(arrow["direction"]) if arrow["direction"] else None,
-            scream_heard=bool(arrow["scream_heard"]),
-        ),
+        num_wumpus,
+        num_pits,
+        position,
+        _cells(data[KEY_QUIET], "quiet locations"),
+        _cells(data[KEY_BREEZE], "breeze locations"),
+        _cells(data[KEY_STENCH], "stench locations"),
+        Suggestions(_cells(suggestions["frontier_cells"], "frontier cells"), options),
+        status,
     )
 
 

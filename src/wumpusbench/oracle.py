@@ -421,7 +421,10 @@ class OracleAgent:
     def __init__(self, grid_size: int, num_pits: int, num_wumpus: int):
         # Counts are derived by the first decide, which records a percept.
         key = (grid_size, num_pits, num_wumpus)
-        self.kb = _starts.setdefault(key, KnowledgeBase(*key))
+        kb = _starts.get(key)
+        if kb is None:
+            kb = _starts.setdefault(key, KnowledgeBase(*key))
+        self.kb = kb
 
     def decide(self, obs: Observation) -> Decision:
         kb = self.kb

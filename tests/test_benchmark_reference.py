@@ -13,6 +13,8 @@ never put on ``sys.path``.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import importlib.util
 import json
 import sys
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from wumpusbench import harness
+from wumpusbench import chat, harness, mockserver, planner_critic
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -63,3 +65,28 @@ def test_seed_zero_pass_passes_every_check(monkeypatch, tmp_path, workload):
     labels = [label for label, _ in result.self_test]
     assert labels == ["altered action", "altered score"]
     assert all(found for _, found in result.self_test)
+
+
+def test_seed_zero_llm_mock_prompts_keep_their_bytes(monkeypatch):
+    # The prompts the planner-critic agent posts while it replays the seed-0
+    # llm-mock script, with the script's delays dropped. Their digest pins
+    # the observation text a model reads, whatever form a round keeps it in.
+    load(monkeypatch, "checks")
+    workloads = load(monkeypatch, "workloads")
+    inputs = workloads.prepare("llm-mock", 0)
+    script = [dataclasses.replace(reply, delay=0.0) for reply in inputs.script]
+    with mockserver.MockChatServer(script) as server:
+
+        def factory(config):
+            client = chat.ChatClient(server.url, workloads.MOCK_MODEL)
+            return planner_critic.PlannerCriticAgent(client, config.grid_size)
+
+        records = harness.run_trials(
+            inputs.matrix, factory, agent_kind="llm", mechanism="planner_critic"
+        )
+    assert all(r.status != "protocol_failure" for r in records)
+    messages = json.dumps([request["messages"] for request in server.requests])
+    assert len(server.requests) == len(script) == 690
+    assert hashlib.sha256(messages.encode()).hexdigest() == (
+        "6c3bd04aa647b20452f39086a765672e192b0de0f603d25f33f8463d8ca6daef"
+    )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -21,6 +22,7 @@ from wumpusbench import (
     TrialMatrix,
     UsageRecord,
     WorldConfig,
+    build_observation,
     default_matrix,
     generate_world,
     matrix_from_dict,
@@ -35,7 +37,13 @@ from wumpusbench import (
 from wumpusbench.errors import LogCorruptionError, ReplayMismatchError, SummaryError
 from wumpusbench.harness import DEFAULT_TRIALS_PER_CONDITION, Condition
 from wumpusbench.mockserver import script_from_json
-from wumpusbench.observation import KEY_BREEZE, KEY_POSITION, KEY_QUIET, KEY_SUGGESTIONS
+from wumpusbench.observation import (
+    KEY_BREEZE,
+    KEY_POSITION,
+    KEY_QUIET,
+    KEY_STENCH,
+    KEY_SUGGESTIONS,
+)
 
 
 class FirstFrontierAgent:
@@ -111,6 +119,45 @@ def test_success_and_kill_flags_recomputable():
     assert record.success == (record.status == "success")
     killed = any("<shoot" in r.action.to_text() and r.reward_delta > 0 for r in record.rounds)
     assert record.wumpus_killed == killed
+
+
+class RecordingOracle:
+    """Plays the oracle and keeps every observation it is handed."""
+
+    def __init__(self, config: WorldConfig):
+        self.oracle = oracle_factory(config)
+        self.seen = []
+
+    def decide(self, obs):
+        self.seen.append(obs)
+        return self.oracle.decide(obs)
+
+
+def test_a_played_round_keeps_the_very_observation_its_agent_received():
+    config = WorldConfig(grid_size=4, num_pits=2, num_wumpus=1, seed=3)
+    agent = RecordingOracle(config)
+    record = run_episode(config, agent, agent_kind="oracle")
+    assert len(record.rounds) == len(agent.seen) > 1
+    assert all(r.observation is seen for r, seen in zip(record.rounds, agent.seen))
+
+
+def test_consecutive_rounds_share_the_cell_tuples_they_did_not_change():
+    shared = set()
+    for seed in range(12):
+        config = WorldConfig(grid_size=3, num_pits=1, num_wumpus=1, seed=seed)
+        record = run_episode(config, oracle_factory(config), agent_kind="oracle")
+        for before, after in zip(record.rounds, record.rounds[1:]):
+            for name, cells in (
+                ("quiet", lambda obs: obs.quiet_locations),
+                ("breeze", lambda obs: obs.breeze_locations),
+                ("stench", lambda obs: obs.stench_locations),
+                ("frontier", lambda obs: obs.suggestions.frontier_cells),
+            ):
+                old, new = cells(before.observation), cells(after.observation)
+                if old and old == new:
+                    assert old is new, (seed, after.index, name)
+                    shared.add(name)
+    assert shared == {"quiet", "breeze", "stench", "frontier"}
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +355,18 @@ def test_record_json_round_trip(tmp_path):
     assert loaded[0].to_dict() == record.to_dict()
 
 
+def test_the_seed_zero_default_oracle_log_keeps_its_bytes(tmp_path):
+    # Rounds hold typed observations, encoded only as the log is written;
+    # the bytes of this log pin the format that encoding must keep.
+    records = run_trials(default_matrix(0), oracle_factory, agent_kind="oracle")
+    path = tmp_path / "default.jsonl"
+    write_records(path, records)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "79bbbc278f190ebeecc278c8a892808f91d2e14a18a0fdd5ab43210b4d7ed811"
+    )
+    assert read_records(path) == records
+
+
 def test_corrupt_log_line_is_named(tmp_path):
     config = WorldConfig(grid_size=3, num_pits=0, num_wumpus=1, seed=1)
     record = run_episode(config, oracle_factory(config), agent_kind="oracle")
@@ -370,22 +429,14 @@ def _move_a_breeze_cell_to_quiet(obs):
         lambda obs: obs.update({KEY_POSITION: obs[KEY_SUGGESTIONS]["frontier_cells"][0]}),
         lambda obs: obs[KEY_SUGGESTIONS]["frontier_cells"].pop(),
         _move_a_breeze_cell_to_quiet,
-        lambda obs: obs.update({"ninth key": []}),
     ],
-    ids=["position", "frontier-cell-dropped", "breeze-cell-quiet", "ninth-key"],
+    ids=["position", "frontier-cell-dropped", "breeze-cell-quiet"],
 )
 def test_a_logged_observation_that_differs_from_the_replay_is_refused(tmp_path, edit):
     # Play builds each observation from the one before; the replay builds it
     # from scratch. This comparison is what holds the two to the same result.
-    config = WorldConfig(grid_size=4, num_pits=2, num_wumpus=1, seed=3)
-    record = run_episode(config, oracle_factory(config), agent_kind="oracle")
-    data = record.to_dict()
-    index, obs = next(
-        (i, r["observation"])
-        for i, r in enumerate(data["rounds"])
-        if r["observation"][KEY_BREEZE] and r["observation"][KEY_SUGGESTIONS]["frontier_cells"]
-    )
-    edit(obs)
+    data, index = _logged_episode_with_a_breeze()
+    edit(data["rounds"][index]["observation"])
     path = tmp_path / "episodes.jsonl"
     path.write_text(json.dumps(data) + "\n")
     [edited] = read_records(path)
@@ -393,6 +444,46 @@ def test_a_logged_observation_that_differs_from_the_replay_is_refused(tmp_path, 
         ReplayMismatchError, match=f"round {index}: observation diverges"
     ):
         verify_record(edited)
+
+
+def _logged_episode_with_a_breeze():
+    """The JSON of a played episode, and the index of its first round whose
+    observation holds a breeze cell and a frontier cell."""
+    config = WorldConfig(grid_size=4, num_pits=2, num_wumpus=1, seed=3)
+    data = run_episode(config, oracle_factory(config), agent_kind="oracle").to_dict()
+    index = next(
+        i
+        for i, r in enumerate(data["rounds"])
+        if r["observation"][KEY_BREEZE] and r["observation"][KEY_SUGGESTIONS]["frontier_cells"]
+    )
+    return data, index
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda obs: obs.update({"ninth key": []}),
+        lambda obs: obs.pop(KEY_STENCH),
+        lambda obs: obs[KEY_BREEZE][0].append(1),
+        lambda obs: obs[KEY_SUGGESTIONS].update({"shoot_options": ["up", "north"]}),
+        lambda obs: obs.update({KEY_POSITION: [str(v) for v in obs[KEY_POSITION]]}),
+    ],
+    ids=[
+        "ninth-key",
+        "missing-key",
+        "three-number-cell",
+        "unknown-shot-direction",
+        "string-coordinate",
+    ],
+)
+def test_a_malformed_logged_observation_is_refused_on_reading(tmp_path, edit):
+    # test_observation.py checks the decoder's other refusals one by one.
+    data, index = _logged_episode_with_a_breeze()
+    edit(data["rounds"][index]["observation"])
+    path = tmp_path / "episodes.jsonl"
+    path.write_text(json.dumps(data) + "\n")
+    with pytest.raises(LogCorruptionError, match=r"episodes\.jsonl: line 1: observation"):
+        read_records(path)
 
 
 def _kill_and_success_records():
@@ -495,10 +586,11 @@ def make_record(score, steps, status="success", killed=False):
     config = WorldConfig(grid_size=3, num_pits=0, num_wumpus=1, seed=0)
     from wumpusbench.harness import RoundRecord
 
+    observation = build_observation(generate_world(config))
     rounds = [
         RoundRecord(
             index=i,
-            observation={},
+            observation=observation,
             action=Action.move(2, 1),
             provenance="scripted",
             reward_delta=0,
@@ -618,7 +710,7 @@ def test_cost_arithmetic_from_price_table():
         rounds=[
             RoundRecord(
                 index=0,
-                observation={},
+                observation=build_observation(generate_world(config)),
                 action=Action.move(2, 1),
                 provenance="model",
                 reward_delta=-1,

@@ -32,6 +32,7 @@ from wumpusbench.observation import (
     _MOVE_RE,
     KEY_ARROW,
     KEY_BREEZE,
+    KEY_NUM_PITS,
     KEY_POSITION,
     KEY_QUIET,
     KEY_STENCH,
@@ -333,6 +334,78 @@ def test_round_trip_identity_over_random_histories(seed, moves):
     obs = build_observation(world)
     assert observation_from_dict(json.loads(observation_to_json(obs))) == obs
     assert build_observation(world) == obs  # pure function of the state
+
+
+def test_decoding_shares_cells_shot_options_and_arrow_states():
+    world = make_world(n=3, pits=((3, 1),), wumpus=(2, 2), gold=(3, 3))
+    apply_action(world, Action.move(2, 1))
+    obs = build_observation(world)
+    first, second = (
+        observation_from_dict(json.loads(observation_to_json(obs))) for _ in range(2)
+    )
+    assert first == second == obs
+    assert observation_from_dict(observation_to_dict(obs)) == obs
+    assert first.current_position is second.current_position
+    assert first.breeze_locations[0] is second.breeze_locations[0]
+    assert first.suggestions.shoot_options is DIRECTIONS
+    assert first.arrow_status is obs.arrow_status
+    apply_action(world, Action.shoot("up"))
+    fired = observation_from_dict(observation_to_dict(build_observation(world)))
+    assert fired.suggestions.shoot_options == ()
+    assert fired.arrow_status is _ARROW_STATUS[world.arrow_report]
+
+
+def _replace_first_cell(data, key, value):
+    data[key][0] = value
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda data: data.update({KEY_POSITION: ["1", "1"]}),
+        lambda data: data.update({KEY_POSITION: [1.0, 1.0]}),
+        lambda data: data.update({KEY_POSITION: [1]}),
+        lambda data: _replace_first_cell(data, KEY_QUIET, [1, 1, 1]),
+        lambda data: _replace_first_cell(data, KEY_QUIET, [True, 1]),
+        lambda data: data.update({KEY_BREEZE: {}}),
+        lambda data: data.update({"ninth key": []}),
+        lambda data: data.pop(KEY_ARROW),
+        lambda data: data.update({KEY_NUM_PITS: 1.0}),
+        lambda data: data[KEY_SUGGESTIONS].update({"shoot_options": "up"}),
+        lambda data: data[KEY_SUGGESTIONS].update({"shoot_options": ["UP"]}),
+        lambda data: data[KEY_SUGGESTIONS].pop("frontier_cells"),
+        lambda data: data[KEY_ARROW].update({"direction": ["up"]}),
+        lambda data: data[KEY_ARROW].update({"shots": 1}),
+        lambda data: data.update({KEY_ARROW: None}),
+        lambda data: data[KEY_ARROW].update({"direction": "up"}),
+        lambda data: data[KEY_ARROW].update({"scream_heard": 0}),
+    ],
+    ids=[
+        "string-coordinates",
+        "float-coordinates",
+        "one-number-cell",
+        "three-number-cell",
+        "bool-coordinate",
+        "object-for-list",
+        "ninth-key",
+        "missing-key",
+        "float-count",
+        "string-for-shot-list",
+        "unknown-direction",
+        "missing-suggestions-key",
+        "unhashable-direction",
+        "unknown-arrow-key",
+        "null-arrow",
+        "unfired-arrow-with-direction",
+        "int-for-bool-scream",
+    ],
+)
+def test_wire_form_is_decoded_exactly_or_refused(edit):
+    world = make_world(n=3, gold=(3, 3))
+    data = json.loads(observation_to_json(build_observation(world)))
+    edit(data)
+    with pytest.raises(ValueError, match="^observation"):
+        observation_from_dict(data)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from wumpusbench import (
 from wumpusbench import oracle as oracle_module
 from wumpusbench.errors import InconsistentPerceptsError
 from wumpusbench.harness import DEFAULT_CONDITIONS
-from wumpusbench.observation import ArrowStatus, Suggestions, observation_from_dict
+from wumpusbench.observation import ArrowStatus, Suggestions
 from wumpusbench.oracle import (
     KnowledgeBase,
     ShotRecord,
@@ -421,7 +421,7 @@ def fold(record):
     config = record.config
     return functools.reduce(
         observe,
-        (observation_from_dict(r.observation) for r in record.rounds),
+        (r.observation for r in record.rounds),
         KnowledgeBase(config.grid_size, config.num_pits, config.num_wumpus),
     )
 
@@ -652,6 +652,22 @@ def test_memo_tells_apart_observations_that_differ_only_in_suggestions():
     )
     assert OracleAgent(3, 0, 1).decide(obs).action == Action.move(2, 1)
     assert OracleAgent(3, 0, 1).decide(narrowed).action == Action.move(1, 2)
+
+
+def test_agents_of_a_condition_share_its_start_and_build_it_once(monkeypatch):
+    oracle_module.clear_memo()
+    built = []
+
+    class CountedKnowledgeBase(KnowledgeBase):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(oracle_module, "KnowledgeBase", CountedKnowledgeBase)
+    agents = [OracleAgent(4, 2, 1) for _ in range(3)] + [OracleAgent(3, 1, 1)]
+    assert built == [(4, 2, 1), (3, 1, 1)]
+    assert agents[0].kb is agents[1].kb is agents[2].kb is not agents[3].kb
+    oracle_module.clear_memo()
 
 
 def test_memo_holds_at_most_its_cap_of_grid_cells():
