@@ -19,6 +19,7 @@ import json
 import sys
 import threading
 import time
+from dataclasses import dataclass, field, replace
 
 import requests
 from requests.adapters import DEFAULT_POOLSIZE, HTTPAdapter
@@ -30,6 +31,7 @@ from .harness import (
     EpisodeRecord,
     TrialMatrix,
     default_matrix,
+    from_json,
     matrix_from_dict,
     read_records,
     render_frames,
@@ -47,7 +49,7 @@ from .metrics import price_table_from_dict, summarize
 from .mockserver import MockChatServer, script_from_json
 from .observation import parse_action
 from .oracle import OracleAgent
-from .planner_critic import ArbitrationConfig, PlannerCriticAgent
+from .planner_critic import DEFAULT_THRESHOLD, ArbitrationConfig, PlannerCriticAgent
 from .world import Action
 
 
@@ -61,37 +63,29 @@ def _load_json(path: str):
             raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _build_matrix(args, config: dict) -> TrialMatrix:
+@dataclass(frozen=True)
+class RunConfig:
+    """A ``--config`` file; a flag given overrides the key of its name."""
+
+    endpoint: str | None = None
+    model: str | None = None
+    mechanism: str = MECHANISM_COS
+    critic_model: str | None = None
+    critic_threshold: float = DEFAULT_THRESHOLD
+    temperature: float = 0.0
+    prices: dict = field(default_factory=dict)
+    matrix: dict | None = None
+
+
+_FLAGS = ("endpoint", "model", "mechanism", "critic_model", "critic_threshold", "temperature")
+
+
+def _build_matrix(args, config: RunConfig) -> TrialMatrix:
     if args.matrix and args.matrix != "default":
         return matrix_from_dict(_load_json(args.matrix))
-    if args.matrix is None and "matrix" in config:
-        return matrix_from_dict(config["matrix"])
+    if args.matrix is None and config.matrix is not None:
+        return matrix_from_dict(config.matrix)
     return default_matrix(master_seed=args.seed, step_limit=args.step_limit)
-
-
-def _setting(flag, config: dict, name: str, default, convert):
-    """``convert`` of the command-line value ``flag`` when given, else of the
-    config's field ``name`` (``default`` when absent); a malformed config
-    value raises :class:`ConfigurationError` naming the field."""
-    if flag is not None:
-        return convert(flag)
-    try:
-        return convert(config.get(name, default))
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigurationError(
-            f"{name}: malformed field ({type(exc).__name__}: {exc})"
-        ) from exc
-
-
-def _underscored(name: str) -> str:
-    return name.replace("-", "_")
-
-
-def _text(value):
-    """``value`` when it is a string or None; anything else raises TypeError."""
-    if value is not None and not isinstance(value, str):
-        raise TypeError(f"expected a string, not {value!r:.80}")
-    return value
 
 
 def _script_actions(path: str) -> list[Action]:
@@ -102,17 +96,19 @@ def _script_actions(path: str) -> list[Action]:
         raise ConfigurationError(f"{path}: expected a JSON list, not {script!r:.80}")
     actions = []
     for i, text in enumerate(script):
+        if not isinstance(text, str):
+            raise ConfigurationError(f"{path}: action {i}: expected a string, not {text!r:.80}")
         try:
-            actions.append(parse_action(_text(text)))
-        except (TypeError, ActionParseError) as exc:
+            actions.append(parse_action(text))
+        except ActionParseError as exc:
             raise ConfigurationError(f"{path}: action {i}: {exc}") from exc
     return actions
 
 
-def _agent_factory(args, config: dict):
-    mechanism = _setting(
-        args.mechanism, config, "mechanism", MECHANISM_COS, _underscored
-    )
+def _agent_factory(args, config: RunConfig):
+    flags = {name: value for name in _FLAGS if (value := getattr(args, name)) is not None}
+    config = replace(config, **flags)
+    mechanism = config.mechanism.replace("-", "_")
     if args.agent == "oracle":
         return (
             lambda cfg: OracleAgent(cfg.grid_size, cfg.num_pits, cfg.num_wumpus),
@@ -125,13 +121,11 @@ def _agent_factory(args, config: dict):
         actions = _script_actions(args.actions)
         return lambda cfg: ScriptedAgent(actions), None, {}
 
-    endpoint = _setting(args.endpoint, config, "endpoint", None, _text)
-    model = _setting(args.model, config, "model", None, _text)
+    endpoint, model, temperature = config.endpoint, config.model, config.temperature
     if not endpoint or not model:
         raise ConfigurationError("--endpoint and --model are required with --agent llm")
     if mechanism not in (MECHANISM_COT, MECHANISM_COS, MECHANISM_PLANNER_CRITIC):
         raise ConfigurationError(f"unknown mechanism {mechanism!r}")
-    temperature = _setting(args.temperature, config, "temperature", 0.0, float)
     # One client per model for the whole run, on one session, shared by every
     # episode and worker thread, so that a run keeps its connections open
     # across episodes. requests' pool for an https or proxied endpoint keeps
@@ -143,12 +137,8 @@ def _agent_factory(args, config: dict):
     client = ChatClient(endpoint, model, temperature=temperature, session=session)
 
     if mechanism == MECHANISM_PLANNER_CRITIC:
-        critic_model = (
-            _setting(args.critic_model, config, "critic_model", None, _text) or model
-        )
-        arbitration = ArbitrationConfig(
-            _setting(args.critic_threshold, config, "critic_threshold", 0.7, float)
-        )
+        critic_model = config.critic_model or model
+        arbitration = ArbitrationConfig(config.critic_threshold)
         critic = (
             ChatClient(endpoint, critic_model, temperature=temperature, session=session)
             if critic_model != model
@@ -169,13 +159,13 @@ def _agent_factory(args, config: dict):
 
 
 def cmd_run(args) -> int:
-    config = _load_json(args.config) if args.config else {}
-    if not isinstance(config, dict):
-        raise ConfigurationError(f"{args.config}: expected a JSON object")
+    config = RunConfig()
+    if args.config:
+        config = from_json(RunConfig, _load_json(args.config), args.config)
     if args.parallelism < 1:
         raise ConfigurationError(f"parallelism: expected at least 1, not {args.parallelism}")
     matrix = _build_matrix(args, config)
-    prices = price_table_from_dict(config.get("prices", {}))
+    prices = price_table_from_dict(config.prices)
     factory, mechanism, models = _agent_factory(args, config)
     total = matrix.total_trials()
     done = 0
@@ -244,8 +234,11 @@ def cmd_summarize(args) -> int:
 def cmd_mock_serve(args) -> int:
     script = script_from_json(_load_json(args.script))
     server = MockChatServer(script, port=args.port).start()
-    print(f"mock chat endpoint at {server.url} ({len(script)} scripted replies)")
     try:
+        print(
+            f"mock chat endpoint at {server.url} ({len(script)} scripted replies)",
+            flush=True,
+        )
         while True:
             time.sleep(1)
     except KeyboardInterrupt:

@@ -330,50 +330,48 @@ def default_matrix(
     return TrialMatrix(entries=entries, step_limit=step_limit)
 
 
+@dataclass
+class MatrixFile:
+    """A matrix file; without ``conditions``, the six default ones."""
+
+    master_seed: int = 0
+    step_limit: int = 50
+    trials_per_condition: int = DEFAULT_TRIALS_PER_CONDITION
+    conditions: list | None = None
+
+
+@dataclass
+class ConditionEntry:
+    """One listed condition: its seeds, or ``trials`` seeds drawn."""
+
+    grid_size: int
+    num_pits: int
+    num_wumpus: int
+    seeds: list[int] | None = None
+    trials: int | None = None
+
+
 def matrix_from_dict(data: dict) -> TrialMatrix:
     """Load a matrix from config JSON; omitted seeds are drawn from
     ``master_seed`` deterministically. Data that is not an object, or a
-    malformed top-level field, raises :class:`ConfigurationError` naming it,
-    and a condition with a missing or malformed field one naming its index."""
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"matrix: expected a JSON object, not {data!r:.80}")
-
-    def top_level(name: str, default: int) -> int:
-        try:
-            return int(data.get(name, default))
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"{name}: malformed field ({type(exc).__name__}: {exc})"
-            ) from exc
-
-    master_seed = top_level("master_seed", 0)
-    step_limit = top_level("step_limit", 50)
-    trials = top_level("trials_per_condition", DEFAULT_TRIALS_PER_CONDITION)
-    if "conditions" not in data:
-        return default_matrix(master_seed, trials, step_limit)
-    if not isinstance(data["conditions"], list):
-        raise ConfigurationError(
-            f"conditions: expected a list, not {data['conditions']!r:.80}"
-        )
+    malformed or unknown top-level key, raises :class:`ConfigurationError`
+    naming it, and a condition with a missing, malformed or unknown key one
+    naming its index."""
+    spec = from_json(MatrixFile, data, "matrix")
+    if spec.conditions is None:
+        return default_matrix(spec.master_seed, spec.trials_per_condition, spec.step_limit)
+    if not isinstance(spec.conditions, list):
+        raise ConfigurationError(f"conditions: expected a list, not {spec.conditions!r:.80}")
     entries = []
-    for i, entry in enumerate(data["conditions"]):
-        try:
-            condition = Condition(
-                grid_size=int(entry["grid_size"]),
-                num_pits=int(entry["num_pits"]),
-                num_wumpus=int(entry["num_wumpus"]),
-            )
-            if "seeds" in entry:
-                seeds = tuple(int(s) for s in entry["seeds"])
-            else:
-                seeds = _draw_seeds(master_seed, i, int(entry.get("trials", trials)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"condition {i}: missing or malformed field "
-                f"({type(exc).__name__}: {exc})"
-            ) from exc
-        entries.append((condition, seeds))
-    return TrialMatrix(entries=entries, step_limit=step_limit)
+    for i, item in enumerate(spec.conditions):
+        entry = from_json(ConditionEntry, item, f"condition {i}")
+        seeds = entry.seeds
+        if seeds is None:
+            trials = spec.trials_per_condition if entry.trials is None else entry.trials
+            seeds = _draw_seeds(spec.master_seed, i, trials)
+        condition = Condition(entry.grid_size, entry.num_pits, entry.num_wumpus)
+        entries.append((condition, tuple(seeds)))
+    return TrialMatrix(entries=entries, step_limit=spec.step_limit)
 
 
 def run_trials(
@@ -436,19 +434,37 @@ def run_trials(
 # Persistence and replay
 
 
-def _value_decoder(hint) -> Callable | None:
+def _value_decoder(hint, name: str) -> Callable | None:
     """How to rebuild a value annotated ``hint`` (a dataclass, an action or
-    an observation, alone or as list items) from its JSON form; None to keep
-    the JSON value."""
+    an observation, alone, as list items or ``| None``) from its JSON form,
+    or check the items of field ``name``'s list of scalars; None to keep it."""
     if hint is Action:
         return _decode_action
     if hint is Observation:
         return observation_from_dict
     if is_dataclass(hint):
         return _decoder(hint)
-    if get_origin(hint) is list and (item := _value_decoder(get_args(hint)[0])):
+    args = get_args(hint)
+    if isinstance(hint, UnionType) and len(args) == 2 and NoneType in args:
+        inner = _value_decoder(args[args[0] is NoneType], name)
+        return inner and (lambda value: value if value is None else inner(value))
+    if get_origin(hint) is not list:
+        return None
+    if item := _value_decoder(args[0], name):
         return lambda values: [item(value) for value in values]
-    return None
+    if (types := _scalar_types(args[0])) is None:
+        return None
+
+    def check(values: list) -> list:
+        if type(values) is list:
+            for value in values:  # a loop: all() costs a generator per list
+                if type(value) not in types:
+                    break
+            else:
+                return values
+        raise LogCorruptionError(f"{name} must be {hint}, not {values!r:.80}")
+
+    return check
 
 
 # The canonical texts: the five token actions, and a move with its
@@ -492,9 +508,9 @@ def _scalar_types(hint) -> tuple[type, ...] | None:
 @cache
 def _decoder(cls: type) -> Callable[[dict], object]:
     """Rebuild a ``cls`` from its JSON object, nested values by the field
-    annotations, resolved once per class. A scalar of the wrong type raises
-    :class:`LogCorruptionError`. The constructor rejects an unknown key or a
-    missing required one, and fills in a missing optional one."""
+    annotations, resolved once per class. A scalar (or list item) of the wrong
+    type raises :class:`LogCorruptionError`. The constructor rejects an
+    unknown key or a missing required one, and fills in a missing optional one."""
     hints = get_type_hints(cls)
     scalars = [
         (f.name, types, getattr(hint, "__name__", str(hint)))
@@ -504,7 +520,7 @@ def _decoder(cls: type) -> Callable[[dict], object]:
     nested = [
         (f.name, decode)
         for f in fields(cls)
-        if (decode := _value_decoder(hints[f.name])) is not None
+        if (decode := _value_decoder(hints[f.name], f"{cls.__name__}.{f.name}"))
     ]
 
     def decode(data: dict):
@@ -520,6 +536,17 @@ def _decoder(cls: type) -> Callable[[dict], object]:
         return cls(**kwargs)
 
     return decode
+
+
+def from_json(cls: type, data, where: str):
+    """A ``cls`` read from ``data``, a JSON object of an input file, as records
+    are read: :class:`ConfigurationError` names ``where`` and the bad key."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{where}: expected a JSON object, not {data!r:.80}")
+    try:
+        return _decoder(cls)(data)
+    except (TypeError, WumpusBenchError) as exc:
+        raise ConfigurationError(f"{where}: {exc}") from exc
 
 
 def _to_json(obj) -> object:
@@ -586,11 +613,14 @@ def verify_record(record: EpisodeRecord) -> WorldState:
     """Re-simulate a record from its seed and check it reproduces the log.
 
     Returns the final state; raises :class:`ReplayMismatchError` on the first
-    divergence (wrong observation, reward, score, status, success or kill).
-    A logged action that is illegal in the replayed world raises
+    divergence (wrong round index, observation, reward, score, status, success
+    or kill). A logged action that is illegal in the replayed world raises
     :class:`IllegalActionError` before its round's observation is compared. A
     ``harness_error`` record never verifies: its replay is left running.
     """
+    for position, round_record in enumerate(record.rounds):
+        if round_record.index != position:
+            raise ReplayMismatchError(f"round {position}: logged index {round_record.index}")
     state = generate_world(record.config)
     for round_record, observation, reward in _replay(state, record):
         if observation != round_record.observation:

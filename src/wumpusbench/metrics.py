@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ConfigurationError, SummaryError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .harness import EpisodeRecord
+from .harness import EpisodeRecord, from_json
 
 
 @dataclass(frozen=True)
@@ -34,22 +32,11 @@ PriceTable = Mapping[str, Price]
 
 
 def price_table_from_dict(data: Mapping[str, Mapping[str, float]]) -> dict[str, Price]:
-    """A price table from parsed JSON; a malformed table or entry raises
-    :class:`ConfigurationError` naming it."""
+    """A price table from parsed JSON; a malformed table, or an entry with a
+    malformed or unknown key, raises :class:`ConfigurationError` naming it."""
     if not isinstance(data, Mapping):
         raise ConfigurationError(f"prices: expected a JSON object, not {data!r:.80}")
-    table = {}
-    for name, p in data.items():
-        try:
-            table[name] = Price(
-                input_per_1k=float(p.get("input_per_1k", 0.0)),
-                output_per_1k=float(p.get("output_per_1k", 0.0)),
-            )
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"price {name!r}: malformed field ({type(exc).__name__}: {exc})"
-            ) from exc
-    return table
+    return {name: from_json(Price, p, f"price {name!r}") for name, p in data.items()}
 
 
 def _price_for(model: str, prices: PriceTable | None) -> Price:
@@ -108,7 +95,7 @@ class MetricsSummary:
         return "\n".join(lines)
 
 
-def _cost(record: "EpisodeRecord", prices: PriceTable | None) -> float:
+def _cost(record: EpisodeRecord, prices: PriceTable | None) -> float:
     cost = 0.0
     for model, prompt_toks, completion_toks in record.usage_by_model():
         price = _price_for(model, prices)
@@ -127,7 +114,7 @@ def _per(total: float, count: float) -> float:
 
 
 def summarize(
-    records: Sequence["EpisodeRecord"], prices: PriceTable | None = None
+    records: Sequence[EpisodeRecord], prices: PriceTable | None = None
 ) -> MetricsSummary:
     """Aggregate ``records`` into one summary."""
     if not records:

@@ -43,6 +43,7 @@ from http import HTTPStatus
 from typing import Sequence
 
 from .errors import ConfigurationError
+from .harness import from_json
 
 _MAX_LINE = 1 << 16  # bytes in the request line or one header line
 _MAX_HEADERS = 100
@@ -255,25 +256,11 @@ class MockChatServer:
 
 
 def script_from_json(data) -> list[MockReply]:
-    """Load a script from parsed JSON: a list of reply objects, bare or under
-    ``replies``. A malformed reply raises :class:`ConfigurationError` naming
-    its index."""
-    replies = data.get("replies") if isinstance(data, dict) else data
-    if not isinstance(replies, list):
-        raise ConfigurationError("replies: expected a list of reply objects")
-    script = []
-    for i, entry in enumerate(replies):
-        try:
-            script.append(
-                MockReply(
-                    content=entry["content"],
-                    prompt_tokens=int(entry.get("prompt_tokens", 0)),
-                    completion_tokens=int(entry.get("completion_tokens", 0)),
-                    delay=float(entry.get("delay", 0.0)),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"reply {i}: missing or malformed field ({type(exc).__name__}: {exc})"
-            ) from exc
-    return script
+    """Load a script from parsed JSON: a list of reply objects, bare or as
+    the one key ``replies``. A reply with a malformed, missing or unknown key
+    raises :class:`ConfigurationError` naming its index."""
+    if isinstance(data, dict) and data.keys() == {"replies"}:
+        data = data["replies"]
+    if not isinstance(data, list):
+        raise ConfigurationError(f"script: expected a list of replies, not {data!r:.80}")
+    return [from_json(MockReply, reply, f"reply {i}") for i, reply in enumerate(data)]

@@ -1,14 +1,21 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import select
+import signal
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+import requests
 
 from wumpusbench import (
+    ChatClient,
+    ChatMessage,
     MockChatServer,
     MockReply,
     OracleAgent,
@@ -173,7 +180,7 @@ def test_run_llm_gives_both_models_one_session_pooled_per_worker():
             "16",
         ]
     )
-    factory, _, models = cli._agent_factory(args, {})
+    factory, _, models = cli._agent_factory(args, cli.RunConfig())
     agent = factory(SimpleNamespace(grid_size=3))
     assert models == {"planner": "planner", "critic": "critic"}
     assert agent.critic_client is not agent.planner_client
@@ -278,7 +285,7 @@ def test_run_reports_a_malformed_top_level_matrix_field(tmp_path, capsys, field,
     matrix.write_text(json.dumps({field: value, "conditions": conditions}))
     assert main(["run", "--matrix", str(matrix), "--quiet"]) == 1
     captured = capsys.readouterr()
-    assert re.search(f"^error: {field}: malformed field", captured.err)
+    assert re.search(f"^error: matrix: MatrixFile.{field} must be int, not ", captured.err)
     assert "Traceback" not in captured.err
 
 
@@ -354,25 +361,25 @@ LLM_CONFIG = '{"endpoint": "http://127.0.0.1:9/v1", "model": "m", %s}'
             "config.json",
             LLM_CONFIG % '"temperature": "hot"',
             ["run", "--agent", "llm", "--config"],
-            "temperature: malformed field (ValueError",
+            "RunConfig.temperature must be float, not 'hot'",
         ),
         (
             "config.json",
             LLM_CONFIG % '"mechanism": 5',
             ["run", "--agent", "llm", "--config"],
-            "mechanism: malformed field (AttributeError",
+            "RunConfig.mechanism must be str, not 5",
         ),
         (
             "config.json",
             LLM_CONFIG % '"mechanism": "planner-critic", "critic_threshold": [1]',
             ["run", "--agent", "llm", "--config"],
-            "critic_threshold: malformed field (TypeError",
+            "RunConfig.critic_threshold must be float, not [1]",
         ),
         (
             "config.json",
             '{"endpoint": 123, "model": "m"}',
             ["run", "--agent", "llm", "--config"],
-            "endpoint: malformed field (TypeError: expected a string, not 123)",
+            "RunConfig.endpoint must be str | None, not 123",
         ),
         (
             "config.json",
@@ -402,13 +409,13 @@ LLM_CONFIG = '{"endpoint": "http://127.0.0.1:9/v1", "model": "m", %s}'
             "config.json",
             '{"endpoint": "http://127.0.0.1:9/v1", "model": 5}',
             ["run", "--agent", "llm", "--config"],
-            "model: malformed field (TypeError: expected a string, not 5)",
+            "RunConfig.model must be str | None, not 5",
         ),
         (
             "config.json",
             LLM_CONFIG % '"mechanism": "planner-critic", "critic_model": ["c"]',
             ["run", "--agent", "llm", "--config"],
-            "critic_model: malformed field (TypeError",
+            "RunConfig.critic_model must be str | None, not ['c']",
         ),
         (
             "config.json",
@@ -495,6 +502,133 @@ def test_cli_reports_a_malformed_input_file_as_an_error(
     assert "Traceback" not in err
     # Refused before the first episode: no record was written.
     assert list(tmp_path.iterdir()) == ([path] if text is not None else [])
+
+
+TINY_CONDITION = {"grid_size": 3, "num_pits": 0, "num_wumpus": 1, "seeds": [1]}
+
+
+def _v1_line_with_flags(flags) -> str:
+    data = json.loads(V1_LOG.read_text().splitlines()[0])
+    data["rounds"][0]["flags"] = flags
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "name, data, argv, key",
+    [
+        ("config.json", {"critic_treshold": 0.2}, ["--config"], "critic_treshold"),
+        ("config.json", {"temprature": 0.5}, ["--config"], "temprature"),
+        ("config.json", {"temperature": "0.5"}, ["--config"], "temperature"),
+        ("matrix.json", {"master_sed": 5}, ["--matrix"], "master_sed"),
+        ("matrix.json", {"trails_per_condition": 3}, ["--matrix"], "trails_per_condition"),
+        (
+            "matrix.json",
+            {"conditions": [{**TINY_CONDITION, "grid_size": 4.9}]},
+            ["--matrix"],
+            "grid_size",
+        ),
+        (
+            "matrix.json",
+            {"conditions": [{**TINY_CONDITION, "num_pits": True}]},
+            ["--matrix"],
+            "num_pits",
+        ),
+        (
+            "matrix.json",
+            {"conditions": [{**TINY_CONDITION, "seeds": [1.7]}]},
+            ["--matrix"],
+            "seeds",
+        ),
+        (
+            "matrix.json",
+            {"step_limit": 12.5, "conditions": [TINY_CONDITION]},
+            ["--matrix"],
+            "step_limit",
+        ),
+        (
+            "prices.json",
+            {"default": {"input_per_1K": 0.5}},
+            ["summarize", "--log", str(V1_LOG), "--prices"],
+            "input_per_1K",
+        ),
+        (
+            "prices.json",
+            {"default": {"input_per_1k": True}},
+            ["summarize", "--log", str(V1_LOG), "--prices"],
+            "input_per_1k",
+        ),
+        (
+            "script.json",
+            [{"content": "Action: <exit>", "completion_token": 40}],
+            ["mock-serve", "--port", "0", "--script"],
+            "completion_token",
+        ),
+        ("log.jsonl", _v1_line_with_flags([1]), ["summarize", "--log"], "flags"),
+    ],
+    ids=[
+        "config-unknown-key",
+        "config-misspelt-temperature",
+        "config-string-temperature",
+        "matrix-unknown-key",
+        "matrix-misspelt-trials",
+        "matrix-fractional-grid-size",
+        "matrix-bool-pits",
+        "matrix-fractional-seed",
+        "matrix-fractional-step-limit",
+        "prices-unknown-key",
+        "prices-bool-price",
+        "script-unknown-key",
+        "log-int-flag",
+    ],
+)
+def test_an_unknown_or_mistyped_input_key_is_refused_by_name(
+    tmp_path, capsys, monkeypatch, name, data, argv, key
+):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / name
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    if argv[0].startswith("--"):  # a run: its log would show any episode played
+        argv = ["run", "--quiet", "--out", "episodes.jsonl", *argv]
+    assert main([*argv, str(path)]) == 1
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and key in line
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_mock_serve_prints_its_url_at_once_and_stops_cleanly_on_interrupt(tmp_path):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"replies": [{"content": "hello", "prompt_tokens": 2}]}))
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    argv = ["mock-serve", "--port", "0", "--script", str(script)]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "wumpusbench.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+    )
+    try:
+        # Unflushed, the line would wait in the child's buffer until it exits.
+        assert select.select([child.stdout], [], [], 30)[0], "no URL line"
+        url = re.match(r"mock chat endpoint at (\S+) ", child.stdout.readline())[1]
+        session = requests.Session()
+        session.trust_env = False  # straight to the local port, whatever the proxies
+        client = ChatClient(url, "m", max_retries=0, session=session)
+        content, usage = client.complete([ChatMessage("user", "hi")])
+        assert (content, usage.prompt_tokens) == ("hello", 2)
+        session.close()
+        child.send_signal(signal.SIGINT)
+        assert child.wait(timeout=30) == 0
+        assert "Traceback" not in child.stderr.read()
+    finally:
+        child.kill()
+        child.wait()
+        child.stdout.close()
+        child.stderr.close()
 
 
 @pytest.mark.parametrize("parallelism", ["0", "-2"])

@@ -219,6 +219,8 @@ def test_non_canonical_action_text_is_log_corruption(tmp_path):
         ({("success",): 1}, "EpisodeRecord.success must be bool"),
         ({("config", "seed"): True}, "WorldConfig.seed must be int"),
         ({("error",): 3}, "EpisodeRecord.error must be str | None"),
+        ({("rounds", 0, "flags"): [1, None]}, r"RoundRecord.flags must be list\[str\]"),
+        ({("rounds", 0, "flags"): "unparseable"}, r"RoundRecord.flags must be list\[str\]"),
         (
             {
                 ("rounds", 0, "index"): "zero",
@@ -234,6 +236,8 @@ def test_non_canonical_action_text_is_log_corruption(tmp_path):
         "int-for-bool",
         "bool-for-int",
         "int-for-str",
+        "int-in-str-list",
+        "str-for-str-list",
         "all-three",
     ],
 )

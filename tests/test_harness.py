@@ -3,6 +3,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,7 @@ from wumpusbench import (
     default_matrix,
     generate_world,
     matrix_from_dict,
+    price_table_from_dict,
     read_records,
     render_frames,
     run_episode,
@@ -506,6 +509,24 @@ def test_verify_record_detects_tampered_outcome_flags(field):
             verify_record(tampered)
 
 
+@pytest.mark.parametrize(
+    "position, index", [(1, 7), (-1, 0)], ids=["skipped-ahead", "repeated-at-the-end"]
+)
+def test_verify_record_refuses_a_round_index_other_than_its_position(
+    tmp_path, position, index
+):
+    data, _ = _logged_episode_with_a_breeze()
+    data["rounds"][position]["index"] = index
+    path = tmp_path / "episodes.jsonl"
+    path.write_text(json.dumps(data) + "\n")
+    [edited] = read_records(path)  # well formed, so it reads
+    expected = position % len(data["rounds"])
+    with pytest.raises(
+        ReplayMismatchError, match=f"^round {expected}: logged index {index}$"
+    ):
+        verify_record(edited)
+
+
 def test_endpoint_failure_keeps_the_spend_of_the_failed_round():
     config = WorldConfig(grid_size=3, num_pits=0, num_wumpus=0, seed=9)
     planner = 'Analysis: a\nGuess: {"wumpus": [], "pits": []}\nAction: <exit>'
@@ -773,6 +794,15 @@ def test_script_from_json_accepts_both_shapes():
     assert replies[0].content == "a"
     replies = script_from_json([{"content": "b", "delay": 0.5}])
     assert replies[0].delay == 0.5
+
+
+def test_the_readmes_price_table_and_mock_script_read_as_documented():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    prices, script = map(json.loads, re.findall(r"```json\n(.*?)```", readme, re.DOTALL))
+    assert price_table_from_dict(prices) == {"my-model": Price(0.15, 0.60)}
+    [reply] = script_from_json(script)
+    assert reply.content.startswith("Analysis: ...\nGuess: ")
+    assert (reply.prompt_tokens, reply.completion_tokens, reply.delay) == (12, 34, 0.05)
 
 
 def test_matrix_from_dict_listed_conditions_default_to_the_top_level_trials():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import gzip
+import itertools
 import json
 import os
 import socket
@@ -340,15 +341,22 @@ COMPLETION = json.dumps(
 
 @contextlib.contextmanager
 def raw_server(
-    response: bytes | None, *, close: bool = False, received: list | None = None
+    response: bytes | None,
+    *,
+    close: bool = False,
+    received: list | None = None,
+    drop: int | None = None,
 ):
     """A one-route HTTP server that answers each request with ``response``
     verbatim (never, when it is None) and then closes the connection when
-    ``close`` is set. Appends each request to ``received``, when given, as
-    its request line, its header lines and its body. Yields its URL and a
-    semaphore released each time it has closed a connection."""
+    ``close`` is set. The request numbered ``drop``, counting from 0 over
+    every connection, is read and its connection closed unanswered. Appends
+    each request to ``received``, when given, as its request line, its header
+    lines and its body. Yields its URL and a semaphore released each time it
+    has closed a connection."""
     release = threading.Event()
     closed = threading.Semaphore(0)
+    numbers = itertools.count()
 
     class Handler(socketserver.StreamRequestHandler):
         def handle(self):
@@ -366,6 +374,8 @@ def raw_server(
                 body = self.rfile.read(length)
                 if received is not None:
                     received.append((lines[0], lines[1:], body))
+                if next(numbers) == drop:
+                    return
                 if response is None:
                     release.wait(10)
                     return
@@ -421,6 +431,33 @@ def test_a_server_that_closes_after_each_reply_is_answered_without_retries(
             if i % 2:
                 assert all(closed.acquire(timeout=10) for _ in range(2))
     assert session.posts == 6
+
+
+def test_a_request_dropped_on_a_reused_connection_goes_once_more_on_a_new_one(
+    clean_environment,
+):
+    session = CountingPostSession()
+    received = []
+    with raw_server(REPLY, received=received, drop=1) as (url, closed):
+        client = ChatClient(url, "m", max_retries=0, session=session)
+        for _ in range(2):
+            assert client.complete([ChatMessage("user", "hi")])[0] == "decoded"
+        assert session.posts == 2  # no retry by the client: the adapter resent it
+        assert len(received) == 3
+        assert closed.acquire(timeout=10)  # the connection that dropped it
+        assert not closed.acquire(timeout=0.2)  # the new one, kept alive
+        session.close()
+        assert closed.acquire(timeout=10)
+
+
+def test_a_body_shorter_than_its_length_is_retried_as_transient(clean_environment):
+    session = CountingPostSession()
+    cut = http_response(COMPLETION[:10], f"Content-Length: {len(COMPLETION)}")
+    with raw_server(cut, close=True) as (url, _):
+        client = ChatClient(url, "m", max_retries=2, backoff=0, session=session)
+        with pytest.raises(TransportError, match="after 3 attempts.*IncompleteRead"):
+            client.complete([ChatMessage("user", "hi")])
+    assert session.posts == 3
 
 
 @pytest.mark.parametrize(
@@ -794,6 +831,18 @@ def test_parse_cos_response_missing_guess_degrades():
 def test_parse_cos_response_rejects_out_of_grid_guess():
     text = 'Analysis: x\nGuess: {"wumpus": [[9,9]], "pits": []}\nAction: <exit>'
     decision = parse_cos_response(text, grid_size=3)
+    assert decision.flags == ["malformed-guess"]
+    assert decision.guess == {"wumpus": [], "pits": []}
+    assert decision.guess_raw is None
+
+
+@pytest.mark.parametrize(
+    "guess",
+    ['{"wumpus": [[1]], "pits": []}', '{"wumpus": [], "pits": [["a", 1]]}', '{"pits": 5}'],
+    ids=["one-number-cell", "text-coordinate", "hazards-not-a-list"],
+)
+def test_a_guess_with_malformed_cells_is_flagged(guess):
+    decision = parse_cos_response(f"Analysis: x\nGuess: {guess}\nAction: <exit>", 3)
     assert decision.flags == ["malformed-guess"]
     assert decision.guess == {"wumpus": [], "pits": []}
     assert decision.guess_raw is None

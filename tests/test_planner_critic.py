@@ -232,6 +232,23 @@ def test_critique_retries_low_confidence_without_legal_alternative():
     assert flags.count("missing-or-illegal-alternative") == 2
 
 
+def test_an_unparseable_alternative_is_none_and_asked_for_again():
+    assert parse_critic_verdict(verdict_reply(0.2, "jump")).alternative is None
+    obs = build_observation(make_world(n=3, gold=(3, 3)))
+    script = [
+        MockReply(verdict_reply(0.2, "jump"), 1, 1),
+        MockReply(verdict_reply(0.2, "move to position (1,2)"), 1, 1),
+    ]
+    with MockChatServer(script) as server:
+        client = ChatClient(server.url, "critic-model", max_retries=0)
+        verdict, calls, flags = critique(
+            client, obs, Action.move(2, 1), threshold=0.7, grid_size=3
+        )
+    assert verdict.alternative == Action.move(1, 2)
+    assert len(calls) == 2
+    assert flags == ["missing-or-illegal-alternative"]
+
+
 def test_critique_falls_back_to_full_confidence_after_malformed_verdicts():
     obs = build_observation(make_world(n=3, gold=(3, 3)))
     # One reply more than the budget: the critic must not ask for it.
