@@ -40,6 +40,15 @@ class Decision:
     flags: list[str] = field(default_factory=list)
 
 
+def _cell_pairs(cells) -> bool:
+    """Whether ``cells`` is a guess's cell list as JSON holds it: a list of
+    [x, y] pairs of ints, where a bool is no int."""
+    return type(cells) is list and all(
+        type(cell) is list and len(cell) == 2 and type(cell[0]) is int is type(cell[1])
+        for cell in cells
+    )
+
+
 class Agent(Protocol):
     def decide(self, obs: Observation) -> Decision: ...
 

@@ -7,13 +7,15 @@ serialize one-per-line to an append-only JSONL log; loading a record and
 re-simulating it from the seed must reproduce every observation, reward and
 the final score, which :func:`verify_record` enforces.
 
-A logged action is its canonical text, and reading decodes it by exact match:
-the five token actions from a table of their shared values, a move by one
-full match of ``move to position (x,y)`` with plain decimal coordinates. Only
-text that fails the match goes to the free-text reply parser, which names
-the fault: no recognizable action, or a non-canonical text. A round keeps the
-:class:`Observation` its agent saw; the log holds its eight-key wire form,
-built as the record is written and decoded exactly as it is read.
+A logged action is its canonical text, and reading decodes it by exact match
+from a table of shared actions: the five token actions, and each move text
+added on first use after one full match of ``move to position (x,y)`` with
+plain decimal coordinates. Only text that fails the match goes to the
+free-text reply parser, which names the fault: no recognizable action, or a
+non-canonical text. A round keeps the :class:`Observation` its agent saw; the
+log holds its eight-key wire form, built as the record is written and decoded
+exactly as it is read. The model names and a round's guess are checked for
+the shapes that the agents write.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from pathlib import Path
 from types import NoneType, UnionType
 from typing import Callable, Iterable, Iterator, get_args, get_origin, get_type_hints
 
-from .agents import Agent, CompletionLog, Decision
+from .agents import Agent, CompletionLog, Decision, _cell_pairs
 from .errors import (
     ConfigurationError, EpisodeProtocolFailure, LogCorruptionError, ReplayMismatchError,
     WumpusBenchError,
@@ -434,10 +436,33 @@ def run_trials(
 # Persistence and replay
 
 
+def _decode_guess(guess):
+    """A round's logged guess, which must be None or an object holding
+    exactly the ``wumpus`` and ``pits`` cell lists that the agents write."""
+    if guess is None or (
+        type(guess) is dict
+        and guess.keys() == _GUESS_KEYS
+        and all(map(_cell_pairs, guess.values()))
+    ):
+        return guess
+    raise LogCorruptionError(
+        "RoundRecord.guess must be null or an object of exactly wumpus and pits, "
+        f"each a list of [x, y] int pairs, not {guess!r:.80}"
+    )
+
+
+_GUESS_KEYS = frozenset(("wumpus", "pits"))
+# Fields whose annotation does not say the shape of their JSON form.
+_FIELD_DECODERS = {"RoundRecord.guess": _decode_guess}
+
+
 def _value_decoder(hint, name: str) -> Callable | None:
     """How to rebuild a value annotated ``hint`` (a dataclass, an action or
     an observation, alone, as list items or ``| None``) from its JSON form,
-    or check the items of field ``name``'s list of scalars; None to keep it."""
+    or check field ``name``'s list of scalars or map of scalars to scalars,
+    or its shape given in ``_FIELD_DECODERS``; None to keep it."""
+    if name in _FIELD_DECODERS:
+        return _FIELD_DECODERS[name]
     if hint is Action:
         return _decode_action
     if hint is Observation:
@@ -448,6 +473,8 @@ def _value_decoder(hint, name: str) -> Callable | None:
     if isinstance(hint, UnionType) and len(args) == 2 and NoneType in args:
         inner = _value_decoder(args[args[0] is NoneType], name)
         return inner and (lambda value: value if value is None else inner(value))
+    if get_origin(hint) is dict:
+        return _map_check(hint, name, *map(_scalar_types, args))
     if get_origin(hint) is not list:
         return None
     if item := _value_decoder(args[0], name):
@@ -467,14 +494,52 @@ def _value_decoder(hint, name: str) -> Callable | None:
     return check
 
 
-# The canonical texts: the five token actions, and a move with its
-# coordinates in plain decimal, as Action.to_text writes them.
-_TOKEN_ACTIONS = {
-    action.to_text(): action
-    for action in (*map(Action.shoot, DIRECTIONS), Action.exit())
-}
+def _map_check(hint, name: str, keys, values) -> Callable | None:
+    """A check that field ``name`` is an object of the scalar ``keys`` and
+    ``values`` types that ``hint`` annotates; None when they are not scalars."""
+    if keys is None or values is None:
+        return None
+
+    def check(mapping: dict) -> dict:
+        if type(mapping) is dict and all(
+            type(k) in keys and type(v) in values for k, v in mapping.items()
+        ):
+            return mapping
+        raise LogCorruptionError(f"{name} must be {hint}, not {mapping!r:.80}")
+
+    return check
+
+
+# A move's canonical text, with its coordinates in plain decimal, as
+# Action.to_text writes it.
 _CANONICAL_MOVE = re.compile(
     r"move to position \((0|[1-9][0-9]*),(0|[1-9][0-9]*)\)"
+)
+
+
+class _ActionTable(dict):
+    """Decoded actions keyed by their canonical text, then shared: the five
+    token actions from the start, and each move on first use, so the move
+    pattern runs once per distinct text. At most ``_ACTION_TABLE_SIZE``
+    texts are kept; any later move is decoded each time."""
+
+    def __missing__(self, text: str) -> Action:
+        match = _CANONICAL_MOVE.fullmatch(text)
+        if match is None:
+            # Looked up per call, so a wrapper set on this module's attribute
+            # sees it.
+            parse_action(text)
+            raise LogCorruptionError(f"non-canonical action text {text!r}")
+        action = Action.move(int(match[1]), int(match[2]))
+        if len(self) < _ACTION_TABLE_SIZE:
+            self[text] = action
+        return action
+
+
+_ACTION_TABLE_SIZE = 4096  # the five tokens and the moves of most of a 64x64 grid
+_ACTIONS = _ActionTable(
+    (action.to_text(), action)
+    for action in (*map(Action.shoot, DIRECTIONS), Action.exit())
 )
 
 
@@ -482,14 +547,7 @@ def _decode_action(text: str) -> Action:
     """The action a log wrote as ``text``, which must be its canonical text,
     matched exactly. Other text is refused: as unparseable when
     :func:`parse_action` finds no action in it, else as non-canonical."""
-    action = _TOKEN_ACTIONS.get(text)
-    if action is not None:
-        return action
-    if match := _CANONICAL_MOVE.fullmatch(text):
-        return Action.move(int(match[1]), int(match[2]))
-    # Looked up per call, so a wrapper set on this module's attribute sees it.
-    parse_action(text)
-    raise LogCorruptionError(f"non-canonical action text {text!r}")
+    return _ACTIONS[text]
 
 
 _SCALARS = (bool, int, float, str, NoneType)

@@ -27,7 +27,7 @@ import re
 from functools import cache
 from typing import Callable, TypeVar
 
-from .agents import CompletionLog, Decision, legal_actions_from
+from .agents import CompletionLog, Decision, _cell_pairs, legal_actions_from
 from .chat import ChatClient, ChatMessage
 from .errors import (
     ActionParseError,
@@ -137,8 +137,9 @@ _DECODER = json.JSONDecoder()
 def _parse_guess(section: str, grid_size: int | None) -> tuple[dict, str] | None:
     """The wire form of the first JSON object in a Guess section, read by the
     standard decoder and tolerating tuple-style parentheses, with its text as
-    written; None when there is none, it is malformed or, given
-    ``grid_size``, it names a cell outside the grid."""
+    written; None when there is none, it is malformed (a hazard that is not a
+    list of [x, y] pairs of ints, read as they are) or, given ``grid_size``,
+    it names a cell outside the grid. A missing hazard is an empty list."""
     start = section.find("{")
     if start < 0:
         return None
@@ -148,18 +149,13 @@ def _parse_guess(section: str, grid_size: int | None) -> tuple[dict, str] | None
             data, end = _DECODER.raw_decode(candidate, start)
         except (ValueError, RecursionError):  # too deep a nesting is malformed too
             continue
-        try:
-            cells = {
-                key: [Cell(int(x), int(y)) for x, y in data.get(key, [])]
-                for key in ("wumpus", "pits")
-            }
-        except (TypeError, ValueError):
+        guess = {key: data.get(key, []) for key in ("wumpus", "pits")}
+        if not all(map(_cell_pairs, guess.values())):
             return None
         if grid_size is not None and not all(
-            in_grid(c, grid_size) for c in (*cells["wumpus"], *cells["pits"])
+            in_grid(Cell(*c), grid_size) for c in (*guess["wumpus"], *guess["pits"])
         ):
             return None
-        guess = {key: [list(c) for c in value] for key, value in cells.items()}
         return guess, section[start:end]
     return None
 

@@ -10,12 +10,18 @@ cells next to a breezy record (the "frontier" of AIMA §13.6). No percept
 constrains the other cells that may hold a pit, so they are exchangeable
 apart from being wumpus candidates or not, and the pits left for them are
 counted with binomial coefficients. A round's cost thus follows the size of
-the frontier, not the area of the grid. The bookkeeping follows suit:
-masks are read by walking their set bits, and the counts start as a zero
-for every cell (``dict.fromkeys``, one pass in C) and are written only for
-the frontier, the unconstrained cells and the wumpus candidates. So the
-Python-level work of a round is proportional to the recorded cells, the
-cells that may still hold a hazard and the frontier pit sets.
+the frontier, not the area of the grid. The bookkeeping follows suit. What
+the records and the shot say is kept as masks: the cells that may hold a
+pit, those next to a breeze, each breezy record's neighbors and the wumpus
+candidates. :func:`observe` derives a child's masks from its parent's, one
+rule per new record and one for the shot, so a round folds in its own
+percept rather than every record again. The binomial coefficients come from
+a table per number of unconstrained cells. The unconstrained cells share
+their counts, two values at most, and so do the wumpus candidates off the
+frontier; each such group is written at once, in C, from a table of the
+cells of each mask. Only frontier cells are written one at a time. So the
+Python-level work of a round is proportional to the frontier pit sets and
+the frontier, not to the recorded cells or the unknown ones.
 
 :func:`observe` is the one update: it folds an observation into a
 :class:`KnowledgeBase` and derives ``kb.counts``, the :class:`HazardCounts`
@@ -34,6 +40,10 @@ honors that.
 Knowledge bases are values: nothing mutates one in place once it is built.
 :func:`observe` shares ``records`` and the shot between a parent and its
 child, and :class:`OracleAgent` shares whole knowledge bases between agents.
+A knowledge base that :func:`observe` built carries its masks, set before
+anyone else can see it; any other one, such as the shared empty start, has
+its masks folded from its records by the same rules each time they are
+read, and nothing is written back.
 
 The oracle is deterministic, so its play on a condition is a tree that
 branches only on what it observes. :class:`OracleAgent` walks that tree
@@ -126,6 +136,10 @@ class KnowledgeBase:
     shot: ShotRecord | None = None  # the cave's one arrow, once fired
     # Derived from the fields above by observe.
     counts: HazardCounts | None = field(default=None, init=False, repr=False)
+    # The masks of the records and the shot, when observe built this one.
+    _constraints: _Constraints | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
     # The decision memo: observation -> (next knowledge base, action).
     _next: dict[Observation, tuple[KnowledgeBase, Action]] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -144,13 +158,50 @@ class KnowledgeBase:
         return frozenset(c for c in self.counts.pit if self.counts.is_safe(c, dead))
 
 
+class _Constraints(NamedTuple):
+    """What a knowledge base's records and shot say about the hazards, as
+    masks of the grid's cells. :func:`observe` derives a child's from its
+    parent's with :func:`_with_record` and :func:`_with_shot`."""
+
+    pool: int  # cells that may hold a pit
+    near_breeze: int  # cells next to a breezy record
+    breezy: tuple[int, ...]  # the neighbor mask of each breezy record
+    wumpus: int  # cells that may hold the wumpus, if the world has one
+    stench: bool  # whether any record holds a stench
+
+
+class _CellSets(dict):
+    """The cells of each mask looked up, as a dict keyed by cell in canonical
+    order, built on first use and then shared: ``dict.fromkeys`` and
+    ``dict.update`` reuse the hashes such a dict holds, so a count is written
+    to all of its cells in C. At most ``_CELL_SETS_CELLS`` grid cells' worth
+    of masks are kept per grid; any later mask is built each time."""
+
+    def __init__(self, cell: dict[int, Cell]):
+        super().__init__()
+        self.cell = cell
+        self.cap = _CELL_SETS_CELLS // len(cell)
+
+    def __missing__(self, mask: int) -> dict[Cell, None]:
+        cells = dict.fromkeys(map(self.cell.__getitem__, _Grid.members(mask)))
+        if len(self) < self.cap:
+            self[mask] = cells
+        return cells
+
+
+_CELL_SETS_CELLS = 1 << 16  # a few hundred masks fill up on 5x5 play
+
+
 class _Grid(NamedTuple):
     """Bitmask view of an n x n grid, one bit per cell in canonical order."""
 
     bit: dict[Cell, int]  # keyed by every cell, in canonical order
     cell: dict[int, Cell]  # the inverse of ``bit``
+    cells: _CellSets  # the cells of a mask
     neighbors: dict[Cell, int]  # mask of each cell's in-grid 4-neighbors
-    hazard_zone: int  # mask of the cells outside the safe start zone
+    zeros: dict[Cell, int]  # every cell with a count of 0
+    moves: dict[Cell, Action]  # the one move action into each cell
+    empty: _Constraints  # what a knowledge base with no record or shot says
 
     @staticmethod
     def members(mask: int) -> list[int]:
@@ -167,78 +218,109 @@ class _Grid(NamedTuple):
 def _grid(n: int) -> _Grid:
     geo = geometry(n)
     bit = {c: 1 << i for i, c in enumerate(geo.cells)}
+    cell = {b: c for c, b in bit.items()}
 
     def mask(group) -> int:
         return sum(bit[c] for c in group)
 
+    hazard_zone = mask(geo.hazard_cells)
     return _Grid(
         bit=bit,
-        cell={b: c for c, b in bit.items()},
+        cell=cell,
+        cells=_CellSets(cell),
         neighbors={c: mask(geo.neighbors[c]) for c in geo.cells},
-        hazard_zone=mask(geo.cells) & ~mask(geo.start_zone),
+        zeros=dict.fromkeys(bit, 0),
+        moves={c: Action.move(c.x, c.y) for c in geo.cells},
+        empty=_Constraints(hazard_zone, 0, (), hazard_zone, False),
     )
 
 
+def _with_record(
+    k: _Constraints, grid: _Grid, cell: Cell, record: PerceptRecord
+) -> _Constraints:
+    """``k`` with the record of ``cell`` added. The agent survived the cell,
+    so it holds no pit, nor the wumpus while it lived; a quiet record rules
+    out a pit next to it, and the stench, recorded while the wumpus lived,
+    tells whether the wumpus is next to it. A dead wumpus gives off no
+    stench, so a stench recorded after the scream leaves no candidate."""
+    pool, near_breeze, breezy, wumpus, stench = k
+    near = grid.neighbors[cell]
+    pool &= ~grid.bit[cell]
+    if record.breeze:
+        near_breeze |= near
+        breezy = (*breezy, near)
+    else:
+        pool &= ~near
+    if record.wumpus_alive:
+        wumpus &= ~grid.bit[cell] & (near if record.stench else ~near)
+    elif record.stench:
+        wumpus = 0
+    return _Constraints(pool, near_breeze, breezy, wumpus, stench or record.stench)
+
+
+def _with_shot(k: _Constraints, grid: _Grid, shot: ShotRecord, n: int) -> _Constraints:
+    """``k`` with ``shot`` added: the wumpus is on its trajectory if and only
+    if it screamed."""
+    path = sum(grid.bit[c] for c in shoot_trajectory(shot.origin, shot.direction, n))
+    return k._replace(wumpus=k.wumpus & (path if shot.scream else ~path))
+
+
+def _constraints(kb: KnowledgeBase, grid: _Grid) -> _Constraints:
+    """The constraints of ``kb``: those :func:`observe` carried, or else
+    folded from its records and shot, which are not stored back."""
+    k = kb._constraints
+    if k is None:
+        k = grid.empty
+        for cell, record in kb.records.items():
+            k = _with_record(k, grid, cell, record)
+        if kb.shot is not None:
+            k = _with_shot(k, grid, kb.shot, kb.grid_size)
+    return k
+
+
 def _frontier_pit_sets(
-    kb: KnowledgeBase, grid: _Grid
-) -> tuple[list[int], list[tuple[tuple[int, ...], int]]]:
-    """Split the cells that may hold a pit into the frontier, next to a breezy
-    record, and the unconstrained rest. Returns the unconstrained cell bits
-    and the frontier pit sets, as (cell bits, mask), that put a pit next to
-    every breeze and leave at most as many pits as there are unconstrained
-    cells; the remaining pits go to any of those cells."""
-    pool = grid.hazard_zone
-    breezy = []
-    near_breeze = 0
-    for cell, record in kb.records.items():
-        pool &= ~grid.bit[cell]  # the agent survived this cell
-        if record.breeze:
-            breezy.append(grid.neighbors[cell])
-            near_breeze |= grid.neighbors[cell]
-        else:
-            pool &= ~grid.neighbors[cell]
-    frontier = grid.members(pool & near_breeze)
-    free = grid.members(pool & ~near_breeze)
-    pit_sets = []
-    for size in range(max(0, kb.num_pits - len(free)), kb.num_pits + 1):
+    kb: KnowledgeBase, k: _Constraints, frontier: list[int], u: int
+) -> list[tuple[tuple[int, ...], int]]:
+    """The frontier pit sets, as (cell bits, mask), smallest first, that put
+    a pit next to every breeze and leave at most as many pits as there are
+    unconstrained cells, ``u``; the remaining pits go to any of those cells.
+    The empty set explains a breeze only when there is none, and then the
+    frontier is empty too."""
+    breezy = k.breezy
+    if not breezy:
+        return [((), 0)] if kb.num_pits <= u else []
+    out = []
+    for size in range(max(1, kb.num_pits - u), min(kb.num_pits, len(frontier)) + 1):
         for combo in itertools.combinations(frontier, size):
             pits = sum(combo)
-            if all(map(pits.__and__, breezy)):  # a pit next to every breeze
-                pit_sets.append((combo, pits))
-    return free, pit_sets
+            for near in breezy:  # a loop: all() costs a map per set
+                if not pits & near:
+                    break
+            else:
+                out.append((combo, pits))
+    return out
 
 
-def _wumpus_cells(kb: KnowledgeBase, grid: _Grid) -> list[int | None]:
-    """Bits of the wumpus cells that explain every stench record and the
-    shot; ``[None]`` stands for the absent wumpus of a wumpus-free world."""
-    if not kb.num_wumpus:
-        silent = not any(r.stench for r in kb.records.values())
-        return [None] if silent and not kb.wumpus_known_dead else []
-    allowed = grid.hazard_zone
-    for cell, record in kb.records.items():
-        if not record.wumpus_alive:
-            if record.stench:
-                return []  # a dead wumpus gives off no stench
-            continue
-        allowed &= ~grid.bit[cell]  # the agent survived this cell while it lived
-        near = grid.neighbors[cell]
-        allowed &= near if record.stench else ~near
-    shot = kb.shot
-    if shot is not None:
-        trajectory = shoot_trajectory(shot.origin, shot.direction, kb.grid_size)
-        path = sum(grid.bit[c] for c in trajectory)
-        allowed &= path if shot.scream else ~path
-    return grid.members(allowed)
+def _wumpus_options(kb: KnowledgeBase, k: _Constraints) -> tuple[int, int]:
+    """The mask of the wumpus candidates and the number of ways to place the
+    wumpus: one per candidate, or, in a wumpus-free world, one for the
+    absent wumpus unless a stench or a scream contradicts it."""
+    if kb.num_wumpus:
+        return k.wumpus, k.wumpus.bit_count()
+    return 0, int(not k.stench and not kb.wumpus_known_dead)
 
 
 def consistent_layouts(kb: KnowledgeBase) -> list[tuple[frozenset[Cell], Cell | None]]:
     """All (pit set, wumpus cell) pairs consistent with rules and records."""
     grid = _grid(kb.grid_size)
     cell_of = grid.cell
-    wumpus_cells = _wumpus_cells(kb, grid)
-    free, frontier_sets = _frontier_pit_sets(kb, grid)
+    k = _constraints(kb, grid)
+    wumpus_mask, options = _wumpus_options(kb, k)
+    wumpus_cells = grid.members(wumpus_mask) if kb.num_wumpus else [None] * options
+    frontier = grid.members(k.pool & k.near_breeze)
+    free = grid.members(k.pool & ~k.near_breeze)
     layouts = []
-    for combo, frontier_pits in frontier_sets:
+    for combo, frontier_pits in _frontier_pit_sets(kb, k, frontier, len(free)):
         for rest in itertools.combinations(free, kb.num_pits - len(combo)):
             pits = frontier_pits | sum(rest)
             pit_cells = frozenset(cell_of[b] for b in (*combo, *rest))
@@ -250,8 +332,19 @@ def consistent_layouts(kb: KnowledgeBase) -> list[tuple[frozenset[Cell], Cell | 
     return layouts
 
 
-def _choose(n: int, k: int) -> int:
-    return math.comb(n, k) if 0 <= k <= n else 0
+@functools.cache
+def _binomials(u: int, num_pits: int) -> tuple[tuple[int, int, int], ...]:
+    """Per number ``m`` of pits left for ``u`` unconstrained cells: the ways
+    to place them, ``C(u, m)``, and those with a pit in one given cell,
+    ``C(u-1, m-1)``, and in each of two, ``C(u-2, m-2)``."""
+
+    def choose(n: int, r: int) -> int:
+        return math.comb(n, r) if 0 <= r <= n else 0
+
+    return tuple(
+        (choose(u, m), choose(u - 1, m - 1), choose(u - 2, m - 2))
+        for m in range(num_pits + 1)
+    )
 
 
 def hazard_counts(kb: KnowledgeBase) -> HazardCounts:
@@ -271,40 +364,49 @@ def hazard_counts(kb: KnowledgeBase) -> HazardCounts:
     candidate itself.
     """
     grid = _grid(kb.grid_size)
-    wumpus_cells = _wumpus_cells(kb, grid)
-    candidates = wumpus_cells if kb.num_wumpus else []  # not the absent [None]
-    wumpus_mask = sum(candidates)
-    free, frontier_sets = _frontier_pit_sets(kb, grid)
-    u = len(free)
-    free_mask = sum(free)
-    w_u = (free_mask & wumpus_mask).bit_count()
-    cell = grid.cell
-    pit = dict.fromkeys(grid.bit, 0)
+    k = _constraints(kb, grid)
+    wumpus_mask, options = _wumpus_options(kb, k)
+    pool, near_breeze = k.pool, k.near_breeze
+    free_mask = pool & ~near_breeze
+    free_wumpus = free_mask & wumpus_mask
+    u = free_mask.bit_count()
+    w_u = free_wumpus.bit_count()
+    frontier = grid.members(pool & near_breeze)
+    num_pits = kb.num_pits
+    binomials = _binomials(u, num_pits)
+    frontier_pit: dict[int, int] = {}  # frontier bit -> layouts with a pit there
     holding: dict[int, int] = {}  # frontier bit -> pit sets with a pit there
-    total = num_sets = 0
-    # Per unconstrained cell, the same for each one apart from wumpus candidacy.
-    free_pit = free_wumpus_pit = free_holding = 0
-    for combo, pits in frontier_sets:
-        m = kb.num_pits - len(combo)  # pits left for the unconstrained cells
-        sets = _choose(u, m)
-        with_one, with_two = _choose(u - 1, m - 1), _choose(u - 2, m - 2)
-        base = len(wumpus_cells) - (pits & wumpus_mask).bit_count()
+    total = num_sets = free_pit = free_wumpus_pit = free_holding = 0
+    for combo, pits in _frontier_pit_sets(kb, k, frontier, u):
+        sets, with_one, with_two = binomials[num_pits - len(combo)]
+        base = options - (pits & wumpus_mask).bit_count()
         layouts = sets * base - w_u * with_one
         total += layouts
         num_sets += sets
         for b in combo:
-            pit[cell[b]] += layouts
+            frontier_pit[b] = frontier_pit.get(b, 0) + layouts
             holding[b] = holding.get(b, 0) + sets
         free_pit += with_one * base - w_u * with_two
         free_wumpus_pit += with_one * (base - 1) - (w_u - 1) * with_two
         free_holding += with_one
-    for b in free:
-        pit[cell[b]] = free_wumpus_pit if wumpus_mask & b else free_pit
-    wumpus = dict.fromkeys(grid.bit, 0)
-    for w in candidates:
-        held = free_holding if free_mask & w else holding.get(w, 0)
-        wumpus[cell[w]] = num_sets - held
-    return HazardCounts(total=total, pit=pit, wumpus=wumpus)
+    # Each group of cells that share a count is written at once.
+    cell, cells = grid.cell, grid.cells
+    pit = {
+        **grid.zeros,
+        **dict.fromkeys(cells[free_mask ^ free_wumpus], free_pit),
+        **dict.fromkeys(cells[free_wumpus], free_wumpus_pit),
+    }
+    for b, n in frontier_pit.items():
+        pit[cell[b]] = n
+    wumpus = {
+        **grid.zeros,
+        **dict.fromkeys(cells[wumpus_mask ^ free_wumpus], num_sets),
+        **dict.fromkeys(cells[free_wumpus], num_sets - free_holding),
+    }
+    for b, n in holding.items():
+        if wumpus_mask & b:
+            wumpus[cell[b]] = num_sets - n
+    return HazardCounts(total, pit, wumpus)
 
 
 def observe(kb: KnowledgeBase, obs: Observation) -> KnowledgeBase:
@@ -317,21 +419,24 @@ def observe(kb: KnowledgeBase, obs: Observation) -> KnowledgeBase:
     first record of a position. Raises :class:`InconsistentPerceptsError`
     when no layout explains the records, which indicates an environment bug.
     """
+    grid = _grid(kb.grid_size)
+    k = _constraints(kb, grid)
     arrow = obs.arrow_status
     shot = kb.shot
     pos = obs.current_position
     if arrow.direction is not None and shot is None:
         shot = ShotRecord(pos, arrow.direction, arrow.scream_heard)
+        k = _with_shot(k, grid, shot, kb.grid_size)
     out = KnowledgeBase(kb.grid_size, kb.num_pits, kb.num_wumpus, kb.records, shot)
     if pos not in out.records:
-        out.records = {
-            **out.records,
-            pos: _PERCEPT_RECORDS[
-                pos in obs.breeze_locations,
-                pos in obs.stench_locations,
-                not out.wumpus_known_dead,
-            ],
-        }
+        record = _PERCEPT_RECORDS[
+            pos in obs.breeze_locations,
+            pos in obs.stench_locations,
+            not out.wumpus_known_dead,
+        ]
+        out.records = {**out.records, pos: record}
+        k = _with_record(k, grid, pos, record)
+    out._constraints = k
     out.counts = hazard_counts(out)
     if not out.counts.total:
         raise InconsistentPerceptsError(
@@ -352,17 +457,17 @@ def oracle_policy(kb: KnowledgeBase, obs: Observation) -> Action:
     """Fixed priority rule: safest frontier move, else a certain kill shot,
     else exit. Gold is collected automatically on entry, so glitter never
     needs handling."""
-    counts = kb.counts
+    total, pit, wumpus = kb.counts
+    dead = kb.wumpus_known_dead
     safe_frontier = [
         c
         for c in obs.suggestions.frontier_cells
-        if counts.is_safe(c, kb.wumpus_known_dead)
+        if not pit[c] and (dead or not wumpus[c])
     ]
     if safe_frontier:
-        target = min(safe_frontier, key=sort_key)
-        return Action.move(target.x, target.y)
-    if obs.suggestions.shoot_options and not kb.wumpus_known_dead:
-        certain = [c for c, n in counts.wumpus.items() if n == counts.total]
+        return _grid(kb.grid_size).moves[min(safe_frontier, key=sort_key)]
+    if obs.suggestions.shoot_options and not dead:
+        certain = [c for c, n in wumpus.items() if n == total]
         if len(certain) == 1:
             # ``observe`` rules out a live wumpus in the agent's cell, so a
             # shot toward the certain cell always crosses it.

@@ -168,6 +168,20 @@ DROP = object()
         (("rounds", 0, "mood"), "calm", "mood"),
         (("mechanism",), DROP, "mechanism"),
         (("config", "colour"), "red", "colour"),
+        (("models", "model"), 5, r"EpisodeRecord\.models must be dict\[str, str\]"),
+        (("models", "model"), None, r"EpisodeRecord\.models must be"),
+        (("models",), ["model"], r"EpisodeRecord\.models must be"),
+        (("rounds", 0, "guess"), 7, r"RoundRecord\.guess must be"),
+        (("rounds", 0, "guess"), {"wumpus": []}, r"RoundRecord\.guess must be"),
+        (
+            ("rounds", 0, "guess"),
+            {"wumpus": [], "pits": [], "note": ""},
+            r"RoundRecord\.guess must be",
+        ),
+        (("rounds", 0, "guess"), {"wumpus": [[1.9, True]], "pits": []}, "guess must be"),
+        (("rounds", 0, "guess"), {"wumpus": [], "pits": [["2", "1"]]}, "guess must be"),
+        (("rounds", 0, "guess"), {"wumpus": [[2, 2, 1]], "pits": []}, "guess must be"),
+        (("rounds", 0, "guess"), {"wumpus": [], "pits": [3, 1]}, "guess must be"),
     ],
     ids=[
         "unparseable-action",
@@ -178,6 +192,16 @@ DROP = object()
         "unknown-round-key",
         "missing-required-key",
         "unknown-config-key",
+        "int-model-name",
+        "null-model-name",
+        "models-not-an-object",
+        "int-guess",
+        "guess-without-pits",
+        "guess-with-another-key",
+        "float-and-bool-guess-cell",
+        "text-guess-cell",
+        "three-number-guess-cell",
+        "guess-cell-not-a-pair",
     ],
 )
 def test_undecodable_line_is_named_as_log_corruption(tmp_path, path, value, message):
@@ -341,3 +365,11 @@ def test_action_decoder_accepts_exactly_what_the_reference_accepts():
     for text in NEAR_MISSES + randoms:
         assert decoded(_decode_action, text) == decoded(reference_decode_action, text)
     assert all(isinstance(decoded(_decode_action, t), tuple) for t in NEAR_MISSES)
+
+
+def test_a_move_text_decodes_to_one_shared_action():
+    for text in ("move to position (3,7)", "<shootleft>", "<exit>"):
+        assert _decode_action(text) is _decode_action(text)
+    # A refused text is refused again, not remembered.
+    for _ in range(2):
+        assert decoded(_decode_action, "move to position (01,2)")[0] is LogCorruptionError

@@ -838,8 +838,28 @@ def test_parse_cos_response_rejects_out_of_grid_guess():
 
 @pytest.mark.parametrize(
     "guess",
-    ['{"wumpus": [[1]], "pits": []}', '{"wumpus": [], "pits": [["a", 1]]}', '{"pits": 5}'],
-    ids=["one-number-cell", "text-coordinate", "hazards-not-a-list"],
+    [
+        '{"wumpus": [[1]], "pits": []}',
+        '{"wumpus": [], "pits": [["a", 1]]}',
+        '{"pits": 5}',
+        '{"wumpus": [[1.9, true]], "pits": [["2", "1"]]}',
+        '{"wumpus": [[2, 2]], "pits": [["2", "1"]]}',
+        '{"wumpus": [[2.0, 2]], "pits": []}',
+        '{"wumpus": [[true, 1]], "pits": []}',
+        '{"wumpus": [[2, 2, 1]], "pits": []}',
+        '{"wumpus": [[2, 2]], "pits": [[3, 1, 0]]}',
+    ],
+    ids=[
+        "one-number-cell",
+        "text-coordinate",
+        "hazards-not-a-list",
+        "float-and-bool-and-digit-text",
+        "digit-text",
+        "float-coordinate",
+        "bool-coordinate",
+        "three-number-cell",
+        "three-number-pit",
+    ],
 )
 def test_a_guess_with_malformed_cells_is_flagged(guess):
     decision = parse_cos_response(f"Analysis: x\nGuess: {guess}\nAction: <exit>", 3)

@@ -27,8 +27,10 @@ from wumpusbench import (
     WorldConfig,
     apply_action,
     build_observation,
+    default_matrix,
     full_info_solvable,
     generate_world,
+    legal_actions_from,
     matrix_from_dict,
     parse_action,
     run_episode,
@@ -41,13 +43,15 @@ from wumpusbench.observation import ArrowStatus, Suggestions
 from wumpusbench.oracle import (
     KnowledgeBase,
     ShotRecord,
+    _constraints,
+    _direction_toward,
     _grid,
     consistent_layouts,
     hazard_counts,
     observe,
     oracle_policy,
 )
-from wumpusbench.world import DIRECTIONS
+from wumpusbench.world import DIRECTIONS, sort_key
 
 ZONE = {Cell(1, 1), Cell(1, 2), Cell(2, 1)}
 ALL_3X3 = {Cell(x, y) for x in range(1, 4) for y in range(1, 4)}
@@ -313,6 +317,7 @@ def test_policy_moves_to_first_safe_frontier_cell():
     obs = build_observation(world)
     kb = observe(KnowledgeBase(3, num_pits=0, num_wumpus=1), obs)
     assert oracle_policy(kb, obs) == Action.move(2, 1)  # (2,1) before (1,2) in (y, x) order
+    assert oracle_policy(kb, obs) is _grid(3).moves[Cell(2, 1)]  # one move per cell
 
 
 # Quiet records everywhere except a stench at (1,2) leave exactly one wumpus
@@ -477,6 +482,108 @@ def test_observe_folds_a_scripted_log(script, scream):
     folded = fold(record)
     assert folded.shot.scream is scream
     assert folded == oracle.kb
+
+
+# ---------------------------------------------------------------------------
+# Carried constraints and the policy
+
+# The 5x5 matrix of the benchmark's oracle-large workload.
+LARGE_CONDITIONS = [
+    {"grid_size": 5, "num_pits": 2, "num_wumpus": 1, "trials": 8},
+    {"grid_size": 5, "num_pits": 3, "num_wumpus": 1, "trials": 4},
+]
+
+
+def folds(config, observations):
+    """(knowledge base, observation) after each of ``observations``, folded
+    by :func:`observe` from the condition's empty knowledge base."""
+    kb = KnowledgeBase(config.grid_size, config.num_pits, config.num_wumpus)
+    for obs in observations:
+        kb = observe(kb, obs)
+        yield kb, obs
+
+
+def oracle_folds():
+    """The folds of the oracle's play of the default and the 5x5 matrices at
+    seeds 0-2."""
+    for seed in range(3):
+        large = matrix_from_dict({"master_seed": seed, "conditions": LARGE_CONDITIONS})
+        for matrix in (default_matrix(seed), large):
+            for _, config in matrix.configs():
+                agent = OracleAgent(config.grid_size, config.num_pits, config.num_wumpus)
+                record = run_episode(config, agent, agent_kind="oracle")
+                yield from folds(config, [r.observation for r in record.rounds])
+
+
+def random_folds():
+    """The folds of seeded random legal play on 3x3 to 6x6 grids with 0-3
+    pits, one wumpus in five games in six, which moves or shoots, and exits
+    only when it can do neither."""
+    for n in range(3, 7):
+        for seed in range(60):
+            rng = random.Random(seed)
+            config = WorldConfig(
+                grid_size=n, num_pits=seed % 4, num_wumpus=int(seed % 6 > 0), seed=seed
+            )
+            world = generate_world(config)
+            observations = []
+            while world.status is Status.RUNNING:
+                obs = build_observation(world)
+                observations.append(obs)
+                options = legal_actions_from(obs)[:-1] or [Action.exit()]
+                apply_action(world, rng.choice(options))
+            yield from folds(config, observations)
+
+
+def reference_policy(kb, obs):
+    """The policy rule as first written: the safest frontier move by the
+    counts' ``is_safe``, else a certain kill shot, else exit."""
+    counts = kb.counts
+    dead = kb.wumpus_known_dead
+    safe = [c for c in obs.suggestions.frontier_cells if counts.is_safe(c, dead)]
+    if safe:
+        target = min(safe, key=sort_key)
+        return Action.move(target.x, target.y)
+    if obs.suggestions.shoot_options and not dead:
+        certain = [c for c, n in counts.wumpus.items() if n == counts.total]
+        if len(certain) == 1:
+            direction = _direction_toward(obs.current_position, certain[0])
+            if direction is not None:
+                return Action.shoot(direction)
+    return Action.exit()
+
+
+@pytest.mark.parametrize("play", [oracle_folds, random_folds])
+def test_carried_constraints_equal_the_fold_from_scratch(play):
+    shots = 0
+    for checked, (kb, _) in enumerate(play(), start=1):
+        grid = _grid(kb.grid_size)
+        scratch = KnowledgeBase(
+            kb.grid_size, kb.num_pits, kb.num_wumpus, kb.records, kb.shot
+        )
+        assert kb._constraints == _constraints(scratch, grid)
+        assert scratch._constraints is None  # folded when read, not stored
+        shots += kb.shot is not None
+    assert checked > 1000 and shots > 20
+
+
+@pytest.mark.parametrize("play", [oracle_folds, random_folds])
+def test_policy_plays_the_first_rule_in_any_frontier_order(play):
+    kinds = set()
+    for kb, obs in play():
+        action = oracle_policy(kb, obs)
+        assert action == reference_policy(kb, obs)
+        kinds.add(action.kind)
+        suggestions = obs.suggestions
+        reversed_frontier = dataclasses.replace(
+            obs,
+            suggestions=Suggestions(
+                suggestions.frontier_cells[::-1], suggestions.shoot_options
+            ),
+        )
+        assert oracle_policy(kb, reversed_frontier) == action
+        assert reference_policy(kb, reversed_frontier) == action
+    assert ActionKind.MOVE in kinds and ActionKind.EXIT in kinds
 
 
 # ---------------------------------------------------------------------------
