@@ -55,8 +55,8 @@ class Agent(Protocol):
 
 def legal_actions_from(obs: Observation) -> list[Action]:
     """The legal actions implied by an observation, in a fixed order."""
-    out = [Action.move(c.x, c.y) for c in obs.suggestions.frontier_cells]
-    out.extend(Action.shoot(d) for d in obs.suggestions.shoot_options)
+    out = [Action.move(c.x, c.y) for c in obs.frontier_cells]
+    out.extend(Action.shoot(d) for d in obs.shoot_options)
     out.append(Action.exit())
     return out
 

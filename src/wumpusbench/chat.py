@@ -375,7 +375,7 @@ class ChatClient:
     def _parse_body(response: requests.Response, latency: float) -> tuple[str, UsageRecord]:
         try:
             body = response.json()
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # too deep a nesting too
             raise ProtocolError(f"response body is not JSON: {exc}") from exc
         try:
             content = body["choices"][0]["message"]["content"]

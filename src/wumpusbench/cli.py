@@ -59,7 +59,7 @@ def _load_json(path: str):
     with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # too deep a nesting too
             raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
 
 

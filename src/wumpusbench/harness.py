@@ -357,8 +357,8 @@ def matrix_from_dict(data: dict) -> TrialMatrix:
     """Load a matrix from config JSON; omitted seeds are drawn from
     ``master_seed`` deterministically. Data that is not an object, or a
     malformed or unknown top-level key, raises :class:`ConfigurationError`
-    naming it, and a condition with a missing, malformed or unknown key one
-    naming its index."""
+    naming it, and a condition with a missing, malformed or unknown key, or
+    with more hazards than fit outside the start zone, one naming its index."""
     spec = from_json(MatrixFile, data, "matrix")
     if spec.conditions is None:
         return default_matrix(spec.master_seed, spec.trials_per_condition, spec.step_limit)
@@ -372,6 +372,12 @@ def matrix_from_dict(data: dict) -> TrialMatrix:
             trials = spec.trials_per_condition if entry.trials is None else entry.trials
             seeds = _draw_seeds(spec.master_seed, i, trials)
         condition = Condition(entry.grid_size, entry.num_pits, entry.num_wumpus)
+        # The start cell and its two neighbours never hold a hazard.
+        if entry.num_pits + entry.num_wumpus > entry.grid_size**2 - 3:
+            raise ConfigurationError(
+                f"condition {i} ({condition.label}): {entry.num_pits} pits and "
+                f"{entry.num_wumpus} wumpus do not fit outside the start zone"
+            )
         entries.append((condition, tuple(seeds)))
     return TrialMatrix(entries=entries, step_limit=spec.step_limit)
 
@@ -647,7 +653,7 @@ def read_records(path: str | Path) -> list[EpisodeRecord]:
                 continue
             try:
                 records.append(EpisodeRecord.from_dict(json.loads(line)))
-            except (ValueError, TypeError, WumpusBenchError) as exc:
+            except (ValueError, TypeError, RecursionError, WumpusBenchError) as exc:
                 raise LogCorruptionError(f"{path}: line {lineno}: {exc}") from exc
     return records
 

@@ -12,10 +12,10 @@ and split, in that order, into the quiet, breeze and stench lists, and the
 frontier is built from the explored cells' neighbors. Given the observation
 built before the episode's latest action, :func:`build_observation` instead
 inserts the one cell that action may have explored into the sorted tuples and
-the frontier, and shares every tuple the action left unchanged. The arrow
-status is always one of its nine shared, frozen values (unfired, or fired in a
-direction with or without a scream), and the shot options are ``DIRECTIONS``
-itself or ``()``.
+the frontier, and shares every tuple the action left unchanged. The arrow is
+the world's own :class:`ArrowReport`, or ``None`` while it is unfired; the
+shot options follow from it (``DIRECTIONS`` itself until the shot, then
+``()``), so they are read, not stored.
 
 Action grammar (case-insensitive, last match in the text wins so that
 chain-of-thought replies can mention candidates before the final choice):
@@ -71,19 +71,6 @@ OBSERVATION_KEYS = (
 
 
 @dataclass(frozen=True)
-class Suggestions:
-    frontier_cells: tuple[Cell, ...]
-    shoot_options: tuple[Direction, ...]
-
-
-@dataclass(frozen=True)
-class ArrowStatus:
-    fired: bool
-    direction: Direction | None
-    scream_heard: bool
-
-
-@dataclass(frozen=True)
 class Observation:
     """The aggregated percept summary handed to agents each round."""
 
@@ -93,27 +80,13 @@ class Observation:
     quiet_locations: tuple[Cell, ...]
     breeze_locations: tuple[Cell, ...]
     stench_locations: tuple[Cell, ...]
-    suggestions: Suggestions
-    arrow_status: ArrowStatus
+    frontier_cells: tuple[Cell, ...]  # unexplored neighbors, (y, x)-sorted
+    arrow: ArrowReport | None  # None while the arrow is unfired
 
-
-def frontier_suggestions(state: WorldState) -> Suggestions:
-    """Frontier cells in (y, x) order plus the shot directions still open."""
-    return Suggestions(
-        tuple(frontier(state)), DIRECTIONS if state.arrow_available else ()
-    )
-
-
-# The nine arrow states, keyed by the world's arrow report: unfired (None),
-# or fired in a direction, with or without a scream.
-_ARROW_STATUS = {
-    None: ArrowStatus(False, None, False),
-    **{
-        ArrowReport(d, scream): ArrowStatus(True, d, scream)
-        for d in DIRECTIONS
-        for scream in (False, True)
-    },
-}
+    @property
+    def shoot_options(self) -> tuple[Direction, ...]:
+        """The directions a shot may still take: all four, or none once fired."""
+        return DIRECTIONS if self.arrow is None else ()
 
 
 def build_observation(
@@ -148,12 +121,12 @@ def build_observation(
             if not percept.breeze and not percept.stench:
                 quiet.append(cell)
         quiet, breeze, stench = tuple(quiet), tuple(breeze), tuple(stench)
-        suggestions = frontier_suggestions(state)
+        frontier_cells = tuple(frontier(state))
     else:
         quiet = previous.quiet_locations
         breeze = previous.breeze_locations
         stench = previous.stench_locations
-        frontier_cells = previous.suggestions.frontier_cells
+        frontier_cells = previous.frontier_cells
         if previous.current_position != position:
             if previous.current_position != next(visited, None):
                 raise ValueError(
@@ -176,9 +149,6 @@ def build_observation(
                 stench = _inserted(stench, position)
             if not percept.breeze and not percept.stench:
                 quiet = _inserted(quiet, position)
-        suggestions = Suggestions(
-            frontier_cells, DIRECTIONS if state.arrow_available else ()
-        )
     config = state.config
     return Observation(
         config.num_wumpus,
@@ -187,8 +157,8 @@ def build_observation(
         quiet,
         breeze,
         stench,
-        suggestions,
-        _ARROW_STATUS[state.arrow_report],
+        frontier_cells,
+        state.arrow_report,
     )
 
 
@@ -207,8 +177,7 @@ def observation_to_dict(obs: Observation) -> dict:
     """The eight-key wire form of an observation, ready for ``json``: each
     cell stays a ``Cell`` and each cell list a tuple, which ``json`` writes
     as arrays; directions become their plain strings."""
-    suggestions = obs.suggestions
-    arrow = obs.arrow_status
+    arrow = obs.arrow
     return {
         KEY_NUM_WUMPUS: obs.num_wumpus,
         KEY_NUM_PITS: obs.num_pits,
@@ -217,13 +186,13 @@ def observation_to_dict(obs: Observation) -> dict:
         KEY_BREEZE: obs.breeze_locations,
         KEY_STENCH: obs.stench_locations,
         KEY_SUGGESTIONS: {
-            "frontier_cells": suggestions.frontier_cells,
-            "shoot_options": [_WIRE[d] for d in suggestions.shoot_options],
+            "frontier_cells": obs.frontier_cells,
+            "shoot_options": [_WIRE[d] for d in obs.shoot_options],
         },
         KEY_ARROW: {
-            "fired": arrow.fired,
-            "direction": _WIRE[arrow.direction],
-            "scream_heard": arrow.scream_heard,
+            "fired": arrow is not None,
+            "direction": None if arrow is None else _WIRE[arrow.direction],
+            "scream_heard": arrow is not None and arrow.scream,
         },
     }
 
@@ -250,13 +219,17 @@ _LISTS = frozenset((list, tuple))
 _KEYS = frozenset(OBSERVATION_KEYS)
 _SUGGESTION_KEYS = frozenset(("frontier_cells", "shoot_options"))
 _ARROW_KEYS = frozenset(("fired", "direction", "scream_heard"))
-# The two shot options a built observation can hold, by their wire strings.
-_SHOTS = {(): (), tuple(_WIRE[d] for d in DIRECTIONS): DIRECTIONS}
-# The nine arrow states by their wire values (fired, direction, scream).
+# The nine arrow states by their wire values (fired, direction, scream):
+# unfired (None), or fired in a direction, with or without a scream.
 _ARROWS = {
-    (status.fired, _WIRE[status.direction], status.scream_heard): status
-    for status in _ARROW_STATUS.values()
+    (False, None, False): None,
+    **{
+        (True, _WIRE[d], scream): ArrowReport(d, scream)
+        for d in DIRECTIONS
+        for scream in (False, True)
+    },
 }
+_UNFIRED_SHOTS = [_WIRE[d] for d in DIRECTIONS]
 
 
 def _object(data, keys: frozenset[str], name: str) -> dict:
@@ -290,10 +263,11 @@ def _cells(raw, name: str) -> tuple[Cell, ...]:
 
 def observation_from_dict(data: dict) -> Observation:
     """Decode the wire form exactly, coercing nothing: each object must hold
-    exactly its keys, a count or coordinate must be an int, a cell a pair, a
-    shot option one of the four wire directions, and the arrow one of its
-    nine states. Raises :class:`ValueError` naming the first fault. Cells,
-    the usual shot options and the arrow status come from shared tables."""
+    exactly its keys, a count or coordinate must be an int, a cell a pair,
+    the arrow one of its nine states, and the shot options all four wire
+    directions in order while the arrow is unfired and none once it is
+    fired. Raises :class:`ValueError` naming the first fault. Cells and the
+    arrow reports come from shared tables."""
     _object(data, _KEYS, "observation")
     num_wumpus, num_pits = data[KEY_NUM_WUMPUS], data[KEY_NUM_PITS]
     if not type(num_wumpus) is int is type(num_pits):
@@ -304,25 +278,23 @@ def observation_from_dict(data: dict) -> Observation:
         data[KEY_SUGGESTIONS], _SUGGESTION_KEYS, "observation suggestions"
     )
     (position,) = _cells((data[KEY_POSITION],), "position")
-    shots = suggestions["shoot_options"]
+    status = _object(data[KEY_ARROW], _ARROW_KEYS, "observation arrow status")
+    wire = status["fired"], status["direction"], status["scream_heard"]
     try:
-        if type(shots) not in _LISTS:
-            raise TypeError
-        options = _SHOTS.get(tuple(shots))
-        if options is None:
-            options = tuple(map(Direction, shots))
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"observation shoot options {shots!r:.80} must be a list of directions"
-        ) from None
-    arrow = _object(data[KEY_ARROW], _ARROW_KEYS, "observation arrow status")
-    wire = arrow["fired"], arrow["direction"], arrow["scream_heard"]
-    try:
-        status = _ARROWS.get(wire) if type(wire[0]) is bool is type(wire[2]) else None
+        valid = type(wire[0]) is bool is type(wire[2]) and wire in _ARROWS
     except TypeError:  # an unhashable direction
-        status = None
-    if status is None:
-        raise ValueError(f"observation arrow status {arrow!r:.80} is not a valid state")
+        valid = False
+    if not valid:
+        raise ValueError(f"observation arrow status {status!r:.80} is not a valid state")
+    arrow = _ARROWS[wire]
+    shots = suggestions["shoot_options"]
+    if type(shots) not in _LISTS or list(shots) != (
+        _UNFIRED_SHOTS if arrow is None else []
+    ):
+        raise ValueError(
+            f"observation shoot options {shots!r:.80} must be all four directions "
+            "before the shot and none after it"
+        )
     return Observation(
         num_wumpus,
         num_pits,
@@ -330,8 +302,8 @@ def observation_from_dict(data: dict) -> Observation:
         _cells(data[KEY_QUIET], "quiet locations"),
         _cells(data[KEY_BREEZE], "breeze locations"),
         _cells(data[KEY_STENCH], "stench locations"),
-        Suggestions(_cells(suggestions["frontier_cells"], "frontier cells"), options),
-        status,
+        _cells(suggestions["frontier_cells"], "frontier cells"),
+        arrow,
     )
 
 

@@ -413,7 +413,7 @@ def observe(kb: KnowledgeBase, obs: Observation) -> KnowledgeBase:
     """A new knowledge base that adds ``obs`` to ``kb``: its shot, with the
     scream, and the percept at its position, with the counts derived once.
 
-    The shot is read from the arrow status, fired from the current position:
+    The shot is read from the observation's arrow, fired from the current position:
     a shot does not move the agent, and the next observation reports it. The
     first shot reported is kept, as the cave holds one arrow, and so is the
     first record of a position. Raises :class:`InconsistentPerceptsError`
@@ -421,11 +421,11 @@ def observe(kb: KnowledgeBase, obs: Observation) -> KnowledgeBase:
     """
     grid = _grid(kb.grid_size)
     k = _constraints(kb, grid)
-    arrow = obs.arrow_status
+    arrow = obs.arrow
     shot = kb.shot
     pos = obs.current_position
-    if arrow.direction is not None and shot is None:
-        shot = ShotRecord(pos, arrow.direction, arrow.scream_heard)
+    if arrow is not None and shot is None:
+        shot = ShotRecord(pos, arrow.direction, arrow.scream)
         k = _with_shot(k, grid, shot, kb.grid_size)
     out = KnowledgeBase(kb.grid_size, kb.num_pits, kb.num_wumpus, kb.records, shot)
     if pos not in out.records:
@@ -461,12 +461,12 @@ def oracle_policy(kb: KnowledgeBase, obs: Observation) -> Action:
     dead = kb.wumpus_known_dead
     safe_frontier = [
         c
-        for c in obs.suggestions.frontier_cells
+        for c in obs.frontier_cells
         if not pit[c] and (dead or not wumpus[c])
     ]
     if safe_frontier:
         return _grid(kb.grid_size).moves[min(safe_frontier, key=sort_key)]
-    if obs.suggestions.shoot_options and not dead:
+    if obs.arrow is None and not dead:
         certain = [c for c, n in wumpus.items() if n == total]
         if len(certain) == 1:
             # ``observe`` rules out a live wumpus in the agent's cell, so a

@@ -115,10 +115,13 @@ _ALTERNATIVE_RE = re.compile(
     r"alternative\s*[:=]\s*(.*?)(?=^[^\S\n]*(?:confidence|rationale)\s*[:=]|\Z)",
     re.IGNORECASE | re.MULTILINE | re.DOTALL,
 )
+_RATIONALE_RE = re.compile(r"rationale\s*[:=]", re.IGNORECASE)
 
 
 def parse_critic_verdict(text: str) -> CriticVerdict:
-    """Parse a critic reply; the last confidence stated wins. Raises
+    """Parse a critic reply; the last confidence, alternative and rationale
+    labels stated win, so a reply that restates its verdict is read from the
+    restatement alone. Raises
     :class:`ActionParseError` when there is none, or when it is a percentage,
     has a decimal comma or lies outside [0, 1]."""
     matches = list(_CONFIDENCE_RE.finditer(text))
@@ -132,9 +135,9 @@ def parse_critic_verdict(text: str) -> CriticVerdict:
         raise ActionParseError(f"confidence {confidence} outside [0, 1]")
 
     alternative: Action | None = None
-    alt_match = _ALTERNATIVE_RE.search(text)
-    if alt_match:
-        alt_text = alt_match.group(1).strip()
+    alt_matches = list(_ALTERNATIVE_RE.finditer(text))
+    if alt_matches:
+        alt_text = alt_matches[-1].group(1).strip()
         if not re.fullmatch(r"none\.?", alt_text, re.IGNORECASE):
             try:
                 alternative = parse_action(alt_text)
@@ -142,9 +145,9 @@ def parse_critic_verdict(text: str) -> CriticVerdict:
                 alternative = None
 
     rationale = ""
-    rat_pos = text.lower().find("rationale")
-    if rat_pos >= 0:
-        rationale = text[rat_pos + len("rationale") :].lstrip(":= ").strip()
+    rat_matches = list(_RATIONALE_RE.finditer(text))
+    if rat_matches:
+        rationale = text[rat_matches[-1].end() :].strip()
     return CriticVerdict(
         confidence=confidence, alternative=alternative, rationale=rationale
     )

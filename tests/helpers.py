@@ -15,13 +15,8 @@ import re
 
 from wumpusbench import Action, Cell, WorldConfig, WorldState, world_from_layout
 from wumpusbench.errors import ConfigurationError, LogCorruptionError
-from wumpusbench.observation import (
-    ArrowStatus,
-    Observation,
-    Suggestions,
-    parse_action,
-)
-from wumpusbench.world import DIRECTIONS, frontier, sort_key
+from wumpusbench.observation import Observation, parse_action
+from wumpusbench.world import frontier, sort_key
 
 
 def brute_adjacent(cell: tuple[int, int], n: int) -> list[tuple[int, int]]:
@@ -270,7 +265,7 @@ REFERENCE_CONFIDENCE_RE = re.compile(
 
 def reference_build_observation(state: WorldState) -> Observation:
     """The observation built the plain way: one list per kind, each sorted on
-    its own, and a fresh arrow status and suggestions."""
+    its own, and a fresh frontier."""
     quiet, breeze, stench = [], [], []
     for cell, percept in state.percept_log.items():
         if percept.breeze:
@@ -279,8 +274,6 @@ def reference_build_observation(state: WorldState) -> Observation:
             stench.append(cell)
         if not percept.breeze and not percept.stench:
             quiet.append(cell)
-    report = state.arrow_report
-    shoot = DIRECTIONS if state.arrow_available else ()
     return Observation(
         num_wumpus=state.config.num_wumpus,
         num_pits=state.config.num_pits,
@@ -288,15 +281,8 @@ def reference_build_observation(state: WorldState) -> Observation:
         quiet_locations=tuple(sorted(quiet, key=sort_key)),
         breeze_locations=tuple(sorted(breeze, key=sort_key)),
         stench_locations=tuple(sorted(stench, key=sort_key)),
-        suggestions=Suggestions(
-            frontier_cells=tuple(frontier(state)),
-            shoot_options=tuple(shoot),
-        ),
-        arrow_status=ArrowStatus(
-            fired=report is not None,
-            direction=report.direction if report else None,
-            scream_heard=report.scream if report else False,
-        ),
+        frontier_cells=tuple(frontier(state)),
+        arrow=state.arrow_report,
     )
 
 

@@ -356,6 +356,14 @@ LLM_CONFIG = '{"endpoint": "http://127.0.0.1:9/v1", "model": "m", %s}'
             "price 'default': ",
         ),
         ("matrix.json", "{broken", ["run", "--matrix"], "matrix.json: invalid JSON"),
+        ("matrix.json", "[" * 200_000, ["run", "--matrix"], "matrix.json: invalid JSON"),
+        ("episodes.jsonl", "[" * 200_000, ["summarize", "--log"], "episodes.jsonl: line 1: "),
+        (
+            "matrix.json",
+            '{"conditions": [{"grid_size": 2, "num_pits": 2, "num_wumpus": 1, "trials": 3}]}',
+            ["run", "--matrix"],
+            "condition 0 (2x2_p2_w1): 2 pits and 1 wumpus do not fit",
+        ),
         (None, None, ["replay", "--log"], "missing.jsonl"),
         (
             "config.json",
@@ -469,6 +477,9 @@ LLM_CONFIG = '{"endpoint": "http://127.0.0.1:9/v1", "model": "m", %s}'
         "price-not-a-number",
         "config-price-not-a-number",
         "invalid-json",
+        "too-deeply-nested-json",
+        "too-deeply-nested-log",
+        "matrix-condition-does-not-fit",
         "missing-log",
         "config-temperature-not-a-number",
         "config-mechanism-not-a-string",

@@ -37,7 +37,12 @@ from wumpusbench import (
     verify_record,
     write_records,
 )
-from wumpusbench.errors import LogCorruptionError, ReplayMismatchError, SummaryError
+from wumpusbench.errors import (
+    ConfigurationError,
+    LogCorruptionError,
+    ReplayMismatchError,
+    SummaryError,
+)
 from wumpusbench.harness import DEFAULT_TRIALS_PER_CONDITION, Condition
 from wumpusbench.mockserver import script_from_json
 from wumpusbench.observation import (
@@ -56,7 +61,7 @@ class FirstFrontierAgent:
         self.avoid = avoid
 
     def decide(self, obs):
-        for cell in obs.suggestions.frontier_cells:
+        for cell in obs.frontier_cells:
             if self.avoid is None or tuple(cell) != tuple(self.avoid):
                 return Decision(action=Action.move(cell.x, cell.y), provenance="scripted")
         return Decision(action=Action.exit(), provenance="scripted")
@@ -80,7 +85,7 @@ def test_scripted_walk_into_pit_matches_hand_replay():
     state = generate_world(config)
     while state.status is Status.RUNNING:
         obs = build_observation(state)
-        target = obs.suggestions.frontier_cells[0]
+        target = obs.frontier_cells[0]
         apply_action(state, Action.move(target.x, target.y))
     assert state.status is Status.DEATH_PIT
     assert record.status == "death_pit"
@@ -154,7 +159,7 @@ def test_consecutive_rounds_share_the_cell_tuples_they_did_not_change():
                 ("quiet", lambda obs: obs.quiet_locations),
                 ("breeze", lambda obs: obs.breeze_locations),
                 ("stench", lambda obs: obs.stench_locations),
-                ("frontier", lambda obs: obs.suggestions.frontier_cells),
+                ("frontier", lambda obs: obs.frontier_cells),
             ):
                 old, new = cells(before.observation), cells(after.observation)
                 if old and old == new:
@@ -202,6 +207,31 @@ def test_matrix_from_dict_with_explicit_conditions():
     )
     assert matrix.total_trials() == 5
     assert matrix.entries[0][1] == (5, 6)
+
+
+@pytest.mark.parametrize(
+    "grid_size, num_pits, num_wumpus", [(2, 2, 0), (2, 1, 1), (2, 3, 1)]
+)
+def test_matrix_from_dict_refuses_hazards_that_do_not_fit(grid_size, num_pits, num_wumpus):
+    # A 2x2 grid has one cell outside the start zone.
+    fits = {"grid_size": 3, "num_pits": 1, "num_wumpus": 1, "trials": 3}
+    crowded = {"grid_size": grid_size, "num_pits": num_pits, "num_wumpus": num_wumpus}
+    with pytest.raises(ConfigurationError, match="^condition 1 .*do not fit"):
+        matrix_from_dict({"conditions": [fits, {**crowded, "trials": 3}]})
+
+
+def test_matrix_from_dict_accepts_hazards_that_just_fit():
+    matrix = matrix_from_dict(
+        {
+            "conditions": [
+                {"grid_size": 2, "num_pits": 1, "num_wumpus": 0, "seeds": [1]},
+                {"grid_size": 2, "num_pits": 0, "num_wumpus": 1, "seeds": [1]},
+                {"grid_size": 3, "num_pits": 3, "num_wumpus": 1, "seeds": [1]},
+            ]
+        }
+    )
+    records = run_trials(matrix, oracle_factory, agent_kind="oracle")
+    assert not [r.error for r in records if r.error]
 
 
 def test_run_trials_emits_one_record_per_seed():
@@ -279,19 +309,18 @@ def test_an_episode_that_fails_before_its_first_round_is_logged_with_no_rounds(
 ):
     # The factory's RuntimeError is the agent failing to act; three pits do
     # not fit on a 2x2 grid, so generate_world raises ConfigurationError.
+    # matrix_from_dict refuses such a condition, so the matrix is built here.
     def factory(cfg):
         if cfg.seed == 2:
             raise RuntimeError("no agent for seed 2")
         return oracle_factory(cfg)
 
-    matrix = matrix_from_dict(
-        {
-            "conditions": [
-                {"grid_size": 3, "num_pits": 0, "num_wumpus": 1, "seeds": [1, 2, 3]},
-                {"grid_size": 2, "num_pits": 3, "num_wumpus": 0, "seeds": [4]},
-                {"grid_size": 3, "num_pits": 0, "num_wumpus": 1, "seeds": [5]},
-            ]
-        }
+    matrix = TrialMatrix(
+        entries=[
+            (Condition(3, 0, 1), (1, 2, 3)),
+            (Condition(2, 3, 0), (4,)),
+            (Condition(3, 0, 1), (5,)),
+        ]
     )
     records = run_trials(matrix, factory, agent_kind="oracle", parallelism=parallelism)
     assert [r.seed for r in records] == [1, 2, 3, 4, 5]

@@ -542,12 +542,17 @@ NOT_TEXT = json.dumps(
             "^response body is not JSON",
         ),
         (
+            http_response(b"[" * 200_000, "Content-Length: 200000"),
+            ProtocolError,
+            "^response body is not JSON",
+        ),
+        (
             http_response(NOT_TEXT, f"Content-Length: {len(NOT_TEXT)}"),
             ProtocolError,
             "^chat response content is not text$",
         ),
     ],
-    ids=["unauthorized", "not-json", "content-not-text"],
+    ids=["unauthorized", "not-json", "too-deeply-nested", "content-not-text"],
 )
 def test_a_refused_or_malformed_answer_is_not_retried(
     clean_environment, response, error, message

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 from helpers import REFERENCE_MOVE_RE, make_world, reference_build_observation
 from wumpusbench import (
     Action,
+    ActionKind,
     Cell,
     Direction,
     OracleAgent,
-    RandomLegalAgent,
     Status,
     apply_action,
     build_observation,
@@ -28,7 +29,7 @@ from wumpusbench import (
 )
 from wumpusbench.errors import ActionParseError
 from wumpusbench.observation import (
-    _ARROW_STATUS,
+    _ARROWS,
     _MOVE_RE,
     KEY_ARROW,
     KEY_BREEZE,
@@ -38,8 +39,6 @@ from wumpusbench.observation import (
     KEY_STENCH,
     KEY_SUGGESTIONS,
     OBSERVATION_KEYS,
-    ArrowStatus,
-    frontier_suggestions,
     observation_from_dict,
     observation_to_dict,
 )
@@ -84,13 +83,13 @@ def test_cell_with_breeze_and_stench_in_both_lists_not_quiet():
 def test_arrow_status_reflects_shot_and_scream():
     world = make_world(n=3, wumpus=(3, 1), gold=(3, 3))
     obs = build_observation(world)
-    assert obs.arrow_status.fired is False
-    assert obs.arrow_status.direction is None
+    assert obs.arrow is None
+    assert obs.shoot_options is DIRECTIONS
     apply_action(world, Action.shoot("right"))
     obs = build_observation(world)
-    assert obs.arrow_status.fired is True
-    assert obs.arrow_status.direction is Direction.RIGHT
-    assert obs.arrow_status.scream_heard is True
+    assert obs.arrow is world.arrow_report
+    assert obs.arrow == ArrowReport(Direction.RIGHT, scream=True)
+    assert obs.shoot_options == ()
 
 
 def test_stench_recorded_before_kill_stays_in_observation():
@@ -112,8 +111,8 @@ def test_counts_come_from_the_config():
 def test_observation_matches_the_plain_reference_along_random_play():
     # Seeded random play on every grid size from 3x3 to 8x8. Each round checks
     # the state after every legal action, the played one included, so final
-    # states are checked too. The agent is shown no shots, so it carries the
-    # arrow as far as it walks, and every direction is tried from every cell
+    # states are checked too. The walk takes no shots, so it carries the
+    # arrow as far as it goes, and every direction is tried from every cell
     # it reaches.
     arrow_states = set()
     for n, num_pits, num_wumpus, seed in itertools.product(
@@ -121,7 +120,7 @@ def test_observation_matches_the_plain_reference_along_random_play():
     ):
         config = WorldConfig(n, num_pits, num_wumpus, seed=100 * n + seed)
         state = generate_world(config)
-        agent = RandomLegalAgent(seed)
+        rng = random.Random(seed)
         while state.status is Status.RUNNING:
             obs = build_observation(state)
             for action in legal_actions_from(obs):
@@ -138,9 +137,8 @@ def test_observation_matches_the_plain_reference_along_random_play():
                 assert observation_to_dict(got) == observation_to_dict(reference)
                 report = after.arrow_report
                 arrow_states.add(report and (report.direction, report.scream))
-            walk = dataclasses.replace(obs.suggestions, shoot_options=())
-            decision = agent.decide(dataclasses.replace(obs, suggestions=walk))
-            apply_action(state, decision.action)
+            walks = [a for a in legal_actions_from(obs) if a.kind is not ActionKind.SHOOT]
+            apply_action(state, walks[rng.randrange(len(walks))])
     assert arrow_states == {None} | set(itertools.product(DIRECTIONS, (False, True)))
 
 
@@ -203,11 +201,11 @@ def test_a_stale_previous_observation_is_refused():
             {k: PerceptRecord(*k) for k in itertools.product((False, True), repeat=3)},
         ),
         (
-            _ARROW_STATUS,
+            _ARROWS,
             {
-                None: ArrowStatus(False, None, False),
+                (False, None, False): None,
                 **{
-                    ArrowReport(d, s): ArrowStatus(True, d, s)
+                    (True, d.value, s): ArrowReport(d, s)
                     for d, s in itertools.product(DIRECTIONS, (False, True))
                 },
             },
@@ -218,21 +216,21 @@ def test_a_stale_previous_observation_is_refused():
 def test_shared_value_tables_hold_every_combination_once(table, expected):
     assert table == expected
     assert len(set(table.values())) == len(table)
-    for value in table.values():
+    for value in (v for v in table.values() if v is not None):
         field = dataclasses.fields(value)[0].name
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(value, field, getattr(value, field))
 
 
 # ---------------------------------------------------------------------------
-# Suggestions
+# Frontier and shot options
 
 
 def test_frontier_sorted_row_major_from_start():
     world = make_world(n=3, gold=(3, 3))
-    suggestions = frontier_suggestions(world)
-    assert suggestions.frontier_cells == (Cell(2, 1), Cell(1, 2))
-    assert suggestions.shoot_options == (
+    obs = build_observation(world)
+    assert obs.frontier_cells == (Cell(2, 1), Cell(1, 2))
+    assert obs.shoot_options == (
         Direction.UP,
         Direction.DOWN,
         Direction.LEFT,
@@ -243,7 +241,7 @@ def test_frontier_sorted_row_major_from_start():
 def test_shoot_options_empty_after_arrow_spent():
     world = make_world(n=3, gold=(3, 3))
     apply_action(world, Action.shoot("left"))
-    assert frontier_suggestions(world).shoot_options == ()
+    assert build_observation(world).shoot_options == ()
 
 
 def test_frontier_empty_when_grid_exhausted():
@@ -251,14 +249,15 @@ def test_frontier_empty_when_grid_exhausted():
     apply_action(world, Action.move(2, 1))
     apply_action(world, Action.move(1, 2))
     apply_action(world, Action.move(2, 2))  # last cell; collects the gold
-    assert frontier_suggestions(world).frontier_cells == ()
+    assert build_observation(world).frontier_cells == ()
 
 
 def test_suggestions_agree_with_legal_moves():
     world = generate_world(WorldConfig(grid_size=4, num_pits=2, num_wumpus=1, seed=11))
     apply_action(world, Action.move(2, 1))
-    frontier_set = set(frontier_suggestions(world).frontier_cells)
-    actions = legal_actions_from(build_observation(world))
+    obs = build_observation(world)
+    frontier_set = set(obs.frontier_cells)
+    actions = legal_actions_from(obs)
     move_set = {a.target for a in actions if a.target is not None}
     assert frontier_set == move_set
 
@@ -347,12 +346,16 @@ def test_decoding_shares_cells_shot_options_and_arrow_states():
     assert observation_from_dict(observation_to_dict(obs)) == obs
     assert first.current_position is second.current_position
     assert first.breeze_locations[0] is second.breeze_locations[0]
-    assert first.suggestions.shoot_options is DIRECTIONS
-    assert first.arrow_status is obs.arrow_status
+    assert first.shoot_options is DIRECTIONS
+    assert first.arrow is None
     apply_action(world, Action.shoot("up"))
-    fired = observation_from_dict(observation_to_dict(build_observation(world)))
-    assert fired.suggestions.shoot_options == ()
-    assert fired.arrow_status is _ARROW_STATUS[world.arrow_report]
+    fired, again = (
+        observation_from_dict(observation_to_dict(build_observation(world)))
+        for _ in range(2)
+    )
+    assert fired.shoot_options == ()
+    assert fired.arrow == world.arrow_report
+    assert fired.arrow is again.arrow
 
 
 def _replace_first_cell(data, key, value):
@@ -374,6 +377,10 @@ def _replace_first_cell(data, key, value):
         lambda data: data[KEY_SUGGESTIONS].update({"shoot_options": "up"}),
         lambda data: data[KEY_SUGGESTIONS].update({"shoot_options": ["UP"]}),
         lambda data: data[KEY_SUGGESTIONS].pop("frontier_cells"),
+        lambda data: data[KEY_SUGGESTIONS].update({"shoot_options": ["up"]}),
+        lambda data: data[KEY_SUGGESTIONS]["shoot_options"].reverse(),
+        lambda data: data[KEY_SUGGESTIONS].update({"shoot_options": []}),
+        lambda data: data[KEY_ARROW].update({"fired": True, "direction": "up"}),
         lambda data: data[KEY_ARROW].update({"direction": ["up"]}),
         lambda data: data[KEY_ARROW].update({"shots": 1}),
         lambda data: data.update({KEY_ARROW: None}),
@@ -393,6 +400,10 @@ def _replace_first_cell(data, key, value):
         "string-for-shot-list",
         "unknown-direction",
         "missing-suggestions-key",
+        "one-shot-option-before-the-shot",
+        "shot-options-out-of-order",
+        "no-shot-options-before-the-shot",
+        "shot-options-after-the-shot",
         "unhashable-direction",
         "unknown-arrow-key",
         "null-arrow",

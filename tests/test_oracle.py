@@ -39,7 +39,6 @@ from wumpusbench import (
 from wumpusbench import oracle as oracle_module
 from wumpusbench.errors import InconsistentPerceptsError
 from wumpusbench.harness import DEFAULT_CONDITIONS
-from wumpusbench.observation import ArrowStatus, Suggestions
 from wumpusbench.oracle import (
     KnowledgeBase,
     ShotRecord,
@@ -51,7 +50,7 @@ from wumpusbench.oracle import (
     observe,
     oracle_policy,
 )
-from wumpusbench.world import DIRECTIONS, sort_key
+from wumpusbench.world import ArrowReport, sort_key
 
 ZONE = {Cell(1, 1), Cell(1, 2), Cell(2, 1)}
 ALL_3X3 = {Cell(x, y) for x in range(1, 4) for y in range(1, 4)}
@@ -69,15 +68,8 @@ def seen(position, breeze=False, stench=False, shot=None, scream=False, frontier
         quiet_locations=(),
         breeze_locations=(cell,) if breeze else (),
         stench_locations=(cell,) if stench else (),
-        suggestions=Suggestions(
-            frontier_cells=tuple(Cell(*c) for c in frontier),
-            shoot_options=() if shot else DIRECTIONS,
-        ),
-        arrow_status=ArrowStatus(
-            fired=shot is not None,
-            direction=None if shot is None else Direction(shot),
-            scream_heard=scream,
-        ),
+        frontier_cells=tuple(Cell(*c) for c in frontier),
+        arrow=None if shot is None else ArrowReport(Direction(shot), scream),
     )
 
 
@@ -540,11 +532,11 @@ def reference_policy(kb, obs):
     counts' ``is_safe``, else a certain kill shot, else exit."""
     counts = kb.counts
     dead = kb.wumpus_known_dead
-    safe = [c for c in obs.suggestions.frontier_cells if counts.is_safe(c, dead)]
+    safe = [c for c in obs.frontier_cells if counts.is_safe(c, dead)]
     if safe:
         target = min(safe, key=sort_key)
         return Action.move(target.x, target.y)
-    if obs.suggestions.shoot_options and not dead:
+    if obs.shoot_options and not dead:
         certain = [c for c, n in counts.wumpus.items() if n == counts.total]
         if len(certain) == 1:
             direction = _direction_toward(obs.current_position, certain[0])
@@ -574,13 +566,7 @@ def test_policy_plays_the_first_rule_in_any_frontier_order(play):
         action = oracle_policy(kb, obs)
         assert action == reference_policy(kb, obs)
         kinds.add(action.kind)
-        suggestions = obs.suggestions
-        reversed_frontier = dataclasses.replace(
-            obs,
-            suggestions=Suggestions(
-                suggestions.frontier_cells[::-1], suggestions.shoot_options
-            ),
-        )
+        reversed_frontier = dataclasses.replace(obs, frontier_cells=obs.frontier_cells[::-1])
         assert oracle_policy(kb, reversed_frontier) == action
         assert reference_policy(kb, reversed_frontier) == action
     assert ActionKind.MOVE in kinds and ActionKind.EXIT in kinds
@@ -750,13 +736,11 @@ def test_memo_tells_a_missed_shot_from_a_scream():
 
 
 def test_memo_tells_apart_observations_that_differ_only_in_suggestions():
-    # In play the suggestions follow from the percept lists, but the policy
-    # reads them, so observations handed in by a caller may differ there only.
+    # In play the frontier follows from the percept lists, but the policy
+    # reads it, so observations handed in by a caller may differ there only.
     oracle_module.clear_memo()
     obs = build_observation(make_world(n=3, wumpus=(3, 3), gold=(3, 1)))
-    narrowed = dataclasses.replace(
-        obs, suggestions=Suggestions((Cell(1, 2),), obs.suggestions.shoot_options)
-    )
+    narrowed = dataclasses.replace(obs, frontier_cells=(Cell(1, 2),))
     assert OracleAgent(3, 0, 1).decide(obs).action == Action.move(2, 1)
     assert OracleAgent(3, 0, 1).decide(narrowed).action == Action.move(1, 2)
 

@@ -150,6 +150,14 @@ def test_parse_verdict_last_confidence_wins():
     assert parse_critic_verdict(text).confidence == 0.8
 
 
+def test_a_restated_verdict_is_read_from_the_restatement():
+    text = (
+        "Confidence: 0.9\nAlternative: none\nRationale: looks fine.\n\n"
+        "On reflection:\nConfidence: 0.2\nAlternative: <exit>\nRationale: too risky."
+    )
+    assert parse_critic_verdict(text) == CriticVerdict(0.2, Action.exit(), "too risky.")
+
+
 @pytest.mark.parametrize("number", ["15%", "10", "05", "0,8"])
 def test_parse_verdict_reads_the_whole_number(number):
     # Each starts with a digit that alone would be an in-range confidence.
