@@ -380,11 +380,13 @@ class ChatClient:
         try:
             content = body["choices"][0]["message"]["content"]
             usage = body["usage"]
-            prompt = int(usage["prompt_tokens"])
-            completion = int(usage["completion_tokens"])
-            total = int(usage.get("total_tokens", prompt + completion))
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            prompt, completion = usage["prompt_tokens"], usage["completion_tokens"]
+        except (KeyError, IndexError, TypeError) as exc:
             raise ProtocolError(f"malformed chat response: {exc}") from exc
+        # JSON ints only: int() would read 12.9, true or "12" as a count.
+        if not type(prompt) is int is type(completion) is type(usage.get("total_tokens", 0)):
+            raise ProtocolError(f"chat response token counts must be ints: {usage!r:.200}")
+        total = usage.get("total_tokens", prompt + completion)
         if not isinstance(content, str):
             raise ProtocolError("chat response content is not text")
         record = UsageRecord(

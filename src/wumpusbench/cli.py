@@ -81,11 +81,22 @@ _FLAGS = ("endpoint", "model", "mechanism", "critic_model", "critic_threshold", 
 
 
 def _build_matrix(args, config: RunConfig) -> TrialMatrix:
+    """The matrix of ``--matrix`` or the config's ``matrix``, else the default
+    one; ``--seed`` and ``--step-limit`` set only the default one's."""
+    given = {"master_seed": args.seed, "step_limit": args.step_limit}
+    given = {name: value for name, value in given.items() if value is not None}
     if args.matrix and args.matrix != "default":
-        return matrix_from_dict(_load_json(args.matrix))
-    if args.matrix is None and config.matrix is not None:
-        return matrix_from_dict(config.matrix)
-    return default_matrix(master_seed=args.seed, step_limit=args.step_limit)
+        data = _load_json(args.matrix)
+    elif args.matrix is None and config.matrix is not None:
+        data = config.matrix
+    else:
+        return default_matrix(**given)
+    if given:
+        raise ConfigurationError(
+            "--seed and --step-limit apply only to the default matrix; "
+            "a matrix sets its own master_seed and step_limit"
+        )
+    return matrix_from_dict(data)
 
 
 def _script_actions(path: str) -> list[Action]:
@@ -271,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--matrix", help="matrix JSON file, or 'default' for the standard six conditions"
     )
-    run.add_argument("--seed", type=int, default=0, help="master seed for trial seeds")
-    run.add_argument("--step-limit", type=int, default=50)
+    run.add_argument("--seed", type=int, help="default matrix's master seed (default 0)")
+    run.add_argument("--step-limit", type=int, help="default matrix's step limit (default 50)")
     run.add_argument("--actions", help="JSON action list for --agent scripted")
     run.add_argument("--parallelism", type=int, default=1)
     run.add_argument("--out", help="append episode records to this JSONL file")

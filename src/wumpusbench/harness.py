@@ -7,26 +7,25 @@ serialize one-per-line to an append-only JSONL log; loading a record and
 re-simulating it from the seed must reproduce every observation, reward and
 the final score, which :func:`verify_record` enforces.
 
-A logged action is its canonical text, and reading decodes it by exact match
-from a table of shared actions: the five token actions, and each move text
-added on first use after one full match of ``move to position (x,y)`` with
-plain decimal coordinates. Only text that fails the match goes to the
-free-text reply parser, which names the fault: no recognizable action, or a
-non-canonical text. A round keeps the :class:`Observation` its agent saw; the
-log holds its eight-key wire form, built as the record is written and decoded
-exactly as it is read. The model names and a round's guess are checked for
-the shapes that the agents write.
+A logged action is its canonical text. Reading hands it to the free-text
+reply parser, :func:`parse_action`, and accepts it only when the action found
+renders back to exactly that text, so the log has no grammar of its own; a
+fault is named as no recognizable action or as a non-canonical text. Each
+distinct text is parsed once, and its action is the one shared object that
+:class:`Action`'s constructors hand out. A round keeps the
+:class:`Observation` its agent saw; the log holds its eight-key wire form,
+built as the record is written and decoded exactly as it is read. The model
+names and a round's guess are checked for the shapes that the agents write.
 """
 
 from __future__ import annotations
 
 import json
 import random
-import re
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
-from functools import cache
+from functools import cache, lru_cache
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import Callable, Iterable, Iterator, get_args, get_origin, get_type_hints
@@ -47,7 +46,6 @@ from .world import (
     Action,
     ActionKind,
     Cell,
-    DIRECTIONS,
     Status,
     WorldConfig,
     WorldState,
@@ -516,44 +514,18 @@ def _map_check(hint, name: str, keys, values) -> Callable | None:
     return check
 
 
-# A move's canonical text, with its coordinates in plain decimal, as
-# Action.to_text writes it.
-_CANONICAL_MOVE = re.compile(
-    r"move to position \((0|[1-9][0-9]*),(0|[1-9][0-9]*)\)"
-)
-
-
-class _ActionTable(dict):
-    """Decoded actions keyed by their canonical text, then shared: the five
-    token actions from the start, and each move on first use, so the move
-    pattern runs once per distinct text. At most ``_ACTION_TABLE_SIZE``
-    texts are kept; any later move is decoded each time."""
-
-    def __missing__(self, text: str) -> Action:
-        match = _CANONICAL_MOVE.fullmatch(text)
-        if match is None:
-            # Looked up per call, so a wrapper set on this module's attribute
-            # sees it.
-            parse_action(text)
-            raise LogCorruptionError(f"non-canonical action text {text!r}")
-        action = Action.move(int(match[1]), int(match[2]))
-        if len(self) < _ACTION_TABLE_SIZE:
-            self[text] = action
-        return action
-
-
-_ACTION_TABLE_SIZE = 4096  # the five tokens and the moves of most of a 64x64 grid
-_ACTIONS = _ActionTable(
-    (action.to_text(), action)
-    for action in (*map(Action.shoot, DIRECTIONS), Action.exit())
-)
-
-
+@lru_cache(maxsize=4096)  # the five tokens and most moves of a 64x64 grid
 def _decode_action(text: str) -> Action:
-    """The action a log wrote as ``text``, which must be its canonical text,
-    matched exactly. Other text is refused: as unparseable when
-    :func:`parse_action` finds no action in it, else as non-canonical."""
-    return _ACTIONS[text]
+    """The action a log wrote as ``text``, which must be its canonical text:
+    :func:`parse_action` must find an action in it that renders back to
+    exactly ``text``. Other text is refused: as unparseable when no action is
+    found, else as non-canonical. Each accepted text is parsed once."""
+    # parse_action is looked up per call, so a wrapper set on this module's
+    # attribute sees it.
+    action = parse_action(text)
+    if action.to_text() != text:
+        raise LogCorruptionError(f"non-canonical action text {text!r}")
+    return action
 
 
 _SCALARS = (bool, int, float, str, NoneType)
@@ -680,11 +652,21 @@ def verify_record(record: EpisodeRecord) -> WorldState:
     divergence (wrong round index, observation, reward, score, status, success
     or kill). A logged action that is illegal in the replayed world raises
     :class:`IllegalActionError` before its round's observation is compared. A
-    ``harness_error`` record never verifies: its replay is left running.
+    ``harness_error`` record never verifies: its replay is left running. A
+    ``protocol_failure`` record verifies only when its replay is left running,
+    since its agent failed to act, and a round flagged ``protocol-failure``
+    may only be the last round of such a record.
     """
+    failed = record.status == Status.PROTOCOL_FAILURE.value
     for position, round_record in enumerate(record.rounds):
         if round_record.index != position:
             raise ReplayMismatchError(f"round {position}: logged index {round_record.index}")
+        last = position == len(record.rounds) - 1
+        if "protocol-failure" in round_record.flags and not (failed and last):
+            raise ReplayMismatchError(
+                f"round {position}: a protocol-failure round must be the last "
+                "round of a protocol_failure record"
+            )
     state = generate_world(record.config)
     for round_record, observation, reward in _replay(state, record):
         if observation != round_record.observation:
@@ -705,9 +687,10 @@ def verify_record(record: EpisodeRecord) -> WorldState:
             raise ReplayMismatchError(
                 f"final {name} {replayed} != logged {getattr(record, name)}"
             )
-    if record.status != Status.PROTOCOL_FAILURE.value and state.status.value != record.status:
+    expected = Status.RUNNING.value if failed else record.status
+    if state.status.value != expected:
         raise ReplayMismatchError(
-            f"final status {state.status.value} != logged {record.status}"
+            f"final status {state.status.value} != {expected} (logged {record.status})"
         )
     return state
 

@@ -28,6 +28,7 @@ chain-of-thought replies can mention candidates before the final choice):
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from bisect import bisect_left
@@ -201,20 +202,9 @@ def observation_to_json(obs: Observation) -> str:
     return json.dumps(observation_to_dict(obs), indent=2)
 
 
-class _CellTable(dict):
-    """Decoded cells keyed by their (x, y) pair, each built on first use and
-    then shared: a lookup costs less than building a ``Cell``. At most
-    ``_CELL_TABLE_SIZE`` cells are kept; any later one is built each time."""
-
-    def __missing__(self, pair: tuple[int, int]) -> Cell:
-        cell = Cell(*pair)
-        if len(self) < _CELL_TABLE_SIZE:
-            self[pair] = cell
-        return cell
-
-
-_CELL_TABLE_SIZE = 4096  # every cell of a 64x64 grid
-_CELLS = _CellTable()
+# Decoded cells, each built on first use and then shared: a lookup costs less
+# than building a ``Cell``. The last 4096 pairs used (a 64x64 grid) are kept.
+_cell = functools.lru_cache(maxsize=4096)(Cell)
 _LISTS = frozenset((list, tuple))
 _KEYS = frozenset(OBSERVATION_KEYS)
 _SUGGESTION_KEYS = frozenset(("frontier_cells", "shoot_options"))
@@ -251,7 +241,7 @@ def _cells(raw, name: str) -> tuple[Cell, ...]:
     test matters: a float or a bool would find the cell of the int it equals."""
     if type(raw) in _LISTS:
         try:
-            cells = [_CELLS[x, y] for x, y in raw if type(x) is int is type(y)]
+            cells = [_cell(x, y) for x, y in raw if type(x) is int is type(y)]
         except (TypeError, ValueError):  # an item that is not a pair
             cells = ()
         if len(cells) == len(raw):

@@ -200,7 +200,6 @@ class _Grid(NamedTuple):
     cells: _CellSets  # the cells of a mask
     neighbors: dict[Cell, int]  # mask of each cell's in-grid 4-neighbors
     zeros: dict[Cell, int]  # every cell with a count of 0
-    moves: dict[Cell, Action]  # the one move action into each cell
     empty: _Constraints  # what a knowledge base with no record or shot says
 
     @staticmethod
@@ -230,7 +229,6 @@ def _grid(n: int) -> _Grid:
         cells=_CellSets(cell),
         neighbors={c: mask(geo.neighbors[c]) for c in geo.cells},
         zeros=dict.fromkeys(bit, 0),
-        moves={c: Action.move(c.x, c.y) for c in geo.cells},
         empty=_Constraints(hazard_zone, 0, (), hazard_zone, False),
     )
 
@@ -465,7 +463,8 @@ def oracle_policy(kb: KnowledgeBase, obs: Observation) -> Action:
         if not pit[c] and (dead or not wumpus[c])
     ]
     if safe_frontier:
-        return _grid(kb.grid_size).moves[min(safe_frontier, key=sort_key)]
+        target = min(safe_frontier, key=sort_key)
+        return Action.move(target.x, target.y)
     if obs.arrow is None and not dead:
         certain = [c for c, n in wumpus.items() if n == total]
         if len(certain) == 1:

@@ -30,6 +30,10 @@ against the predicate, cell by cell, along seeded random play. Only a fresh
 observation calls it: during play each observation advances the frontier by
 the neighbors of the one cell explored since the last.
 
+:class:`Action` owns its spelling, :meth:`Action.to_text`, and its sharing: the
+constructors hand out one object per action (``"up"`` and ``Direction.UP``
+name one shot), so the parser, the oracle and the log reader share them.
+
 :class:`WorldState` stores the layout, the percept log, the arrow report, the
 status and the reward ledger; its other attributes are read-only views of them.
 """
@@ -144,7 +148,8 @@ class Action:
     """One of: move to a frontier cell, shoot in a direction, or exit.
 
     The canonical text forms are ``move to position (x,y)``, ``<shootup>``
-    (likewise down/left/right) and ``<exit>``.
+    (likewise down/left/right) and ``<exit>``. The three constructors hand
+    out one shared, frozen object per action.
     """
 
     kind: ActionKind
@@ -152,14 +157,21 @@ class Action:
     direction: Direction | None = None
 
     @staticmethod
+    # The moves of a 64x64 grid; typed, so that 1.0 and True never stand for 1.
+    @functools.lru_cache(maxsize=4096, typed=True)
     def move(x: int, y: int) -> "Action":
         return Action(ActionKind.MOVE, target=Cell(x, y))
 
     @staticmethod
+    @functools.cache
     def shoot(direction: Direction | str) -> "Action":
-        return Action(ActionKind.SHOOT, direction=Direction(direction))
+        if type(direction) is not Direction:
+            # The cache keys "up" and Direction.UP apart; both get one action.
+            return Action.shoot(Direction(direction))
+        return Action(ActionKind.SHOOT, direction=direction)
 
     @staticmethod
+    @functools.cache
     def exit() -> "Action":
         return Action(ActionKind.EXIT)
 

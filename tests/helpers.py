@@ -286,10 +286,24 @@ def reference_build_observation(state: WorldState) -> Observation:
     )
 
 
+# A move's canonical text, with its coordinates in plain decimal, as
+# Action.to_text writes it.
+_CANONICAL_MOVE = re.compile(r"move to position \((0|[1-9][0-9]*),(0|[1-9][0-9]*)\)")
+_TOKEN_ACTIONS = {
+    action.to_text(): action
+    for action in (*map(Action.shoot, ("up", "down", "left", "right")), Action.exit())
+}
+
+
 def reference_decode_action(text: str) -> Action:
-    """A logged action text decoded by the reply parser, accepted only when
-    the action renders back to exactly ``text``."""
-    action = parse_action(text)
-    if action.to_text() != text:
+    """A logged action text decoded by its own grammar: a token action by
+    exact match, a move by one full match of its canonical pattern. Other
+    text is refused as the package refuses it: as unparseable when the reply
+    parser finds no action in it, else as non-canonical."""
+    if text in _TOKEN_ACTIONS:
+        return _TOKEN_ACTIONS[text]
+    match = _CANONICAL_MOVE.fullmatch(text)
+    if match is None:
+        parse_action(text)
         raise LogCorruptionError(f"non-canonical action text {text!r}")
-    return action
+    return Action.move(int(match[1]), int(match[2]))

@@ -20,6 +20,7 @@ from wumpusbench import (
     MockReply,
     OracleAgent,
     cli,
+    default_matrix,
     matrix_from_dict,
     read_records,
     verify_record,
@@ -311,6 +312,15 @@ def test_matrix_default_flag_wins_over_the_config_matrix(tmp_path, capsys):
     assert len(read_records(out)) == 150
 
 
+def test_seed_and_step_limit_flags_set_the_default_matrix(tmp_path):
+    out = tmp_path / "episodes.jsonl"
+    argv = ["run", "--seed", "7", "--step-limit", "3", "--quiet", "--out", str(out)]
+    assert main(argv) == 0
+    records = read_records(out)
+    expected = default_matrix(master_seed=7, step_limit=3).configs()
+    assert [r.config for r in records] == [config for _, config in expected]
+
+
 V1_LOG = Path(__file__).resolve().parent / "fixtures" / "v1.jsonl"
 
 
@@ -363,6 +373,18 @@ LLM_CONFIG = '{"endpoint": "http://127.0.0.1:9/v1", "model": "m", %s}'
             '{"conditions": [{"grid_size": 2, "num_pits": 2, "num_wumpus": 1, "trials": 3}]}',
             ["run", "--matrix"],
             "condition 0 (2x2_p2_w1): 2 pits and 1 wumpus do not fit",
+        ),
+        (
+            "matrix.json",
+            '{"trials_per_condition": 1}',
+            ["run", "--quiet", "--out", "episodes.jsonl", "--seed", "7", "--matrix"],
+            "--seed and --step-limit apply only to the default matrix",
+        ),
+        (
+            "config.json",
+            '{"matrix": {"trials_per_condition": 1}}',
+            ["run", "--quiet", "--out", "episodes.jsonl", "--step-limit", "3", "--config"],
+            "--seed and --step-limit apply only to the default matrix",
         ),
         (None, None, ["replay", "--log"], "missing.jsonl"),
         (
@@ -480,6 +502,8 @@ LLM_CONFIG = '{"endpoint": "http://127.0.0.1:9/v1", "model": "m", %s}'
         "too-deeply-nested-json",
         "too-deeply-nested-log",
         "matrix-condition-does-not-fit",
+        "matrix-file-with-seed-flag",
+        "config-matrix-with-step-limit-flag",
         "missing-log",
         "config-temperature-not-a-number",
         "config-mechanism-not-a-string",

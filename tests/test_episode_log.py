@@ -21,6 +21,7 @@ import pytest
 
 from helpers import reference_decode_action
 from wumpusbench import (
+    Action,
     ChatClient,
     LlmAgent,
     MockChatServer,
@@ -373,3 +374,11 @@ def test_a_move_text_decodes_to_one_shared_action():
     # A refused text is refused again, not remembered.
     for _ in range(2):
         assert decoded(_decode_action, "move to position (01,2)")[0] is LogCorruptionError
+
+
+def test_a_read_action_is_the_object_the_parser_and_the_constructor_hand_out():
+    action = _decode_action("move to position (3,7)")
+    assert action is parse_action("Action: move to position (3,7)")
+    assert action is Action.move(3, 7)
+    assert _decode_action("<shootup>") is parse_action("<SHOOTUP>") is Action.shoot("up")
+    assert _decode_action("<exit>") is Action.exit()

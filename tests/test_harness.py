@@ -556,6 +556,39 @@ def test_verify_record_refuses_a_round_index_other_than_its_position(
         verify_record(edited)
 
 
+def test_verify_record_refuses_a_death_relabelled_as_a_protocol_failure():
+    # Seed 0 puts the one pit at (1,3), straight up from the start.
+    config = WorldConfig(grid_size=3, num_pits=1, num_wumpus=0, seed=0)
+    script = ["move to position (1,2)", "move to position (1,3)"]
+    record = run_episode(config, ScriptedAgent(script), agent_kind="scripted")
+    assert record.status == "death_pit"
+    verify_record(record)
+    # As a protocol failure the death would leave every rate.
+    forged = dataclasses.replace(record, status="protocol_failure")
+    with pytest.raises(
+        ReplayMismatchError,
+        match=r"^final status death_pit != running \(logged protocol_failure\)$",
+    ):
+        verify_record(forged)
+
+
+def test_verify_record_refuses_a_round_after_a_protocol_failure():
+    config = WorldConfig(grid_size=3, num_pits=0, num_wumpus=0, seed=9)
+    record = run_episode(config, ScriptedAgent(["<shootup>"]), agent_kind="scripted")
+    assert record.status == "protocol_failure"
+    verify_record(record)
+    placeholder = record.rounds[-1]
+    assert placeholder.flags == ["protocol-failure"]
+    # A round past the placeholder would never be replayed.
+    record.rounds.append(dataclasses.replace(placeholder, index=len(record.rounds), flags=[]))
+    with pytest.raises(
+        ReplayMismatchError,
+        match="^round 1: a protocol-failure round must be the last round of a "
+        "protocol_failure record$",
+    ):
+        verify_record(record)
+
+
 def test_endpoint_failure_keeps_the_spend_of_the_failed_round():
     config = WorldConfig(grid_size=3, num_pits=0, num_wumpus=0, seed=9)
     planner = 'Analysis: a\nGuess: {"wumpus": [], "pits": []}\nAction: <exit>'

@@ -520,12 +520,14 @@ def test_an_undecodable_body_fails_at_once(clean_environment, coding, message):
     assert session.posts == 1
 
 
-NOT_TEXT = json.dumps(
-    {
-        "choices": [{"message": {"role": "assistant", "content": 42}}],
-        "usage": {"prompt_tokens": 3, "completion_tokens": 2},
-    }
-).encode()
+def completion_with(content, usage) -> bytes:
+    body = json.dumps(
+        {"choices": [{"message": {"role": "assistant", "content": content}}], "usage": usage}
+    ).encode()
+    return http_response(body, f"Content-Length: {len(body)}")
+
+
+NOT_TEXT = completion_with(42, {"prompt_tokens": 3, "completion_tokens": 2})
 
 
 @pytest.mark.parametrize(
@@ -546,13 +548,29 @@ NOT_TEXT = json.dumps(
             ProtocolError,
             "^response body is not JSON",
         ),
-        (
-            http_response(NOT_TEXT, f"Content-Length: {len(NOT_TEXT)}"),
-            ProtocolError,
-            "^chat response content is not text$",
+        (NOT_TEXT, ProtocolError, "^chat response content is not text$"),
+        *(
+            (completion_with("ok", usage), ProtocolError, "^chat response token counts must")
+            for usage in (
+                {"prompt_tokens": 12.9, "completion_tokens": 3},
+                {"prompt_tokens": 12, "completion_tokens": True},
+                {"prompt_tokens": "12", "completion_tokens": 3},
+                {"prompt_tokens": 12, "completion_tokens": 3, "total_tokens": 15.0},
+                {"prompt_tokens": 12, "completion_tokens": 3, "total_tokens": None},
+            )
         ),
     ],
-    ids=["unauthorized", "not-json", "too-deeply-nested", "content-not-text"],
+    ids=[
+        "unauthorized",
+        "not-json",
+        "too-deeply-nested",
+        "content-not-text",
+        "fractional-prompt-tokens",
+        "bool-completion-tokens",
+        "string-prompt-tokens",
+        "fractional-total-tokens",
+        "null-total-tokens",
+    ],
 )
 def test_a_refused_or_malformed_answer_is_not_retried(
     clean_environment, response, error, message

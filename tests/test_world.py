@@ -248,6 +248,16 @@ def test_initial_legal_actions_match_brute_force_frontier():
     assert Action.exit() in actions
 
 
+def test_action_constructors_hand_out_one_object_per_action():
+    assert Action.move(3, 7) is Action.move(3, 7)
+    # An equal float or bool gets its own action, not the shared int one.
+    assert Action.move(4.0, True).to_text() == "move to position (4.0,True)"
+    assert Action.move(4, 1).to_text() == "move to position (4,1)"
+    assert Action.shoot("up") is Action.shoot(Direction.UP)
+    assert Action.shoot(Direction.DOWN) is Action.shoot("down")
+    assert Action.exit() is Action.exit()
+
+
 def test_frontier_grows_with_exploration():
     world = make_world(n=3, wumpus=(3, 3), gold=(3, 2))
     apply_action(world, Action.move(2, 1))
