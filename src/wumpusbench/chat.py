@@ -387,6 +387,15 @@ class ChatClient:
         if not type(prompt) is int is type(completion) is type(usage.get("total_tokens", 0)):
             raise ProtocolError(f"chat response token counts must be ints: {usage!r:.200}")
         total = usage.get("total_tokens", prompt + completion)
+        if prompt < 0 or completion < 0:
+            raise ProtocolError(
+                f"chat response token counts must not be negative: {usage!r:.200}"
+            )
+        if total != prompt + completion:
+            raise ProtocolError(
+                f"chat response total_tokens {total} != prompt_tokens {prompt} "
+                f"+ completion_tokens {completion}"
+            )
         if not isinstance(content, str):
             raise ProtocolError("chat response content is not text")
         record = UsageRecord(

@@ -15,7 +15,9 @@ distinct text is parsed once, and its action is the one shared object that
 :class:`Action`'s constructors hand out. A round keeps the
 :class:`Observation` its agent saw; the log holds its eight-key wire form,
 built as the record is written and decoded exactly as it is read. The model
-names and a round's guess are checked for the shapes that the agents write.
+names and a round's guess are checked for the shapes that the agents write,
+and a call's token counts for what the chat client accepts: none negative,
+and the total their sum.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from types import NoneType, UnionType
 from typing import Callable, Iterable, Iterator, get_args, get_origin, get_type_hints
 
 from .agents import Agent, CompletionLog, Decision, _cell_pairs
+from .chat import UsageRecord
 from .errors import (
     ConfigurationError, EpisodeProtocolFailure, LogCorruptionError, ReplayMismatchError,
     WumpusBenchError,
@@ -456,8 +459,28 @@ def _decode_guess(guess):
 
 
 _GUESS_KEYS = frozenset(("wumpus", "pits"))
-# Fields whose annotation does not say the shape of their JSON form.
-_FIELD_DECODERS = {"RoundRecord.guess": _decode_guess}
+
+
+def _decode_usage(data) -> UsageRecord:
+    """A call's logged usage, held to what the chat client accepts from an
+    endpoint: no count is negative, and the total is the sum of the two."""
+    usage = _decoder(UsageRecord)(data)
+    for name in ("prompt_tokens", "completion_tokens"):
+        if (count := getattr(usage, name)) < 0:
+            raise LogCorruptionError(
+                f"CompletionLog.usage.{name} must not be negative, not {count}"
+            )
+    if usage.total_tokens != usage.prompt_tokens + usage.completion_tokens:
+        raise LogCorruptionError(
+            f"CompletionLog.usage.total_tokens {usage.total_tokens} != prompt_tokens "
+            f"{usage.prompt_tokens} + completion_tokens {usage.completion_tokens}"
+        )
+    return usage
+
+
+# Fields whose annotation does not say the shape of their JSON form, or
+# whose values are held to more than their types.
+_FIELD_DECODERS = {"RoundRecord.guess": _decode_guess, "CompletionLog.usage": _decode_usage}
 
 
 def _value_decoder(hint, name: str) -> Callable | None:

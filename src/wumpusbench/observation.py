@@ -17,6 +17,22 @@ the world's own :class:`ArrowReport`, or ``None`` while it is unfired; the
 shot options follow from it (``DIRECTIONS`` itself until the shot, then
 ``()``), so they are read, not stored.
 
+Each distinct observation of play is built once per process. An observation
+depends only on the one before it and on what the latest action revealed, so
+a process-wide successor memo maps that to the observation built: the key is
+``previous`` (by identity), the grid size, the wumpus and pit counts, the
+agent's cell with its breeze and stench, and the arrow report. Equal
+observations across the episodes of a condition are thus one shared object,
+and the oracle's decision memo, which keys on observations, finds them by
+identity. A build without ``previous`` uses the memo only for a one-cell
+log, round 0; the replay behind ``verify_record`` builds every later round
+from scratch, so it still checks each observation play took from the memo.
+The stale-``previous`` checks run before the lookup. The memo holds at most
+4,096 entries, about 2 MiB, and is cleared when full; it holds nothing an
+agent may not see. Keying on ``previous``'s identity, not its value, spares a
+hash of the whole observation, and keeps every successor sharing its tuples
+with the very ``previous`` it was advanced from.
+
 Action grammar (case-insensitive, last match in the text wins so that
 chain-of-thought replies can mention candidates before the final choice):
 
@@ -31,6 +47,7 @@ from __future__ import annotations
 import functools
 import json
 import re
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -90,6 +107,15 @@ class Observation:
         return DIRECTIONS if self.arrow is None else ()
 
 
+# The successor memo: key -> (previous, observation); see the module
+# docstring. The value holds ``previous`` so that its id, which the key holds,
+# names no other object while the entry lives. Cleared when it reaches its
+# cap, which on 5x5 grids is about 2 MiB.
+_MEMO_ENTRIES = 4096
+_successors: dict[tuple, tuple[Observation | None, Observation]] = {}
+_successors_lock = threading.Lock()
+
+
 def build_observation(
     state: WorldState, previous: Observation | None = None
 ) -> Observation:
@@ -107,10 +133,61 @@ def build_observation(
     every tuple the action did not change is shared. Both give equal results.
     Raises :class:`ValueError` when the log shows that ``previous`` is stale:
     its position is neither the agent's cell nor the cell explored before it.
+
+    The result comes from the successor memo (see the module docstring) when
+    the same ``previous`` met the same revealed cell before, or when a
+    one-cell log met the same first cell; it is stored there otherwise.
     """
     log = state.percept_log
     visited = reversed(log)
     position = next(visited)
+    if previous is None:
+        if len(log) > 1:  # a build from scratch past round 0 skips the memo
+            return _build(state, None, position)
+    elif previous.current_position != position:
+        if previous.current_position != next(visited, None):
+            raise ValueError(
+                f"previous observation at {tuple(previous.current_position)} "
+                f"is stale for an agent at {tuple(position)}"
+            )
+        if position not in previous.frontier_cells:
+            raise ValueError(
+                f"previous observation is stale: its frontier lacks "
+                f"{tuple(position)}, the cell explored since"
+            )
+    config = state.config
+    percept = log[position]
+    key = (
+        id(previous),
+        config.grid_size,
+        config.num_wumpus,
+        config.num_pits,
+        position,
+        percept.breeze,
+        percept.stench,
+        state.arrow_report,
+    )
+    entry = _successors.get(key)
+    if entry is not None:
+        return entry[1]
+    entry = (previous, _build(state, previous, position))
+    _successors_lock.acquire()  # cheaper than ``with``, which each miss pays for
+    try:
+        if len(_successors) >= _MEMO_ENTRIES:
+            _successors.clear()
+        # A thread that stored the same key first wins, so both share it.
+        return _successors.setdefault(key, entry)[1]
+    finally:
+        _successors_lock.release()
+
+
+def _build(
+    state: WorldState, previous: Observation | None, position: Cell
+) -> Observation:
+    """The observation of ``state``, whose agent is at ``position``: from
+    scratch without ``previous``, else advanced from ``previous``, which the
+    caller has found not stale."""
+    log = state.percept_log
     if previous is None:
         quiet, breeze, stench = [], [], []
         for cell in sorted(log, key=sort_key):
@@ -129,17 +206,7 @@ def build_observation(
         stench = previous.stench_locations
         frontier_cells = previous.frontier_cells
         if previous.current_position != position:
-            if previous.current_position != next(visited, None):
-                raise ValueError(
-                    f"previous observation at {tuple(previous.current_position)} "
-                    f"is stale for an agent at {tuple(position)}"
-                )
             near = set(frontier_cells)
-            if position not in near:
-                raise ValueError(
-                    f"previous observation is stale: its frontier lacks "
-                    f"{tuple(position)}, the cell explored since"
-                )
             near.update(geometry(state.config.grid_size).neighbors[position])
             near.difference_update(log)
             frontier_cells = tuple(sorted(near, key=sort_key))

@@ -52,7 +52,12 @@ knowledge base, and each knowledge base remembers, per observation folded
 into it, the next knowledge base and the action played. The key is the whole
 observation, the only input besides the knowledge base, so a remembered
 decision is exactly the one :func:`observe` and :func:`oracle_policy` would
-make. Episodes of a condition thus share their opening rounds. A knowledge
+make. Episodes of a condition thus share their opening rounds. During play
+:func:`build_observation`'s successor memo hands out one shared object per
+distinct observation, keyed by the previous one and what the latest action
+revealed and capped at 4,096 entries, so a remembered key usually matches by
+identity, without comparing tuples; the replay still builds every round after
+the first from scratch. A knowledge
 base's size grows with the area of its grid, so the memo is capped at
 ``MEMO_CELLS`` grid cells held. Reaching the cap drops the shared starts
 and everything remembered from them; agents already playing keep their own

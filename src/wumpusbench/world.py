@@ -23,7 +23,9 @@ call; world generation copies its hazard pool from it. There are only eight
 percepts, and :func:`percepts_at` returns one of eight shared, frozen
 :class:`Percept` values instead of building one per cell entered. One predicate,
 :func:`_on_frontier`, decides whether a cell is a legal move target, and
-:func:`apply_action`'s legality check uses it. :func:`frontier` lists the
+:func:`apply_action`'s legality check uses it. A move reads the table once,
+for that check and for its percepts, which :func:`_percept` derives from the
+target's neighbors for it and for :func:`percepts_at`. :func:`frontier` lists the
 frontier from the neighbors of the explored cells instead, so its cost
 follows the explored region, not the grid area; the tests pin that listing
 against the predicate, cell by cell, along seeded random play. Only a fresh
@@ -369,7 +371,11 @@ def percepts_at(state: WorldState, cell: Cell) -> Percept:
     n = state.config.grid_size
     if not in_grid(cell, n):
         raise ConfigurationError(f"cell {cell} outside the {n}x{n} grid")
-    neighbors = geometry(n).neighbors[cell]
+    return _percept(state, cell, geometry(n).neighbors[cell])
+
+
+def _percept(state: WorldState, cell: Cell, neighbors: tuple[Cell, ...]) -> Percept:
+    """The percepts in in-grid ``cell``, whose in-grid neighbors are ``neighbors``."""
     breeze = not state.pit_cells.isdisjoint(neighbors)
     stench = state.wumpus_alive and state.wumpus_cell in neighbors
     glitter = state.gold_cell == cell
@@ -424,12 +430,13 @@ def apply_action(state: WorldState, action: Action) -> int:
         target = action.target
         if target is None or not in_grid(target, n):
             raise IllegalActionError(f"move target {target} outside the {n}x{n} grid")
-        if not _on_frontier(target, state.percept_log.keys(), geometry(n)):
+        geo = geometry(n)
+        if not _on_frontier(target, state.percept_log.keys(), geo):
             raise IllegalActionError(
                 f"move target {tuple(target)} is not an unexplored cell adjacent "
                 "to explored territory"
             )
-        state.percept_log[target] = percepts_at(state, target)
+        state.percept_log[target] = _percept(state, target, geo.neighbors[target])
         delta = cfg.move_penalty
         if target in state.pit_cells:
             delta += cfg.pit_death

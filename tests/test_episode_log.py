@@ -286,6 +286,34 @@ def test_integer_is_read_where_a_float_is_annotated(tmp_path):
     assert next(c for r in record.rounds for c in r.calls).usage.latency == 2
 
 
+@pytest.mark.parametrize(
+    "usage, message",
+    [
+        (
+            {"prompt_tokens": -5, "completion_tokens": 3, "total_tokens": -2},
+            r"CompletionLog\.usage\.prompt_tokens must not be negative, not -5",
+        ),
+        (
+            {"prompt_tokens": 5, "completion_tokens": -3, "total_tokens": 2},
+            r"CompletionLog\.usage\.completion_tokens must not be negative, not -3",
+        ),
+        (
+            {"prompt_tokens": 5, "completion_tokens": 3, "total_tokens": 999},
+            r"CompletionLog\.usage\.total_tokens 999 != prompt_tokens 5 \+ completion_tokens 3",
+        ),
+    ],
+    ids=["negative-prompt-tokens", "negative-completion-tokens", "total-not-the-sum"],
+)
+def test_an_impossible_token_count_is_log_corruption(tmp_path, usage, message):
+    data = next(json.loads(line) for line in v1_lines() if '"latency"' in line)
+    call = next(c for r in data["rounds"] for c in r["calls"])
+    call["usage"].update(usage)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(data) + "\n", encoding="utf-8")
+    with pytest.raises(LogCorruptionError, match=rf"bad\.jsonl: line 1: {message}$"):
+        read_records(bad)
+
+
 def test_missing_optional_key_takes_its_default(tmp_path):
     data = json.loads(v1_lines()[0])
     del data["error"]

@@ -37,6 +37,7 @@ from wumpusbench import (
     verify_record,
     write_records,
 )
+import wumpusbench.observation as observation_module
 from wumpusbench.errors import (
     ConfigurationError,
     LogCorruptionError,
@@ -45,6 +46,7 @@ from wumpusbench.errors import (
 )
 from wumpusbench.harness import DEFAULT_TRIALS_PER_CONDITION, Condition
 from wumpusbench.mockserver import script_from_json
+from wumpusbench.world import ArrowReport, Direction
 from wumpusbench.observation import (
     KEY_BREEZE,
     KEY_POSITION,
@@ -476,6 +478,29 @@ def test_a_logged_observation_that_differs_from_the_replay_is_refused(tmp_path, 
         ReplayMismatchError, match=f"round {index}: observation diverges"
     ):
         verify_record(edited)
+
+
+def test_the_audit_catches_a_wrong_observation_in_the_successor_memo(monkeypatch):
+    # Play takes round 1's observation from the successor memo; the replay
+    # builds every round after the first from scratch, so it refuses a wrong
+    # entry that play handed out.
+    memo = {}
+    monkeypatch.setattr(observation_module, "_successors", memo)
+    config = WorldConfig(grid_size=4, num_pits=1, num_wumpus=1, seed=3)
+    honest = run_episode(config, FirstFrontierAgent())
+    assert len(honest.rounds) > 2
+    verify_record(honest)
+    first, second = (r.observation for r in honest.rounds[:2])
+    [key] = [key for key, (previous, _) in memo.items() if previous is first]
+    wrong = dataclasses.replace(second, arrow=ArrowReport(Direction.UP, False))
+    memo[key] = (first, wrong)
+    record = run_episode(config, FirstFrontierAgent())
+    assert record.rounds[0].observation is first
+    assert record.rounds[1].observation is wrong
+    with pytest.raises(
+        ReplayMismatchError, match=r"^round 1: observation diverges from the log$"
+    ):
+        verify_record(record)
 
 
 def _logged_episode_with_a_breeze():

@@ -559,6 +559,27 @@ NOT_TEXT = completion_with(42, {"prompt_tokens": 3, "completion_tokens": 2})
                 {"prompt_tokens": 12, "completion_tokens": 3, "total_tokens": None},
             )
         ),
+        *(
+            (completion_with("ok", usage), ProtocolError, message)
+            for usage, message in (
+                (
+                    {"prompt_tokens": -5, "completion_tokens": 3, "total_tokens": 999},
+                    "^chat response token counts must not be negative",
+                ),
+                (
+                    {"prompt_tokens": 5, "completion_tokens": -3, "total_tokens": 2},
+                    "^chat response token counts must not be negative",
+                ),
+                (
+                    {"prompt_tokens": 5, "completion_tokens": 3, "total_tokens": 9},
+                    r"^chat response total_tokens 9 != prompt_tokens 5 \+ completion_tokens 3$",
+                ),
+                (
+                    {"prompt_tokens": 5, "completion_tokens": 3, "total_tokens": -8},
+                    r"^chat response total_tokens -8 != ",
+                ),
+            )
+        ),
     ],
     ids=[
         "unauthorized",
@@ -570,6 +591,10 @@ NOT_TEXT = completion_with(42, {"prompt_tokens": 3, "completion_tokens": 2})
         "string-prompt-tokens",
         "fractional-total-tokens",
         "null-total-tokens",
+        "negative-prompt-tokens",
+        "negative-completion-tokens",
+        "total-tokens-not-the-sum",
+        "negative-total-tokens",
     ],
 )
 def test_a_refused_or_malformed_answer_is_not_retried(

@@ -4,6 +4,8 @@ import dataclasses
 import itertools
 import json
 import random
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from wumpusbench import (
     ActionKind,
     Cell,
     Direction,
+    Observation,
     OracleAgent,
     Status,
     apply_action,
@@ -25,8 +28,12 @@ from wumpusbench import (
     matrix_from_dict,
     observation_to_json,
     parse_action,
+    run_episode,
+    run_trials,
+    verify_record,
     WorldConfig,
 )
+import wumpusbench.observation as observation_module
 from wumpusbench.errors import ActionParseError
 from wumpusbench.observation import (
     _ARROWS,
@@ -187,6 +194,97 @@ def test_a_stale_previous_observation_is_refused():
     apply_action(other, Action.move(2, 1))
     with pytest.raises(ValueError, match="stale: its frontier lacks"):
         build_observation(world, build_observation(other))
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty successor memo for this test alone."""
+    memo = {}
+    monkeypatch.setattr(observation_module, "_successors", memo)
+    return memo
+
+
+def test_a_previous_observation_gets_a_successor_for_each_grid_size(fresh_memo):
+    # The same walk on a 3x3 and a 4x4 grid sees equal observations until it
+    # reaches the 3x3 grid's edge, where the 4x4 frontier has one cell more.
+    small, large = make_world(n=3, gold=(3, 3)), make_world(n=4, gold=(4, 4))
+    before = build_observation(small)
+    assert build_observation(large) == before
+    for move in (Action.move(2, 1), Action.move(3, 1)):
+        apply_action(small, move)
+        apply_action(large, move)
+        after = build_observation(small, before)
+        # The 4x4 successor of the very object the 3x3 walk holds.
+        got = build_observation(large, before)
+        assert got == reference_build_observation(large)
+        assert after == reference_build_observation(small)
+        before = after
+    assert Cell(4, 1) in got.frontier_cells
+    assert Cell(4, 1) not in after.frontier_cells
+
+
+def test_the_episodes_of_a_condition_share_each_equal_observation(fresh_memo):
+    config = next(iter(default_matrix(0).configs()))[1]
+    seen: dict[Observation, Observation] = {}
+    repeated = 0
+    for seed in range(8):
+        record = run_episode(
+            dataclasses.replace(config, seed=seed),
+            OracleAgent(config.grid_size, config.num_pits, config.num_wumpus),
+            agent_kind="oracle",
+        )
+        for round_record in record.rounds:
+            obs = round_record.observation
+            if obs in seen:
+                assert seen[obs] is obs, (seed, round_record.index)
+                repeated += 1
+            seen[obs] = obs
+    assert repeated > 7  # more than each later episode's first round
+
+
+class _WatchedMemo(dict):
+    """A memo that notes its size after every entry stored, and lets other
+    threads run between reading its size and storing an entry."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def __len__(self):
+        size = super().__len__()
+        time.sleep(0)
+        return size
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.sizes.append(super().__len__())
+
+    def setdefault(self, key, value):
+        stored = super().setdefault(key, value)
+        self.sizes.append(super().__len__())
+        return stored
+
+
+@pytest.mark.parametrize("parallelism", [1, 8])
+def test_the_successor_memo_never_exceeds_its_cap(monkeypatch, parallelism):
+    memo = _WatchedMemo()
+    monkeypatch.setattr(observation_module, "_successors", memo)
+    monkeypatch.setattr(observation_module, "_MEMO_ENTRIES", 16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        records = run_trials(
+            default_matrix(0, trials_per_condition=4),
+            lambda config: OracleAgent(config.grid_size, config.num_pits, config.num_wumpus),
+            agent_kind="oracle",
+            parallelism=parallelism,
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert max(memo.sizes) == 16
+    assert memo.sizes.count(1) > 1  # it was cleared when full, and refilled
+    for record in records:
+        verify_record(record)
 
 
 @pytest.mark.parametrize(
