@@ -6,9 +6,12 @@ Speaks the prevailing commercial wire shape: POST a JSON body of
 is measured locally around the successful request. Transient failures
 (connection errors, timeouts, a broken chunked body, 429 and 5xx statuses)
 are retried with exponential backoff; any other failure raises
-``TransportError`` at once. An endpoint that is not an ``http`` or ``https``
-URL with a host and a valid port is refused with ``ConfigurationError`` when
-the client is built.
+``TransportError`` at once. After a 429 or 503 whose ``Retry-After`` is a
+whole number of seconds, the client waits the larger of its backoff and that
+value, which is capped at ``_MAX_RETRY_AFTER`` seconds; an HTTP date or a
+malformed value leaves the backoff as it is. An endpoint that is not an
+``http`` or ``https`` URL with a host and a valid port is refused with
+``ConfigurationError`` when the client is built.
 
 Credentials are never taken from config files: the client reads
 ``WUMPUSBENCH_API_KEY`` (falling back to ``OPENAI_API_KEY``) unless a key is
@@ -72,6 +75,9 @@ _TRANSIENT = (
     ChunkedEncodingError,
 )
 
+# The longest wait a Retry-After header can ask for, in seconds.
+_MAX_RETRY_AFTER = 60.0
+
 # Sessions whose environment lookup a client turned off: they still trusted
 # the environment, so every later client on them reads it too.
 _ENV_READ_BY_CLIENT: weakref.WeakSet[requests.Session] = weakref.WeakSet()
@@ -94,6 +100,17 @@ def _environment_settings(session: requests.Session, url: str) -> dict:
     if not session.auth:
         settings["auth"] = get_netrc_auth(url)
     return settings
+
+
+def _retry_after(response: requests.Response) -> float:
+    """The seconds a 429 or 503 ``response`` asks the client to wait, up to
+    ``_MAX_RETRY_AFTER``; 0 when it gives no whole number of seconds."""
+    if response.status_code not in (429, 503):
+        return 0.0
+    value = (response.headers.get("Retry-After") or "").strip()
+    if not (value.isascii() and value.isdigit()):  # an HTTP date, or malformed
+        return 0.0
+    return min(float(value), _MAX_RETRY_AFTER)
 
 
 def _readable(sock: socket.socket) -> bool:
@@ -339,9 +356,11 @@ class ChatClient:
             headers["Authorization"] = f"Bearer {self._api_key}"
 
         last_error: Exception | None = None
+        asked = 0.0  # seconds the last failed attempt's Retry-After asked for
         for attempt in range(self.max_retries + 1):
             if attempt:
-                time.sleep(self.backoff * 2 ** (attempt - 1))
+                time.sleep(max(self.backoff * 2 ** (attempt - 1), asked))
+                asked = 0.0
             started = time.perf_counter()
             try:
                 response = self._session.post(
@@ -360,6 +379,7 @@ class ChatClient:
                 last_error = TransportError(
                     f"endpoint returned {response.status_code}: {response.text[:200]}"
                 )
+                asked = _retry_after(response)
                 continue
             if response.status_code != 200:
                 raise TransportError(

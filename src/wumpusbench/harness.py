@@ -16,14 +16,23 @@ distinct text is parsed once, and its action is the one shared object that
 :class:`Observation` its agent saw; the log holds its eight-key wire form,
 built as the record is written and decoded exactly as it is read. The model
 names and a round's guess are checked for the shapes that the agents write,
-and a call's token counts for what the chat client accepts: none negative,
-and the total their sum.
+a call's token counts for what the chat client accepts (none negative, and
+the total their sum), and its latency for what a clock can measure: a finite
+number of seconds, not below zero.
+
+Each chat message text is interned as it is read (``sys.intern``). Every
+model call of an agent repeats one of a few system prompts, so a log of N
+calls would otherwise hold N copies of each; interned, equal texts share one
+``str`` for as long as any record refers to it, and the interpreter drops it
+with its last reference.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
+import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -273,14 +282,19 @@ DEFAULT_TRIALS_PER_CONDITION = 25
 
 @dataclass
 class TrialMatrix:
-    """Conditions with their per-trial seeds; seeds are distinct within a
-    condition."""
+    """Conditions with their per-trial seeds; seeds are non-negative and
+    distinct within a condition."""
 
     entries: list[tuple[Condition, tuple[int, ...]]]
     step_limit: int = 50
 
     def __post_init__(self):
         for i, (condition, seeds) in enumerate(self.entries):
+            # random.Random seeds with the absolute value: -7 plays 7's world.
+            if (lowest := min(seeds, default=0)) < 0:
+                raise ConfigurationError(
+                    f"condition {i} ({condition.label}) has a negative seed {lowest}"
+                )
             if len(set(seeds)) != len(seeds):
                 raise ConfigurationError(
                     f"condition {i} ({condition.label}) has duplicate seeds"
@@ -463,8 +477,15 @@ _GUESS_KEYS = frozenset(("wumpus", "pits"))
 
 def _decode_usage(data) -> UsageRecord:
     """A call's logged usage, held to what the chat client accepts from an
-    endpoint: no count is negative, and the total is the sum of the two."""
+    endpoint: no count is negative, and the total is the sum of the two. The
+    latency is a finite number of seconds, not below zero: ``json`` reads
+    ``NaN`` and ``Infinity``, which would turn every rate built on it to
+    nan."""
     usage = _decoder(UsageRecord)(data)
+    if not (math.isfinite(usage.latency) and usage.latency >= 0):
+        raise LogCorruptionError(
+            f"CompletionLog.usage.latency must be finite and not negative, not {usage.latency}"
+        )
     for name in ("prompt_tokens", "completion_tokens"):
         if (count := getattr(usage, name)) < 0:
             raise LogCorruptionError(
@@ -479,8 +500,13 @@ def _decode_usage(data) -> UsageRecord:
 
 
 # Fields whose annotation does not say the shape of their JSON form, or
-# whose values are held to more than their types.
-_FIELD_DECODERS = {"RoundRecord.guess": _decode_guess, "CompletionLog.usage": _decode_usage}
+# whose values are held to more than their types, or kept once per process:
+# a message text runs after its str check.
+_FIELD_DECODERS = {
+    "RoundRecord.guess": _decode_guess,
+    "CompletionLog.usage": _decode_usage,
+    "ChatMessage.content": sys.intern,
+}
 
 
 def _value_decoder(hint, name: str) -> Callable | None:

@@ -14,8 +14,9 @@ measured latency.
 
 from __future__ import annotations
 
+import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 from .errors import ConfigurationError, SummaryError
@@ -33,10 +34,21 @@ PriceTable = Mapping[str, Price]
 
 def price_table_from_dict(data: Mapping[str, Mapping[str, float]]) -> dict[str, Price]:
     """A price table from parsed JSON; a malformed table, or an entry with a
-    malformed or unknown key, raises :class:`ConfigurationError` naming it."""
+    malformed or unknown key, or a price that is negative or not finite
+    (``json`` reads ``NaN`` and ``Infinity``), raises
+    :class:`ConfigurationError` naming it."""
     if not isinstance(data, Mapping):
         raise ConfigurationError(f"prices: expected a JSON object, not {data!r:.80}")
-    return {name: from_json(Price, p, f"price {name!r}") for name, p in data.items()}
+    table = {name: from_json(Price, p, f"price {name!r}") for name, p in data.items()}
+    for name, price in table.items():
+        for field in fields(Price):
+            value = getattr(price, field.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(
+                    f"price {name!r}: {field.name} must be finite and not negative, "
+                    f"not {value}"
+                )
+    return table
 
 
 def _price_for(model: str, prices: PriceTable | None) -> Price:

@@ -5,7 +5,9 @@ script and are dequeued in request order under a lock, each carrying scripted
 usage counts and an optional injected delay so the metrics path can be
 exercised with known numbers. Every accepted request body is kept in
 ``requests``, and the client address it came from in ``peers``, for
-assertions about prompt content and connection reuse.
+assertions about prompt content and connection reuse. Each message's text in
+a kept body is interned (``sys.intern``): an agent's calls repeat a few system
+prompts, so a long run would otherwise keep one copy of each per request.
 
 The endpoint is a small HTTP/1.1 server of its own, not ``http.server``: it
 reads the request line and, of the headers, only ``Content-Length``,
@@ -35,6 +37,7 @@ from __future__ import annotations
 import json
 import socket
 import socketserver
+import sys
 import threading
 import time
 from collections import deque
@@ -63,6 +66,16 @@ _COMPLETION = (
 
 def _error(message: str) -> str:
     return json.dumps({"error": {"message": message}})
+
+
+def _intern_texts(messages) -> None:
+    """Intern, in place, the text of each message object in a request's
+    ``messages``; any other shape is left as it is, since the request is
+    answered the same either way."""
+    if type(messages) is list:
+        for message in messages:
+            if type(message) is dict and type(text := message.get("content")) is str:
+                message["content"] = sys.intern(text)
 
 
 @dataclass(frozen=True)
@@ -238,6 +251,7 @@ class MockChatServer:
             return 400, _error("body is not JSON")
         if not isinstance(payload, dict) or "model" not in payload or "messages" not in payload:
             return 400, _error("model and messages are required")
+        _intern_texts(payload["messages"])
         with self._lock:
             self.requests.append(payload)
             self.peers.append(peer)

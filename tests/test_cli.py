@@ -277,6 +277,19 @@ def test_run_reports_a_bad_matrix_file_as_an_error(
     assert "Traceback" not in captured.err
 
 
+def test_run_refuses_a_negative_seed_in_a_matrix_file(tmp_path, capsys):
+    conditions = [{"grid_size": 3, "num_pits": 0, "num_wumpus": 1, "seeds": [7, -7]}]
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"conditions": conditions}))
+    out = tmp_path / "runs.jsonl"
+    assert main(["run", "--matrix", str(matrix), "--quiet", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: condition 0 (3x3_p0_w1) has a negative seed -7"
+    ]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "field, value", [("step_limit", "x"), ("master_seed", [1])], ids=["text", "list"]
 )

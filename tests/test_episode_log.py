@@ -107,6 +107,65 @@ def test_played_episode_reads_back_as_the_record_that_was_written(tmp_path):
     assert read_records(path) == [record]
 
 
+def play_planner_critic_log(path: Path, seeds) -> list[dict]:
+    """Play a one-round planner-critic episode per seed against the mock
+    endpoint, write their records to ``path``, and return the request bodies
+    that the endpoint kept. Each episode makes the same three calls: the
+    planner is asked again after a reply without an action."""
+    script = [
+        MockReply("Analysis: thinking about it\nGuess: none", 210, 9),
+        MockReply('Analysis: quiet\nGuess: {"wumpus": [], "pits": []}\nAction: <exit>', 230, 14),
+        MockReply("Confidence: 0.9\nAlternative: none\nRationale: fine", 190, 8),
+    ] * len(seeds)
+    with MockChatServer(script) as server:
+        records = [
+            run_episode(
+                WorldConfig(3, 0, 0, seed),
+                PlannerCriticAgent(ChatClient(server.url, "m", max_retries=0), 3),
+                agent_kind="llm",
+                mechanism="planner_critic",
+            )
+            for seed in seeds
+        ]
+        assert len(server.requests) == len(script)
+    assert all(r.status == "exited" for r in records)
+    write_records(path, records, append=False)
+    return server.requests
+
+
+def test_a_read_log_holds_each_message_text_once(tmp_path):
+    # Every call of a role repeats its system prompt; read back, the texts
+    # of all calls of all records are one object.
+    path = tmp_path / "planner-critic.jsonl"
+    play_planner_critic_log(path, seeds=(1, 2, 3))
+    records = read_records(path)
+    for role in ("planner", "critic"):
+        texts = [
+            m.content
+            for r in records
+            for rd in r.rounds
+            for c in rd.calls
+            if c.role == role
+            for m in c.messages
+            if m.role == "system"
+        ]
+        assert len(texts) == {"planner": 6, "critic": 3}[role]
+        assert all(text is texts[0] for text in texts)
+    by_text = {}
+    for message in (m for r in records for rd in r.rounds for c in rd.calls for m in c.messages):
+        assert by_text.setdefault(message.content, message.content) is message.content
+    assert [r.to_dict() for r in records] == [
+        json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()
+    ]
+
+
+def test_the_mock_endpoint_keeps_each_request_text_once(tmp_path):
+    requests = play_planner_critic_log(tmp_path / "planner-critic.jsonl", seeds=(1, 2))
+    systems = [m["content"] for r in requests for m in r["messages"] if m["role"] == "system"]
+    assert len(systems) == 6 and len(set(systems)) == 2
+    assert len({id(text) for text in systems}) == 2
+
+
 def test_frames_of_v1_episodes_are_unchanged():
     expected = json.loads((FIXTURES / "v1_frames.json").read_text(encoding="utf-8"))
     assert [render_frames(r) for r in read_records(V1_LOG)] == expected
@@ -301,8 +360,27 @@ def test_integer_is_read_where_a_float_is_annotated(tmp_path):
             {"prompt_tokens": 5, "completion_tokens": 3, "total_tokens": 999},
             r"CompletionLog\.usage\.total_tokens 999 != prompt_tokens 5 \+ completion_tokens 3",
         ),
+        (
+            {"latency": float("nan")},
+            r"CompletionLog\.usage\.latency must be finite and not negative, not nan",
+        ),
+        (
+            {"latency": float("inf")},
+            r"CompletionLog\.usage\.latency must be finite and not negative, not inf",
+        ),
+        (
+            {"latency": -3.5},
+            r"CompletionLog\.usage\.latency must be finite and not negative, not -3\.5",
+        ),
     ],
-    ids=["negative-prompt-tokens", "negative-completion-tokens", "total-not-the-sum"],
+    ids=[
+        "negative-prompt-tokens",
+        "negative-completion-tokens",
+        "total-not-the-sum",
+        "nan-latency",
+        "infinite-latency",
+        "negative-latency",
+    ],
 )
 def test_an_impossible_token_count_is_log_corruption(tmp_path, usage, message):
     data = next(json.loads(line) for line in v1_lines() if '"latency"' in line)

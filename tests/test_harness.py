@@ -197,6 +197,22 @@ def test_matrix_rejects_duplicate_seeds():
         TrialMatrix(entries=[(Condition(3, 0, 1), (1, 1))])
 
 
+def test_matrix_from_dict_rejects_a_negative_seed():
+    # random.Random seeds with the absolute value, so -7 would replay seed
+    # 7's world as a second trial.
+    with pytest.raises(
+        ConfigurationError, match=r"^condition 1 \(4x4_p2_w1\) has a negative seed -7$"
+    ):
+        matrix_from_dict(
+            {
+                "conditions": [
+                    {"grid_size": 3, "num_pits": 0, "num_wumpus": 1, "seeds": [0, 1]},
+                    {"grid_size": 4, "num_pits": 2, "num_wumpus": 1, "seeds": [7, -7]},
+                ]
+            }
+        )
+
+
 def test_matrix_from_dict_with_explicit_conditions():
     matrix = matrix_from_dict(
         {
@@ -881,6 +897,23 @@ def test_script_from_json_accepts_both_shapes():
     assert replies[0].content == "a"
     replies = script_from_json([{"content": "b", "delay": 0.5}])
     assert replies[0].delay == 0.5
+
+
+@pytest.mark.parametrize(
+    "name, value, shown",
+    [
+        ("input_per_1k", -0.5, r"-0\.5"),
+        ("output_per_1k", float("nan"), "nan"),
+        ("output_per_1k", float("inf"), "inf"),
+    ],
+    ids=["negative", "nan", "infinite"],
+)
+def test_a_negative_or_non_finite_price_is_refused(name, value, shown):
+    message = rf"^price 'm': {name} must be finite and not negative, not {shown}$"
+    with pytest.raises(ConfigurationError, match=message):
+        price_table_from_dict({"default": {"input_per_1k": 1.0}, "m": {name: value}})
+    free = {"input_per_1k": 0, "output_per_1k": 0.0}
+    assert price_table_from_dict({"m": free}) == {"m": Price(0, 0.0)}
 
 
 def test_the_readmes_price_table_and_mock_script_read_as_documented():

@@ -28,6 +28,7 @@ from wumpusbench import (
     MockChatServer,
     MockReply,
     build_observation,
+    chat,
 )
 from wumpusbench.errors import (
     ActionParseError,
@@ -631,6 +632,35 @@ def test_a_read_timeout_is_retried_until_the_budget_is_spent(clean_environment, 
         with pytest.raises(TransportError, match="after 3 attempts.*timed out"):
             client.complete([ChatMessage("user", "hi")])
     assert session.posts == 3
+
+
+@pytest.mark.parametrize(
+    "status, retry_after, sleeps",
+    [
+        ("429 Too Many Requests", "7", [7, 7, 7]),
+        ("503 Service Unavailable", "1", [1, 1, 2]),
+        ("429 Too Many Requests", "86400", [60, 60, 60]),
+        ("429 Too Many Requests", "Wed, 21 Oct 2026 07:28:00 GMT", [0.5, 1, 2]),
+        ("503 Service Unavailable", "-5", [0.5, 1, 2]),
+        ("500 Internal Server Error", "7", [0.5, 1, 2]),
+    ],
+    ids=["seconds", "below-the-backoff", "capped", "http-date", "malformed", "not-429-or-503"],
+)
+def test_a_retry_waits_as_long_as_retry_after_asks_up_to_a_cap(
+    clean_environment, monkeypatch, status, retry_after, sleeps
+):
+    slept = []
+    monkeypatch.setattr(chat.time, "sleep", slept.append)
+    body = b'{"error": {"message": "slow down"}}'
+    response = (
+        f"HTTP/1.1 {status}\r\nRetry-After: {retry_after}\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    ).encode() + body
+    with raw_server(response) as (url, _):
+        client = ChatClient(url, "m", max_retries=3, backoff=0.5)
+        with pytest.raises(TransportError, match="after 4 attempts.*slow down"):
+            client.complete([ChatMessage("user", "hi")])
+    assert slept == sleeps
 
 
 @contextlib.contextmanager

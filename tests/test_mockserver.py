@@ -129,6 +129,36 @@ def test_mock_handler_ends_quietly_when_the_client_resets(capfd):
     assert capfd.readouterr().err == ""
 
 
+ODD_BODIES = {
+    "messages not a list": ({"model": "m", "messages": "hi"}, 200),
+    "messages an object": ({"model": "m", "messages": {"role": "user", "content": "hi"}}, 200),
+    "items not objects": ({"model": "m", "messages": [1, None, "hi", ["x"]]}, 200),
+    "content not text": (
+        {"model": "m", "messages": [{"role": "user", "content": 5}, {"content": ["a"]}, {}]},
+        200,
+    ),
+    "no messages": ({"model": "m"}, 400),
+    "not an object": (["model", "messages"], 400),
+}
+
+
+@pytest.mark.parametrize("payload, status", ODD_BODIES.values(), ids=ODD_BODIES)
+def test_mock_answers_an_odd_message_list_as_it_always_has(payload, status):
+    # Message texts are interned as a body is kept; any other shape of
+    # ``messages`` is kept and answered as it was before.
+    with MockChatServer([MockReply("first")]) as server:
+        with connect(server) as (sock, stream):
+            sock.sendall(request(body=json.dumps(payload).encode()))
+            got, _, body = read_response(stream)
+    assert got == status
+    if status == 200:
+        assert content(body) == "first"
+        assert server.requests == [payload]
+    else:
+        assert "message" in json.loads(body)["error"]
+        assert server.requests == []
+
+
 BAD_LENGTHS = ["abc", "-1", "1e3", ""]
 BAD_REQUESTS = {
     "request line": (b"NONSENSE\r\n\r\n", 400),
