@@ -3,7 +3,9 @@
 Speaks the prevailing commercial wire shape: POST a JSON body of
 ``{"model", "messages": [{"role", "content"}], "temperature"}`` and read
 ``choices[0].message.content`` plus the ``usage`` token counts back. Latency
-is measured locally around the successful request. Transient failures
+is measured locally around the successful request; a :class:`UsageRecord`
+holds both and refuses an invalid usage, which the client reports as
+:class:`ProtocolError`. Transient failures
 (connection errors, timeouts, a broken chunked body, 429 and 5xx statuses)
 are retried with exponential backoff; any other failure raises
 ``TransportError`` at once. After a 429 or 503 whose ``Retry-After`` is a
@@ -40,6 +42,7 @@ The adapter stores no ``Set-Cookie`` in the session.
 from __future__ import annotations
 
 import http.client
+import math
 import os
 import select
 import socket
@@ -288,10 +291,33 @@ class ChatMessage:
 
 @dataclass(frozen=True)
 class UsageRecord:
+    """One call's token counts and latency, valid as soon as it exists: each
+    count is an int (a bool is not), none is negative and the total is the
+    sum of the other two; the latency is a finite number of seconds, not
+    below zero. Anything else raises ``ValueError``."""
+
     prompt_tokens: int
     completion_tokens: int
     total_tokens: int
     latency: float  # seconds of wall clock around the request
+
+    def __post_init__(self):
+        # JSON ints only: int() would read 12.9, true or "12" as a count.
+        for name in ("prompt_tokens", "completion_tokens", "total_tokens"):
+            if type(count := getattr(self, name)) is not int:
+                raise ValueError(f"token counts must be ints: {name} is {count!r:.80}")
+        for name in ("prompt_tokens", "completion_tokens"):
+            if (count := getattr(self, name)) < 0:
+                raise ValueError(f"token counts must not be negative: {name} is {count}")
+        if self.total_tokens != self.prompt_tokens + self.completion_tokens:
+            raise ValueError(
+                f"total_tokens {self.total_tokens} != prompt_tokens {self.prompt_tokens} "
+                f"+ completion_tokens {self.completion_tokens}"
+            )
+        # ``json`` reads NaN and Infinity, which would turn every rate to nan.
+        latency = self.latency
+        if type(latency) not in (int, float) or not (math.isfinite(latency) and latency >= 0):
+            raise ValueError(f"latency must be finite and not negative, not {latency!r:.80}")
 
 
 class ChatClient:
@@ -403,25 +429,14 @@ class ChatClient:
             prompt, completion = usage["prompt_tokens"], usage["completion_tokens"]
         except (KeyError, IndexError, TypeError) as exc:
             raise ProtocolError(f"malformed chat response: {exc}") from exc
-        # JSON ints only: int() would read 12.9, true or "12" as a count.
-        if not type(prompt) is int is type(completion) is type(usage.get("total_tokens", 0)):
-            raise ProtocolError(f"chat response token counts must be ints: {usage!r:.200}")
-        total = usage.get("total_tokens", prompt + completion)
-        if prompt < 0 or completion < 0:
-            raise ProtocolError(
-                f"chat response token counts must not be negative: {usage!r:.200}"
-            )
-        if total != prompt + completion:
-            raise ProtocolError(
-                f"chat response total_tokens {total} != prompt_tokens {prompt} "
-                f"+ completion_tokens {completion}"
-            )
+        try:  # an endpoint may leave the total out: it is then the sum
+            total = usage["total_tokens"] if "total_tokens" in usage else prompt + completion
+        except TypeError:  # counts without a sum, which the record refuses
+            total = None
+        try:
+            record = UsageRecord(prompt, completion, total, latency)
+        except ValueError as exc:
+            raise ProtocolError(f"chat response {exc}") from exc
         if not isinstance(content, str):
             raise ProtocolError("chat response content is not text")
-        record = UsageRecord(
-            prompt_tokens=prompt,
-            completion_tokens=completion,
-            total_tokens=total,
-            latency=latency,
-        )
         return content, record

@@ -15,10 +15,15 @@ distinct text is parsed once, and its action is the one shared object that
 :class:`Action`'s constructors hand out. A round keeps the
 :class:`Observation` its agent saw; the log holds its eight-key wire form,
 built as the record is written and decoded exactly as it is read. The model
-names and a round's guess are checked for the shapes that the agents write,
-a call's token counts for what the chat client accepts (none negative, and
-the total their sum), and its latency for what a clock can measure: a finite
-number of seconds, not below zero.
+names and a round's guess are checked for the shapes that the agents write.
+A call's usage is read into a :class:`UsageRecord`, which checks itself as it
+does for the chat client: no count negative, the total their sum, and a
+latency that a clock can measure.
+
+Before a decision's action is applied, its provenance, analysis, guess,
+guess_raw and flags are held to the rules the reader holds a round to, so a
+decision that the log could not read back ends its episode as
+``protocol_failure`` instead of making the whole log unreadable.
 
 Each chat message text is interned as it is read (``sys.intern``). Every
 model call of an agent repeats one of a few system prompts, so a log of N
@@ -30,7 +35,6 @@ with its last reference.
 from __future__ import annotations
 
 import json
-import math
 import random
 import sys
 import traceback
@@ -42,7 +46,6 @@ from types import NoneType, UnionType
 from typing import Callable, Iterable, Iterator, get_args, get_origin, get_type_hints
 
 from .agents import Agent, CompletionLog, Decision, _cell_pairs
-from .chat import UsageRecord
 from .errors import (
     ConfigurationError, EpisodeProtocolFailure, LogCorruptionError, ReplayMismatchError,
     WumpusBenchError,
@@ -182,7 +185,10 @@ def run_episode(
     or protocol error from the endpoint) gives status ``protocol_failure``,
     and the failed round is logged with the calls it made and the flags of
     the replies refused in it. Any other exception gets the status and error
-    text of :func:`_failure`.
+    text of :func:`_failure`; so does a decision that the log could not read
+    back (a guess of the wrong shape, say, or a flag that is not text), which
+    :func:`_check_decision` refuses before its action is applied: the episode
+    ends as ``protocol_failure`` with no round for it.
     """
     state = generate_world(config)
     rounds: list[RoundRecord] = []
@@ -193,6 +199,7 @@ def run_episode(
         obs = build_observation(state, obs)
         try:
             decision = agent.decide(obs)
+            _check_decision(decision)
             reward = apply_action(state, decision.action)
         except EpisodeProtocolFailure as exc:
             state.status = Status.PROTOCOL_FAILURE
@@ -233,6 +240,25 @@ def run_episode(
         wumpus_killed=_wumpus_killed(state),
         error=error,
     )
+
+
+# The fields of a decision that its round logs as they are.
+_DECIDED = ("provenance", "analysis", "guess", "guess_raw", "flags")
+
+
+def _check_decision(decision: Decision) -> None:
+    """Refuse, as the agent failing to act, a decision whose round the log
+    could not read back: its provenance, analysis, guess, guess_raw and flags
+    are held to the rules that :func:`read_records` holds a round's fields to.
+    An action with a text provenance and nothing else, as every oracle round
+    is, needs no further look."""
+    plain = decision.analysis is decision.guess is decision.guess_raw is None
+    if plain and decision.flags == [] and type(decision.provenance) is str:
+        return
+    try:
+        _field_values(RoundRecord)({name: getattr(decision, name) for name in _DECIDED})
+    except LogCorruptionError as exc:
+        raise TypeError(f"the decision cannot be logged: {exc}") from None
 
 
 def _failure(exc: Exception) -> tuple[Status, str]:
@@ -475,36 +501,11 @@ def _decode_guess(guess):
 _GUESS_KEYS = frozenset(("wumpus", "pits"))
 
 
-def _decode_usage(data) -> UsageRecord:
-    """A call's logged usage, held to what the chat client accepts from an
-    endpoint: no count is negative, and the total is the sum of the two. The
-    latency is a finite number of seconds, not below zero: ``json`` reads
-    ``NaN`` and ``Infinity``, which would turn every rate built on it to
-    nan."""
-    usage = _decoder(UsageRecord)(data)
-    if not (math.isfinite(usage.latency) and usage.latency >= 0):
-        raise LogCorruptionError(
-            f"CompletionLog.usage.latency must be finite and not negative, not {usage.latency}"
-        )
-    for name in ("prompt_tokens", "completion_tokens"):
-        if (count := getattr(usage, name)) < 0:
-            raise LogCorruptionError(
-                f"CompletionLog.usage.{name} must not be negative, not {count}"
-            )
-    if usage.total_tokens != usage.prompt_tokens + usage.completion_tokens:
-        raise LogCorruptionError(
-            f"CompletionLog.usage.total_tokens {usage.total_tokens} != prompt_tokens "
-            f"{usage.prompt_tokens} + completion_tokens {usage.completion_tokens}"
-        )
-    return usage
-
-
 # Fields whose annotation does not say the shape of their JSON form, or
-# whose values are held to more than their types, or kept once per process:
-# a message text runs after its str check.
+# whose values are kept once per process: a message text runs after its str
+# check.
 _FIELD_DECODERS = {
     "RoundRecord.guess": _decode_guess,
-    "CompletionLog.usage": _decode_usage,
     "ChatMessage.content": sys.intern,
 }
 
@@ -591,11 +592,11 @@ def _scalar_types(hint) -> tuple[type, ...] | None:
 
 
 @cache
-def _decoder(cls: type) -> Callable[[dict], object]:
-    """Rebuild a ``cls`` from its JSON object, nested values by the field
-    annotations, resolved once per class. A scalar (or list item) of the wrong
-    type raises :class:`LogCorruptionError`. The constructor rejects an
-    unknown key or a missing required one, and fills in a missing optional one."""
+def _field_values(cls: type) -> Callable[[dict], dict]:
+    """The values of the fields of a ``cls`` that a JSON object holds, as
+    keyword arguments: nested values rebuilt by the field annotations,
+    resolved once per class. A scalar (or list item) of the wrong type raises
+    :class:`LogCorruptionError`."""
     hints = get_type_hints(cls)
     scalars = [
         (f.name, types, getattr(hint, "__name__", str(hint)))
@@ -608,7 +609,7 @@ def _decoder(cls: type) -> Callable[[dict], object]:
         if (decode := _value_decoder(hints[f.name], f"{cls.__name__}.{f.name}"))
     ]
 
-    def decode(data: dict):
+    def values(data: dict) -> dict:
         kwargs = {**data}
         for name, types, label in scalars:
             if name in kwargs and type(kwargs[name]) not in types:
@@ -618,9 +619,19 @@ def _decoder(cls: type) -> Callable[[dict], object]:
         for name, decode_value in nested:
             if name in kwargs:
                 kwargs[name] = decode_value(kwargs[name])
-        return cls(**kwargs)
+        return kwargs
 
-    return decode
+    return values
+
+
+@cache
+def _decoder(cls: type) -> Callable[[dict], object]:
+    """Rebuild a ``cls`` from its JSON object, with the values that
+    :func:`_field_values` reads. The constructor rejects an unknown key or a
+    missing required one, fills in a missing optional one, and applies the
+    class's own value rules."""
+    values = _field_values(cls)
+    return lambda data: cls(**values(data))
 
 
 def from_json(cls: type, data, where: str):

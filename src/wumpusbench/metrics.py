@@ -8,8 +8,9 @@ spend still counts in the token and cost totals, which cover every episode. A
 log of such episodes only summarizes to zero runs and zero averages. Reward
 per step is the per-episode mean of score over steps (zero-step episodes are
 skipped). Cost uses a per-1000-token price table keyed by model name with a
-``default`` fallback; tokens-per-second is total completion tokens over total
-measured latency.
+``default`` fallback, whose :class:`Price` entries refuse a negative or
+non-finite price themselves; tokens-per-second is total completion tokens
+over total measured latency.
 """
 
 from __future__ import annotations
@@ -25,8 +26,19 @@ from .harness import EpisodeRecord, from_json
 
 @dataclass(frozen=True)
 class Price:
+    """Per-1000-token prices; one that is negative or not finite (``json``
+    reads ``NaN`` and ``Infinity``) raises :class:`ConfigurationError`."""
+
     input_per_1k: float = 0.0
     output_per_1k: float = 0.0
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(
+                    f"{field.name} must be finite and not negative, not {value}"
+                )
 
 
 PriceTable = Mapping[str, Price]
@@ -34,27 +46,22 @@ PriceTable = Mapping[str, Price]
 
 def price_table_from_dict(data: Mapping[str, Mapping[str, float]]) -> dict[str, Price]:
     """A price table from parsed JSON; a malformed table, or an entry with a
-    malformed or unknown key, or a price that is negative or not finite
-    (``json`` reads ``NaN`` and ``Infinity``), raises
+    malformed or unknown key, or a price that :class:`Price` refuses, raises
     :class:`ConfigurationError` naming it."""
     if not isinstance(data, Mapping):
         raise ConfigurationError(f"prices: expected a JSON object, not {data!r:.80}")
-    table = {name: from_json(Price, p, f"price {name!r}") for name, p in data.items()}
-    for name, price in table.items():
-        for field in fields(Price):
-            value = getattr(price, field.name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigurationError(
-                    f"price {name!r}: {field.name} must be finite and not negative, "
-                    f"not {value}"
-                )
-    return table
+    return {name: from_json(Price, p, f"price {name!r}") for name, p in data.items()}
+
+
+# The price of a model the table does not list, built once: summarize looks
+# a price up for every call.
+_FREE = Price()
 
 
 def _price_for(model: str, prices: PriceTable | None) -> Price:
     if not prices:
-        return Price()
-    return prices.get(model) or prices.get("default") or Price()
+        return _FREE
+    return prices.get(model) or prices.get("default") or _FREE
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,14 @@
 Serves the same wire protocol the client speaks. Replies come from a fixed
 script and are dequeued in request order under a lock, each carrying scripted
 usage counts and an optional injected delay so the metrics path can be
-exercised with known numbers. Every accepted request body is kept in
-``requests``, and the client address it came from in ``peers``, for
-assertions about prompt content and connection reuse. Each message's text in
-a kept body is interned (``sys.intern``): an agent's calls repeat a few system
-prompts, so a long run would otherwise keep one copy of each per request.
+exercised with known numbers. A reply whose counts the client's
+:class:`UsageRecord` would refuse, or whose delay is negative or not finite,
+is refused when it is built, not when it is served. Every accepted request
+body is kept in ``requests``, and the client address it came from in
+``peers``, for assertions about prompt content and connection reuse. Each
+message's text in a kept body is interned (``sys.intern``): an agent's calls
+repeat a few system prompts, so a long run would otherwise keep one copy of
+each per request.
 
 The endpoint is a small HTTP/1.1 server of its own, not ``http.server``: it
 reads the request line and, of the headers, only ``Content-Length``,
@@ -35,6 +38,7 @@ and waits for its handler to exit.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import socketserver
 import sys
@@ -45,6 +49,7 @@ from dataclasses import dataclass
 from http import HTTPStatus
 from typing import Sequence
 
+from .chat import UsageRecord
 from .errors import ConfigurationError
 from .harness import from_json
 
@@ -80,10 +85,22 @@ def _intern_texts(messages) -> None:
 
 @dataclass(frozen=True)
 class MockReply:
+    """One scripted reply. Counts that the client's :class:`UsageRecord`
+    would refuse, or a delay that is negative or not finite, raise
+    :class:`ConfigurationError`."""
+
     content: str
     prompt_tokens: int = 0
     completion_tokens: int = 0
     delay: float = 0.0  # seconds slept before answering
+
+    def __post_init__(self):
+        try:
+            UsageRecord(self.prompt_tokens, self.completion_tokens, self.total_tokens, 0.0)
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
+        if not (math.isfinite(self.delay) and self.delay >= 0):
+            raise ConfigurationError(f"delay must be finite and not negative, not {self.delay}")
 
     @property
     def total_tokens(self) -> int:

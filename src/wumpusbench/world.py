@@ -313,9 +313,9 @@ def generate_world(config: WorldConfig) -> WorldState:
             raise ConfigurationError(f"no cell left for the wumpus on a {n}x{n} grid")
         wumpus = pool[rng.randrange(len(pool))]
 
-    gold_pool = [c for c in geo.cells[1:] if c not in pits]  # cells[0] is the start
-    if not gold_pool:
-        raise ConfigurationError(f"no cell left for the gold on a {n}x{n} grid")
+    # cells[0] is the start. The pits fill at most the n*n - 3 hazard cells,
+    # so at least two cells are left for the gold.
+    gold_pool = [c for c in geo.cells[1:] if c not in pits]
     gold = gold_pool[rng.randrange(len(gold_pool))]
 
     return world_from_layout(config, pits, wumpus, gold)

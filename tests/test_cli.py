@@ -612,6 +612,18 @@ def _v1_line_with_flags(flags) -> str:
             "completion_token",
         ),
         ("log.jsonl", _v1_line_with_flags([1]), ["summarize", "--log"], "flags"),
+        (
+            "script.json",
+            [{"content": "a"}, {"content": "<exit>", "delay": float("inf")}],
+            ["mock-serve", "--port", "0", "--script"],
+            "reply 1: delay",
+        ),
+        (
+            "script.json",
+            [{"content": "<exit>", "prompt_tokens": -3}],
+            ["mock-serve", "--port", "0", "--script"],
+            "reply 0: token counts must not be negative: prompt_tokens",
+        ),
     ],
     ids=[
         "config-unknown-key",
@@ -627,6 +639,8 @@ def _v1_line_with_flags(flags) -> str:
         "prices-bool-price",
         "script-unknown-key",
         "log-int-flag",
+        "script-infinite-delay",
+        "script-negative-tokens",
     ],
 )
 def test_an_unknown_or_mistyped_input_key_is_refused_by_name(

@@ -350,27 +350,27 @@ def test_integer_is_read_where_a_float_is_annotated(tmp_path):
     [
         (
             {"prompt_tokens": -5, "completion_tokens": 3, "total_tokens": -2},
-            r"CompletionLog\.usage\.prompt_tokens must not be negative, not -5",
+            r"token counts must not be negative: prompt_tokens is -5",
         ),
         (
             {"prompt_tokens": 5, "completion_tokens": -3, "total_tokens": 2},
-            r"CompletionLog\.usage\.completion_tokens must not be negative, not -3",
+            r"token counts must not be negative: completion_tokens is -3",
         ),
         (
             {"prompt_tokens": 5, "completion_tokens": 3, "total_tokens": 999},
-            r"CompletionLog\.usage\.total_tokens 999 != prompt_tokens 5 \+ completion_tokens 3",
+            r"total_tokens 999 != prompt_tokens 5 \+ completion_tokens 3",
         ),
         (
             {"latency": float("nan")},
-            r"CompletionLog\.usage\.latency must be finite and not negative, not nan",
+            r"latency must be finite and not negative, not nan",
         ),
         (
             {"latency": float("inf")},
-            r"CompletionLog\.usage\.latency must be finite and not negative, not inf",
+            r"latency must be finite and not negative, not inf",
         ),
         (
             {"latency": -3.5},
-            r"CompletionLog\.usage\.latency must be finite and not negative, not -3\.5",
+            r"latency must be finite and not negative, not -3\.5",
         ),
     ],
     ids=[
@@ -390,6 +390,13 @@ def test_an_impossible_token_count_is_log_corruption(tmp_path, usage, message):
     bad.write_text(json.dumps(data) + "\n", encoding="utf-8")
     with pytest.raises(LogCorruptionError, match=rf"bad\.jsonl: line 1: {message}$"):
         read_records(bad)
+
+
+def test_blank_lines_between_records_are_skipped(tmp_path):
+    first, second = v1_lines()[:2]
+    path = tmp_path / "spaced.jsonl"
+    path.write_text(f"\n{first}\n\n  \t\n{second}\n\n", encoding="utf-8")
+    assert read_records(path) == read_records(V1_LOG)[:2]
 
 
 def test_missing_optional_key_takes_its_default(tmp_path):

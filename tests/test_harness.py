@@ -391,6 +391,46 @@ def test_an_agent_crash_keeps_the_rounds_and_tokens_already_spent(tmp_path):
     assert (summary.total_prompt_tokens, summary.total_completion_tokens) == (100, 20)
 
 
+class BadDecisionInRoundTwo:
+    """Moves to (2,1), then returns a decision whose round the log could not
+    read back."""
+
+    def __init__(self, **bad):
+        self.bad = bad
+        self.rounds = 0
+
+    def decide(self, obs):
+        self.rounds += 1
+        if self.rounds == 1:
+            return Decision(Action.move(2, 1), "custom", analysis="first", flags=["ok"])
+        return Decision(**{"action": Action.exit(), "provenance": "custom", **self.bad})
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"guess": {"wumpus": [[1, 2]]}}, "RoundRecord.guess must be null or an object"),
+        ({"guess": {"wumpus": [[1, True]], "pits": []}}, "RoundRecord.guess must be null"),
+        ({"flags": ["x", 3]}, r"RoundRecord.flags must be list\[str\], not \['x', 3\]"),
+        ({"analysis": 5}, r"RoundRecord.analysis must be str \| None, not 5"),
+        ({"provenance": None}, "RoundRecord.provenance must be str, not None"),
+    ],
+    ids=["guess-without-pits", "guess-bool-cell", "int-flag", "int-analysis", "no-provenance"],
+)
+def test_a_decision_the_log_could_not_read_back_ends_the_episode(tmp_path, bad, message):
+    config = WorldConfig(grid_size=3, num_pits=0, num_wumpus=1, seed=1)
+    record = run_episode(config, BadDecisionInRoundTwo(**bad))
+    assert record.status == "protocol_failure"
+    assert re.match(f"^TypeError: the decision cannot be logged: {message}", record.error)
+    # The round before it is kept; the refused decision's action never ran.
+    assert [r.action for r in record.rounds] == [Action.move(2, 1)]
+    assert record.score == 49
+    path = tmp_path / "log.jsonl"
+    write_records(path, [record])
+    assert read_records(path) == [record]
+    verify_record(record)
+
+
 # ---------------------------------------------------------------------------
 # Persistence and replay
 
@@ -914,6 +954,51 @@ def test_a_negative_or_non_finite_price_is_refused(name, value, shown):
         price_table_from_dict({"default": {"input_per_1k": 1.0}, "m": {name: value}})
     free = {"input_per_1k": 0, "output_per_1k": 0.0}
     assert price_table_from_dict({"m": free}) == {"m": Price(0, 0.0)}
+
+
+@pytest.mark.parametrize(
+    "prices, shown",
+    [
+        ({"input_per_1k": -0.5}, r"input_per_1k must be finite and not negative, not -0\.5"),
+        ({"output_per_1k": float("nan")}, "output_per_1k must be finite and not negative, not nan"),
+        ({"output_per_1k": float("inf")}, "output_per_1k must be finite and not negative, not inf"),
+    ],
+    ids=["negative", "nan", "infinite"],
+)
+def test_a_price_refuses_a_negative_or_non_finite_value(prices, shown):
+    with pytest.raises(ConfigurationError, match=f"^{shown}$"):
+        Price(**prices)
+
+
+@pytest.mark.parametrize("data", [[], ["default"], "default", 5, None])
+def test_a_price_table_that_is_not_an_object_is_refused(data):
+    with pytest.raises(ConfigurationError, match="^prices: expected a JSON object, not "):
+        price_table_from_dict(data)
+
+
+@pytest.mark.parametrize("data", [{"content": "a"}, 5, {"replies": {"content": "a"}}, None])
+def test_a_script_that_is_not_a_list_is_refused(data):
+    with pytest.raises(ConfigurationError, match="^script: expected a list of replies, not "):
+        script_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "reply, message",
+    [
+        ({"delay": float("inf")}, "delay must be finite and not negative, not inf"),
+        ({"delay": -0.5}, r"delay must be finite and not negative, not -0\.5"),
+        ({"prompt_tokens": -3}, "token counts must not be negative: prompt_tokens is -3"),
+    ],
+    ids=["infinite-delay", "negative-delay", "negative-count"],
+)
+def test_a_scripted_reply_the_client_would_refuse_is_refused_by_index(reply, message):
+    # ``json`` reads 1e999 as infinity, as it reads Infinity and NaN.
+    assert json.loads("1e999") == float("inf")
+    script = [{"content": "a"}, {"content": "b"}, {"content": "<exit>", **reply}]
+    with pytest.raises(ConfigurationError, match=f"^reply 2: {message}$"):
+        script_from_json(script)
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        MockReply("<exit>", **reply)
 
 
 def test_the_readmes_price_table_and_mock_script_read_as_documented():

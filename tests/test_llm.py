@@ -27,6 +27,7 @@ from wumpusbench import (
     MECHANISM_COT,
     MockChatServer,
     MockReply,
+    UsageRecord,
     build_observation,
     chat,
 )
@@ -607,6 +608,39 @@ def test_a_refused_or_malformed_answer_is_not_retried(
         with pytest.raises(error, match=message):
             client.complete([ChatMessage("user", "hi")])
     assert len(received) == 1
+
+
+@pytest.mark.parametrize(
+    "counts, latency, message",
+    [
+        ((12.9, 3, 15.9), 0.1, r"token counts must be ints: prompt_tokens is 12\.9"),
+        ((12, True, 13), 0.1, "token counts must be ints: completion_tokens is True"),
+        ((12, 3, "15"), 0.1, "token counts must be ints: total_tokens is '15'"),
+        ((-5, 3, -2), 0.1, "token counts must not be negative: prompt_tokens is -5"),
+        ((5, -3, 2), 0.1, "token counts must not be negative: completion_tokens is -3"),
+        ((5, 3, 9), 0.1, r"total_tokens 9 != prompt_tokens 5 \+ completion_tokens 3"),
+        ((5, 3, 8), float("nan"), "latency must be finite and not negative, not nan"),
+        ((5, 3, 8), float("inf"), "latency must be finite and not negative, not inf"),
+        ((5, 3, 8), -0.5, r"latency must be finite and not negative, not -0\.5"),
+        ((5, 3, 8), None, "latency must be finite and not negative, not None"),
+    ],
+    ids=[
+        "fractional-count",
+        "bool-count",
+        "string-total",
+        "negative-prompt",
+        "negative-completion",
+        "total-not-the-sum",
+        "nan-latency",
+        "infinite-latency",
+        "negative-latency",
+        "no-latency",
+    ],
+)
+def test_a_usage_record_refuses_an_impossible_value(counts, latency, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        UsageRecord(*counts, latency)
+    assert UsageRecord(0, 0, 0, 0).latency == 0
 
 
 def test_closing_the_session_ends_the_kept_alive_connection(clean_environment):

@@ -129,6 +129,19 @@ def test_mock_handler_ends_quietly_when_the_client_resets(capfd):
     assert capfd.readouterr().err == ""
 
 
+def test_mock_closes_quietly_at_end_of_file_inside_the_headers(capfd):
+    with MockChatServer([MockReply("first")]) as server:
+        with connect(server) as (sock, stream):
+            sock.sendall(b"POST /v1 HTTP/1.1\r\nContent-Length: 2\r\n")
+            sock.shutdown(socket.SHUT_WR)
+            assert stream.read() == b""
+        assert server.requests == []
+        with connect(server) as (sock, stream):  # the script is untouched
+            sock.sendall(request())
+            assert content(read_response(stream)[2]) == "first"
+    assert capfd.readouterr().err == ""
+
+
 ODD_BODIES = {
     "messages not a list": ({"model": "m", "messages": "hi"}, 200),
     "messages an object": ({"model": "m", "messages": {"role": "user", "content": "hi"}}, 200),

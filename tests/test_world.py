@@ -389,6 +389,14 @@ def test_illegal_actions_leave_state_unchanged():
     assert world.explored == before[2]
 
 
+def test_a_shot_without_a_direction_is_refused_and_changes_nothing():
+    world = make_world(n=3, gold=(3, 3))
+    before = copy.deepcopy(world)
+    with pytest.raises(IllegalActionError, match="^shoot requires a direction$"):
+        apply_action(world, Action(ActionKind.SHOOT))
+    assert world == before
+
+
 def test_acting_on_terminal_state_is_rejected():
     world = make_world(n=3, gold=(2, 1))
     apply_action(world, Action.move(2, 1))
