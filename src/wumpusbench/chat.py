@@ -30,10 +30,12 @@ A client for a plain ``http`` endpoint mounts a keep-alive adapter on its
 session for that exact URL, unless one is mounted there already or the
 session would send the URL through anything but requests' stock
 ``HTTPAdapter`` without retries: a caller's own adapter stands. The adapter
-posts over one keep-alive ``http.client`` connection per thread and asks for
-``gzip`` or ``deflate`` bodies only. A request that a proxy applies to goes
-on to the ``HTTPAdapter`` it replaced, which handles proxies; ``https``
-requests never meet it. On a local call requests' own adapter costs about as
+keeps one socket per thread and speaks HTTP/1.1 on it itself: a request goes
+out in one write, and the reply is read from the bytes each read of the
+socket gives, by http.client's rules for framing, limits and keep-alive (see
+``_KeepAliveAdapter``). It asks for ``gzip`` or ``deflate`` bodies only. A
+request that a proxy applies to goes on to the ``HTTPAdapter`` it replaced,
+which handles proxies; ``https`` requests never meet it. On a local call requests' own adapter costs about as
 much CPU as the rest of the post, which matters to local OpenAI-compatible
 servers on plain ``http`` and to ``mock-serve``; hosted APIs are ``https``.
 The adapter stores no ``Set-Cookie`` in the session.
@@ -41,9 +43,11 @@ The adapter stores no ``Set-Cookie`` in the session.
 
 from __future__ import annotations
 
+import functools
 import http.client
 import math
 import os
+import re
 import select
 import socket
 import threading
@@ -145,10 +149,209 @@ def _decoded(body: bytes, coding: str | None) -> bytes:
     raise ContentDecodingError(f"unsupported Content-Encoding {coding!r}")
 
 
-def _close_all(connections: set[http.client.HTTPConnection]) -> None:
+# http.client's limits on the head of a reply: the bytes of one line, and
+# the lines of a header block, counting the blank line that ends it.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_RECV_BYTES = 65536
+
+# A header line as the email parser under http.client reads one: a name of
+# visible characters but the colon, the colon, and a value without a CR or
+# an LF but at its end, its leading spaces and tabs left out.
+_FIELD = re.compile(r"([!-9;-~]+):[ \t]*([^\r\n]*\r?\n?)")
+
+
+class _Connection:
+    """One kept-alive connection: a connected socket, and the bytes read from
+    it that no reply has used yet."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self._buffer = b""
+        self._pos = 0  # where the unused bytes of _buffer start
+
+    @property
+    def pending(self) -> bool:
+        """Whether bytes were read past the replies read so far."""
+        return self._pos < len(self._buffer)
+
+    def _fill(self) -> bool:
+        """Read more of the socket into the buffer; False at its end."""
+        data = self.sock.recv(_RECV_BYTES)
+        if data:
+            self._buffer = self._buffer[self._pos :] + data
+            self._pos = 0
+        return bool(data)
+
+    def readline(self) -> bytes:
+        """The next line with its ending, or its first ``_MAX_LINE + 1`` bytes
+        if it is longer; at the end of the stream, what is left of it."""
+        while True:
+            start, limit = self._pos, self._pos + _MAX_LINE + 1
+            end = self._buffer.find(b"\n", start, limit) + 1
+            if end or len(self._buffer) >= limit or not self._fill():
+                break
+        self._pos = end or min(len(self._buffer), limit)
+        return self._buffer[start : self._pos]
+
+    def read(self, size: float) -> bytes:
+        """The next ``size`` bytes, or fewer where the stream ends first;
+        ``math.inf`` reads to the end."""
+        start = self._pos
+        self._pos = min(start + size, len(self._buffer))
+        parts = [self._buffer[start : self._pos]]
+        missing = size - len(parts[0])
+        while missing > 0 and (data := self.sock.recv(min(missing, _RECV_BYTES))):
+            parts.append(data)
+            missing -= len(data)
+        return b"".join(parts)
+
+
+def _close_all(connections: set[_Connection]) -> None:
     for connection in connections:
-        connection.close()
+        connection.sock.close()
     connections.clear()
+
+
+def _payload(body, chunked: bool) -> bytes:
+    """A request body as http.client sends it: a str as UTF-8 (as urllib3
+    sends it), a file read to its end, any other iterable that is not
+    bytes-like item by item, empty items left out; when ``chunked``, each
+    item framed as a chunk and the last, empty chunk added."""
+    if body is None:
+        return b""
+    if isinstance(body, str):
+        body = body.encode("utf-8")
+    if hasattr(body, "read"):
+        parts = _blocks(body)
+    else:
+        try:
+            memoryview(body)
+            parts = (body,)
+        except TypeError:
+            parts = body
+    if not chunked:
+        return b"".join(parts)
+    return b"".join(b"%X\r\n%s\r\n" % (len(part), part) for part in parts if part) + (
+        b"0\r\n\r\n"
+    )
+
+
+def _blocks(file):
+    """The blocks of ``file`` as http.client reads them, text as Latin-1."""
+    while block := file.read(8192):
+        yield block.encode("iso-8859-1") if isinstance(block, str) else block
+
+
+def _read_status(connection: _Connection) -> tuple[str, int, str]:
+    """The version, status code and reason of the status line read next."""
+    line = connection.readline()
+    if len(line) > _MAX_LINE:
+        raise http.client.LineTooLong("status line")
+    if not line:
+        raise http.client.RemoteDisconnected(
+            "Remote end closed connection without response"
+        )
+    text = str(line, "iso-8859-1")
+    version, status, reason = (text.split(None, 2) + ["", ""])[:3]
+    try:
+        code = int(status)
+    except ValueError:
+        code = 0
+    if not (version.startswith("HTTP/") and 100 <= code <= 999):
+        raise http.client.BadStatusLine(text)
+    return version, code, reason.strip()
+
+
+def _read_fields(connection: _Connection) -> list[list[str]]:
+    """The ``[name, value]`` pairs of the header block read next, each value
+    as its lines came, without its leading spaces and tabs: an obsolete
+    continuation line is kept in the value before it. A line that is no
+    header raises ``HTTPException``."""
+    fields = []
+    for count in range(1, _MAX_HEADERS + 2):
+        line = connection.readline()
+        if len(line) > _MAX_LINE:
+            raise http.client.LineTooLong("header line")
+        if count > _MAX_HEADERS:
+            break
+        if line in (b"\r\n", b"\n", b""):
+            return fields
+        text = str(line, "iso-8859-1")
+        if text[0] in " \t" and fields and "\r" not in text.rstrip("\r\n"):
+            fields[-1][1] += text
+        elif field := _FIELD.fullmatch(text):
+            fields.append(list(field.groups()))
+        else:
+            raise http.client.HTTPException(f"malformed header line {text!r:.80}")
+    raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+
+
+def _read_body(
+    connection: _Connection, method: str, status: int, fields: dict
+) -> tuple[bytes, bool]:
+    """The body of a reply, framed as http.client frames it by the first
+    value of each of its ``fields`` (keyed by lowercase name), and whether it
+    ran to the end of the stream."""
+    if method == "HEAD":
+        return b"", False
+    if fields.get("transfer-encoding", "").lower() == "chunked":
+        return _read_chunked(connection), False
+    if status in (204, 304):
+        return b"", False
+    try:
+        length = int(fields.get("content-length", ""))
+    except ValueError:
+        length = -1
+    if length < 0:  # no length: the body ends where the stream does
+        return connection.read(math.inf), True
+    body = connection.read(length)
+    if len(body) < length:
+        raise http.client.IncompleteRead(body, length - len(body))
+    return body, False
+
+
+def _read_chunked(connection: _Connection) -> bytes:
+    """A chunked body, without chunk extensions, and its trailer read past."""
+    parts = []
+    try:
+        while True:
+            line = connection.readline()
+            if len(line) > _MAX_LINE:
+                raise http.client.LineTooLong("chunk size")
+            try:
+                size = int(line.partition(b";")[0], 16)
+            except ValueError:
+                size = -1
+            if size < 0:  # no chunk size: the framing is lost
+                raise http.client.IncompleteRead(b"")
+            if size == 0:
+                break
+            part = connection.read(size)
+            if len(part) < size:
+                raise http.client.IncompleteRead(part, size - len(part))
+            parts.append(part)
+            if len(connection.read(2)) < 2:  # the CRLF after the chunk
+                raise http.client.IncompleteRead(b"")
+    except http.client.IncompleteRead as exc:
+        raise http.client.IncompleteRead(b"".join(parts)) from exc
+    while (line := connection.readline()) not in (b"\r\n", b"\n", b""):
+        if len(line) > _MAX_LINE:
+            raise http.client.LineTooLong("trailer line")
+    return b"".join(parts)
+
+
+def _will_close(version: str, fields: dict) -> bool:
+    """Whether a reply's version and headers close its connection after it,
+    by http.client's rules."""
+    connection = fields.get("connection", "").lower()
+    if version != "HTTP/1.0" and version != "HTTP/0.9":
+        return "close" in connection
+    return not (
+        fields.get("keep-alive")
+        or "keep-alive" in connection
+        or "keep-alive" in fields.get("proxy-connection", "").lower()
+    )
 
 
 # A reused connection that fails this way has not answered the request: the
@@ -157,10 +360,23 @@ _DROPPED = (http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetErro
 
 
 class _KeepAliveAdapter(BaseAdapter):
-    """requests transport for one plain-HTTP host and port: one keep-alive
-    ``http.client`` connection per thread, and ``underneath``, the adapter it
-    was mounted over, for each request that a proxy applies to.
+    """requests transport for one plain-HTTP host and port: one kept-alive
+    socket per thread, spoken to in HTTP/1.1 directly, and ``underneath``,
+    the adapter it was mounted over, for each request that a proxy applies
+    to.
 
+    A request goes out in one write: the request line, ``Host`` as
+    http.client writes it, the request's headers and its body. The reply is
+    read from the bytes the socket gives: a status line, past any ``1xx``
+    interim reply, header lines of at most 64 KiB each and at most 100 with
+    the blank line, and a body framed by ``Content-Length``, by ``chunked``
+    (extensions and trailer read past), or by the close of the connection.
+    The connection closes after an HTTP/1.0 reply without ``keep-alive``, a
+    ``Connection: close``, a body read to the close, and bytes the server
+    sent past the reply, which no request asked for.
+
+    A line over the limits, a malformed status or header line and a short
+    body fail the request as requests' own errors that the client retries.
     An idle connection that the server closed is replaced before it is used.
     When the close races the request, the request goes once more over a new
     connection; either way the caller sees one request and no error. The
@@ -173,11 +389,24 @@ class _KeepAliveAdapter(BaseAdapter):
         self.underneath = underneath
         self._address = (host, port)
         self._local = threading.local()  # .connection: the calling thread's
-        self._open: set[http.client.HTTPConnection] = set()
+        self._open: set[_Connection] = set()
         self._lock = threading.Lock()
         # An adapter dropped unclosed, with its session, closes its sockets,
         # as urllib3's pools do.
         weakref.finalize(self, _close_all, self._open)
+
+    @functools.cached_property
+    def _host_field(self) -> bytes:
+        """The ``Host`` header line that http.client writes: the port left
+        out when it is 80, an IPv6 literal in brackets without its zone."""
+        host, port = self._address
+        try:
+            name = host.encode("ascii")
+        except UnicodeEncodeError:
+            name = host.encode("idna")
+        if ":" in host:
+            name = b"[" + name.partition(b"%")[0] + b"]"
+        return b"Host: " + (name if port == 80 else b"%s:%d" % (name, port))
 
     def send(self, request, stream=False, timeout=None, verify=True, cert=None, proxies=None):
         # As HTTPAdapter.send itself reads the proxies.
@@ -186,7 +415,7 @@ class _KeepAliveAdapter(BaseAdapter):
         request.headers["Accept-Encoding"] = "gzip, deflate"  # what _decoded reads
         connect_s, read_s = timeout if isinstance(timeout, tuple) else (timeout, timeout)
         try:
-            raw, body = self._round_trip(request, connect_s, read_s)
+            status, reason, headers, body = self._round_trip(request, connect_s, read_s)
         except socket.timeout as exc:
             raise requests.Timeout(exc, request=request) from exc
         except http.client.IncompleteRead as exc:
@@ -195,14 +424,11 @@ class _KeepAliveAdapter(BaseAdapter):
             raise requests.ConnectionError(exc, request=request) from exc
         # A body that cannot be decoded was still read in full, so the
         # connection stays usable.
-        body = _decoded(body, raw.getheader("Content-Encoding"))
+        body = _decoded(body, headers.get("Content-Encoding"))
 
-        headers = CaseInsensitiveDict()
-        for name, value in raw.getheaders():
-            headers[name] = f"{headers[name]}, {value}" if name in headers else value
         response = requests.Response()
-        response.status_code = raw.status
-        response.reason = raw.reason
+        response.status_code = status
+        response.reason = reason
         response.headers = headers
         response.encoding = get_encoding_from_headers(headers)
         # A body already read: what requests holds once it has read ``raw``.
@@ -220,9 +446,29 @@ class _KeepAliveAdapter(BaseAdapter):
             _close_all(self._open)
         self.underneath.close()
 
-    def _round_trip(self, request, connect_s, read_s) -> tuple[http.client.HTTPResponse, bytes]:
-        """The response to ``request`` and its body as sent; on any error the
-        connection is closed."""
+    def _serialized(self, request) -> bytes:
+        """``request`` as the bytes of one write."""
+        headers = request.headers
+        lines = [f"{request.method} {request.path_url} HTTP/1.1".encode("ascii")]
+        if "Host" not in headers:
+            lines.append(self._host_field)
+        for name, value in headers.items():
+            if not isinstance(name, bytes):
+                name = name.encode("ascii")
+            if not isinstance(value, bytes):
+                value = value.encode("latin-1")
+            lines.append(name + b": " + value)
+        head = b"\r\n".join(lines)
+        # Each CR and LF ends a line: none is inside a header.
+        if not head.count(b"\r") == head.count(b"\n") == len(lines) - 1:
+            raise ValueError(f"a CR or LF inside a request header: {head!r:.200}")
+        chunked = "Transfer-Encoding" in headers and "Content-Length" not in headers
+        return head + b"\r\n\r\n" + _payload(request.body, chunked)
+
+    def _round_trip(self, request, connect_s, read_s) -> tuple:
+        """The status, reason, headers and body as sent of the reply to
+        ``request``; on any error the connection is closed."""
+        data = self._serialized(request)
         connection = getattr(self._local, "connection", None)
         try:
             if connection is not None and _readable(connection.sock):
@@ -230,54 +476,60 @@ class _KeepAliveAdapter(BaseAdapter):
                 connection = None
             if connection is not None:
                 try:
-                    raw = self._exchange(connection, request, read_s)
+                    head = self._exchange(connection, data, read_s)
                 except _DROPPED:
                     self._discard(connection)
                     connection = None
             if connection is None:
                 connection = self._connect(connect_s)
-                raw = self._exchange(connection, request, read_s)
-            if raw.will_close:
+                head = self._exchange(connection, data, read_s)
+            version, status, reason, fields = head
+            headers = CaseInsensitiveDict()
+            first = {}  # the first value of each field, by lowercase name
+            for name, value in fields:
+                value = value.rstrip("\r\n")
+                if (key := name.lower()) in first:
+                    headers[name] = f"{headers[name]}, {value}"
+                else:
+                    headers[name] = first[key] = value
+            body, to_end = _read_body(connection, request.method, status, first)
+            if to_end or connection.pending or _will_close(version, first):
                 self._discard(connection)
-            return raw, raw.read()
+            return status, reason, headers, body
         except BaseException:
             if connection is not None:
                 self._discard(connection)
             raise
 
-    def _connect(self, timeout) -> http.client.HTTPConnection:
-        connection = http.client.HTTPConnection(*self._address, timeout=timeout)
-        connection.connect()
-        # http.client sets this itself only from Python 3.11 on.
-        connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    def _connect(self, timeout) -> _Connection:
+        connection = _Connection(socket.create_connection(self._address, timeout))
         self._local.connection = connection
         with self._lock:
             self._open.add(connection)
+        connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return connection
 
-    def _discard(self, connection: http.client.HTTPConnection) -> None:
+    def _discard(self, connection: _Connection) -> None:
         if getattr(self._local, "connection", None) is connection:
             del self._local.connection
         with self._lock:
             self._open.discard(connection)
-        connection.close()
+        connection.sock.close()
 
     @staticmethod
-    def _exchange(connection, request, read_s) -> http.client.HTTPResponse:
-        """Send ``request`` and read the response's status and headers."""
+    def _exchange(connection: _Connection, data: bytes, read_s) -> tuple:
+        """Send ``data`` and read the final reply's version, status, reason
+        and header fields."""
         if connection.sock.gettimeout() != read_s:
             connection.sock.settimeout(read_s)
-        body = request.body
-        if isinstance(body, str):  # as urllib3 sends it
-            body = body.encode("utf-8")
-        connection.request(
-            request.method,
-            request.path_url,
-            body,
-            request.headers,
-            encode_chunked="Transfer-Encoding" in request.headers,
-        )
-        return connection.getresponse()
+        connection.sock.sendall(data)
+        version, status, reason = _read_status(connection)
+        while status < 200:  # an interim reply: only its headers follow
+            _read_fields(connection)
+            version, status, reason = _read_status(connection)
+        if not (version in ("HTTP/1.0", "HTTP/0.9") or version.startswith("HTTP/1.")):
+            raise http.client.UnknownProtocol(version)
+        return version, status, reason, _read_fields(connection)
 
 
 @dataclass(frozen=True)

@@ -188,7 +188,9 @@ def run_episode(
     text of :func:`_failure`; so does a decision that the log could not read
     back (a guess of the wrong shape, say, or a flag that is not text), which
     :func:`_check_decision` refuses before its action is applied: the episode
-    ends as ``protocol_failure`` with no round for it.
+    ends as ``protocol_failure`` with no round for it. The failed round of an
+    :class:`EpisodeProtocolFailure` is checked the same way, so flags that
+    are not text end the episode with no round either.
     """
     state = generate_world(config)
     rounds: list[RoundRecord] = []
@@ -197,21 +199,23 @@ def run_episode(
     obs = None
     while state.status is Status.RUNNING:
         obs = build_observation(state, obs)
+        failed = None
         try:
-            decision = agent.decide(obs)
+            try:
+                decision = agent.decide(obs)
+            except EpisodeProtocolFailure as exc:
+                failed = exc
+                # The failed round executed no action: an exit placeholder
+                # with reward 0 keeps it out of the score and the step count.
+                flags = [*exc.flags, "protocol-failure"]
+                decision = Decision(Action.exit(), "none", calls=exc.calls, flags=flags)
             _check_decision(decision)
-            reward = apply_action(state, decision.action)
-        except EpisodeProtocolFailure as exc:
-            state.status = Status.PROTOCOL_FAILURE
-            error = str(exc)
-            # The failed round executed no action: an exit placeholder with
-            # reward 0 keeps it out of the score and the step count.
-            flags = [*exc.flags, "protocol-failure"]
-            decision = Decision(Action.exit(), "none", calls=exc.calls, flags=flags)
-            reward = 0
+            reward = 0 if failed else apply_action(state, decision.action)
         except Exception as exc:  # record, never abort the batch
             state.status, error = _failure(exc)
             break
+        if failed:
+            state.status, error = Status.PROTOCOL_FAILURE, str(failed)
         rounds.append(
             RoundRecord(
                 index=len(rounds),

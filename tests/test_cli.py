@@ -353,6 +353,18 @@ def test_summarize_reads_the_v1_fixture(capsys):
 LLM_CONFIG = '{"endpoint": "http://127.0.0.1:9/v1", "model": "m", %s}'
 
 
+def stop_mock_serve_at_once(monkeypatch, argv):
+    """Make an in-process ``mock-serve`` stop at its first sleep, as on
+    Ctrl-C: a script that the loader wrongly accepts then makes the command
+    return 0, and the test fail, instead of serving forever."""
+
+    def interrupt(seconds):
+        raise KeyboardInterrupt
+
+    if argv[0] == "mock-serve":
+        monkeypatch.setattr(cli.time, "sleep", interrupt)
+
+
 @pytest.mark.parametrize(
     "name, text, argv, message",
     [
@@ -541,6 +553,7 @@ def test_cli_reports_a_malformed_input_file_as_an_error(
     tmp_path, capsys, monkeypatch, name, text, argv, message
 ):
     monkeypatch.chdir(tmp_path)
+    stop_mock_serve_at_once(monkeypatch, argv)
     path = tmp_path / (name or "missing.jsonl")
     if text is not None:
         path.write_text(text)
@@ -647,6 +660,7 @@ def test_an_unknown_or_mistyped_input_key_is_refused_by_name(
     tmp_path, capsys, monkeypatch, name, data, argv, key
 ):
     monkeypatch.chdir(tmp_path)
+    stop_mock_serve_at_once(monkeypatch, argv)
     path = tmp_path / name
     path.write_text(data if isinstance(data, str) else json.dumps(data))
     if argv[0].startswith("--"):  # a run: its log would show any episode played

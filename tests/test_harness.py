@@ -13,6 +13,7 @@ from wumpusbench import (
     ChatClient,
     CompletionLog,
     Decision,
+    EpisodeProtocolFailure,
     EpisodeRecord,
     LlmAgent,
     MockChatServer,
@@ -25,6 +26,7 @@ from wumpusbench import (
     UsageRecord,
     WorldConfig,
     build_observation,
+    cli,
     default_matrix,
     generate_world,
     matrix_from_dict,
@@ -429,6 +431,53 @@ def test_a_decision_the_log_could_not_read_back_ends_the_episode(tmp_path, bad, 
     write_records(path, [record])
     assert read_records(path) == [record]
     verify_record(record)
+
+
+class GivesUpInRoundTwo:
+    """Moves to (2,1), then fails the way an LLM agent fails, with the flags
+    it was built with."""
+
+    def __init__(self, flags):
+        self.flags = flags
+        self.rounds = 0
+
+    def decide(self, obs):
+        self.rounds += 1
+        if self.rounds == 1:
+            return Decision(Action.move(2, 1), "custom")
+        raise EpisodeProtocolFailure("gave up", flags=self.flags)
+
+
+@pytest.mark.parametrize(
+    "flags, error, failed_rounds",
+    [
+        (["unparseable-action"], "gave up", 1),
+        (
+            [3],
+            r"TypeError: the decision cannot be logged: RoundRecord.flags must be "
+            r"list\[str\], not \[3, 'protocol-failure'\]",
+            0,
+        ),
+    ],
+    ids=["text-flags", "int-flag"],
+)
+def test_a_protocol_failure_is_logged_so_that_the_log_reads_back(
+    tmp_path, capsys, flags, error, failed_rounds
+):
+    config = WorldConfig(grid_size=3, num_pits=0, num_wumpus=1, seed=1)
+    record = run_episode(config, GivesUpInRoundTwo(flags), agent_kind="custom")
+    assert record.status == "protocol_failure"
+    assert re.fullmatch(error, record.error)
+    assert len(record.rounds) == 1 + failed_rounds
+    assert record.rounds[0].action == Action.move(2, 1)
+    assert record.score == 49
+    path = tmp_path / "log.jsonl"
+    write_records(path, [record])
+    assert read_records(path) == [record]
+    verify_record(record)
+    assert summarize([record]).protocol_failures == 1
+    assert cli.main(["replay", "--log", str(path), "--episode", "0"]) == 0
+    assert "status=protocol_failure" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

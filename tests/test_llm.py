@@ -348,14 +348,16 @@ def raw_server(
     close: bool = False,
     received: list | None = None,
     drop: int | None = None,
+    after=None,
 ):
     """A one-route HTTP server that answers each request with ``response``
-    verbatim (never, when it is None) and then closes the connection when
-    ``close`` is set. The request numbered ``drop``, counting from 0 over
-    every connection, is read and its connection closed unanswered. Appends
-    each request to ``received``, when given, as its request line, its header
-    lines and its body. Yields its URL and a semaphore released each time it
-    has closed a connection."""
+    verbatim (never, when it is None), calls ``after`` with the connection's
+    writer when given, and then closes the connection when ``close`` is set.
+    The request numbered ``drop``, counting from 0 over every connection, is
+    read and its connection closed unanswered. Appends each request to
+    ``received``, when given, as its request line, its header lines and its
+    body. Yields its URL and a semaphore released each time it has closed a
+    connection."""
     release = threading.Event()
     closed = threading.Semaphore(0)
     numbers = itertools.count()
@@ -382,6 +384,8 @@ def raw_server(
                     release.wait(10)
                     return
                 self.wfile.write(response)
+                if after is not None:
+                    after(self.wfile)
                 if close:
                     return
 
@@ -503,6 +507,143 @@ def test_every_body_framing_and_encoding_decodes_the_same(
         for _ in range(2):
             content, usage = client.complete([ChatMessage("user", "hi")])
             assert (content, usage.prompt_tokens, usage.total_tokens) == ("decoded", 3, 5)
+
+
+@pytest.mark.parametrize(
+    "head, kept",
+    [
+        ("HTTP/1.0 200 OK", False),
+        ("HTTP/1.0 200 OK\r\nConnection: keep-alive", True),
+        ("HTTP/1.0 200 OK\r\nKeep-Alive: timeout=5", True),
+        ("HTTP/1.1 200 OK\r\nConnection: close", False),
+        ("HTTP/1.1 200 OK", True),
+    ],
+    ids=["http-1.0", "http-1.0-keep-alive", "http-1.0-keep-alive-header", "close", "http-1.1"],
+)
+def test_a_reply_keeps_or_closes_the_connection_as_its_version_and_headers_say(
+    clean_environment, head, kept
+):
+    response = f"{head}\r\nContent-Length: {len(COMPLETION)}\r\n\r\n".encode() + COMPLETION
+    session = CountingPostSession()
+    received = []
+    with raw_server(response, received=received) as (url, closed):
+        client = ChatClient(url, "m", max_retries=0, session=session)
+        for _ in range(3):
+            assert client.complete([ChatMessage("user", "hi")])[0] == "decoded"
+            # The server keeps every connection open: only the client ends one.
+            if not kept:
+                assert closed.acquire(timeout=10)
+        assert not closed.acquire(timeout=0.2)
+        assert (session.posts, len(received)) == (3, 3)
+
+
+@pytest.mark.parametrize(
+    "response",
+    [
+        b"HTTP/1.1 100 Continue\r\n\r\n" + REPLY,
+        b"HTTP/1.1 100 Continue\r\nX-Interim: 1\r\n\r\nHTTP/1.1 100 Continue\r\n\r\n" + REPLY,
+        http_response(
+            b"".join(
+                b"%x;name=value\r\n%s\r\n" % (len(part), part)
+                for part in (COMPLETION[:16], COMPLETION[16:])
+            )
+            + b"0;last\r\nExpires: never\r\nX-Trailer: 1\r\n\r\n",
+            "Transfer-Encoding: chunked",
+        ),
+        http_response(chunked(COMPLETION), "Transfer-Encoding: chunked", "Content-Length: 3"),
+    ],
+    ids=["continue", "two-continues", "chunk-extensions-and-trailer", "chunked-over-length"],
+)
+def test_interim_replies_chunk_extensions_and_trailers_are_read_past(
+    clean_environment, response
+):
+    received = []
+    with raw_server(response, received=received) as (url, closed):
+        client = ChatClient(url, "m", max_retries=0)
+        for _ in range(3):
+            content, usage = client.complete([ChatMessage("user", "hi")])
+            assert (content, usage.total_tokens) == ("decoded", 5)
+        # All of each reply was read, so one connection served every request.
+        assert not closed.acquire(timeout=0.2)
+        assert len(received) == 3
+
+
+@pytest.mark.parametrize(
+    "response, message",
+    [
+        (
+            http_response(COMPLETION, f"X-Long: {'a' * 65536}", f"Content-Length: {len(COMPLETION)}"),
+            "got more than 65536 bytes when reading header line",
+        ),
+        (
+            http_response(
+                COMPLETION, *(f"X-{i}: 1" for i in range(100)), f"Content-Length: {len(COMPLETION)}"
+            ),
+            "got more than 100 headers",
+        ),
+        (b"HTTP/1.1 200 " + b"o" * 65536 + b"\r\n\r\n", "status line"),
+        (b"ICY 200 OK\r\n\r\n", "ICY 200 OK"),
+        (b"HTTP/1.1 2000 OK\r\n\r\n", "HTTP/1.1 2000 OK"),
+        (b"HTTP/2 200 OK\r\n\r\n", "HTTP/2$"),
+    ],
+    ids=[
+        "header-line-too-long",
+        "too-many-headers",
+        "status-line-too-long",
+        "not-http",
+        "four-digit-status",
+        "unknown-version",
+    ],
+)
+def test_a_reply_past_the_limits_or_with_a_bad_status_line_is_retried_as_transient(
+    clean_environment, response, message
+):
+    session = CountingPostSession()
+    received = []
+    with raw_server(response, received=received) as (url, _):
+        client = ChatClient(url, "m", max_retries=2, backoff=0, session=session)
+        with pytest.raises(TransportError, match=f"after 3 attempts.*{message}"):
+            client.complete([ChatMessage("user", "hi")])
+    assert session.posts == 3
+    assert len(received) == 3
+
+
+def test_the_most_headers_a_reply_may_have_are_read(clean_environment):
+    # 99 header lines and the blank line that ends them: as many as
+    # http.client reads.
+    response = http_response(
+        COMPLETION, *(f"X-{i}: 1" for i in range(98)), f"Content-Length: {len(COMPLETION)}"
+    )
+    with raw_server(response) as (url, _):
+        client = ChatClient(url, "m", max_retries=0)
+        assert client.complete([ChatMessage("user", "hi")])[0] == "decoded"
+
+
+@pytest.mark.parametrize("late", [False, True], ids=["with-the-reply", "after-the-reply"])
+def test_bytes_no_request_asked_for_never_answer_the_next_request(clean_environment, late):
+    session = CountingPostSession()
+    received = []
+    answered, sent = threading.Event(), threading.Event()
+    stray = http_response(b"stray", "Content-Length: 5")
+
+    def send_stray(wfile):  # on the first connection, once its reply was read
+        if not sent.is_set() and answered.wait(10):
+            wfile.write(stray)
+            sent.set()
+
+    response = REPLY if late else REPLY + stray
+    with raw_server(response, received=received, after=send_stray if late else None) as (
+        url,
+        closed,
+    ):
+        client = ChatClient(url, "m", max_retries=0, session=session)
+        assert client.complete([ChatMessage("user", "hi")])[0] == "decoded"
+        answered.set()
+        assert not late or sent.wait(10)
+        assert client.complete([ChatMessage("user", "hi")])[0] == "decoded"
+        if late:  # the connection that held them was closed, not used again
+            assert closed.acquire(timeout=10)
+    assert (session.posts, len(received)) == (2, 2)
 
 
 @pytest.mark.parametrize(
