@@ -30,15 +30,17 @@ A client for a plain ``http`` endpoint mounts a keep-alive adapter on its
 session for that exact URL, unless one is mounted there already or the
 session would send the URL through anything but requests' stock
 ``HTTPAdapter`` without retries: a caller's own adapter stands. The adapter
-keeps one socket per thread and speaks HTTP/1.1 on it itself: a request goes
-out in one write, and the reply is read from the bytes each read of the
-socket gives, by http.client's rules for framing, limits and keep-alive (see
-``_KeepAliveAdapter``). It asks for ``gzip`` or ``deflate`` bodies only. A
-request that a proxy applies to goes on to the ``HTTPAdapter`` it replaced,
-which handles proxies; ``https`` requests never meet it. On a local call requests' own adapter costs about as
-much CPU as the rest of the post, which matters to local OpenAI-compatible
-servers on plain ``http`` and to ``mock-serve``; hosted APIs are ``https``.
-The adapter stores no ``Set-Cookie`` in the session.
+carries what the client sends, a ``POST`` with a ``bytes`` body that no
+proxy applies to, on one socket per thread, and speaks HTTP/1.1 on it
+itself: the request goes out in one write, and the reply is read from the
+bytes each read of the socket gives, by http.client's rules for framing,
+limits and keep-alive (see ``_KeepAliveAdapter``). It asks for ``gzip`` or
+``deflate`` bodies only. Every other request goes on to the ``HTTPAdapter``
+it replaced; ``https`` requests never meet it. On a local call requests' own
+adapter costs about as much CPU as the rest of the post, which matters to
+local OpenAI-compatible servers on plain ``http`` and to ``mock-serve``;
+hosted APIs are ``https``. The adapter stores no ``Set-Cookie`` in the
+session.
 """
 
 from __future__ import annotations
@@ -183,15 +185,18 @@ class _Connection:
             self._pos = 0
         return bool(data)
 
-    def readline(self) -> bytes:
-        """The next line with its ending, or its first ``_MAX_LINE + 1`` bytes
-        if it is longer; at the end of the stream, what is left of it."""
+    def readline(self, what: str) -> bytes:
+        """The next line with its ending; at the end of the stream, what is
+        left of it. A line over ``_MAX_LINE`` bytes raises ``LineTooLong``,
+        which names it ``what``."""
         while True:
             start, limit = self._pos, self._pos + _MAX_LINE + 1
             end = self._buffer.find(b"\n", start, limit) + 1
             if end or len(self._buffer) >= limit or not self._fill():
                 break
         self._pos = end or min(len(self._buffer), limit)
+        if self._pos - start > _MAX_LINE:
+            raise http.client.LineTooLong(what)
         return self._buffer[start : self._pos]
 
     def read(self, size: float) -> bytes:
@@ -213,41 +218,9 @@ def _close_all(connections: set[_Connection]) -> None:
     connections.clear()
 
 
-def _payload(body, chunked: bool) -> bytes:
-    """A request body as http.client sends it: a str as UTF-8 (as urllib3
-    sends it), a file read to its end, any other iterable that is not
-    bytes-like item by item, empty items left out; when ``chunked``, each
-    item framed as a chunk and the last, empty chunk added."""
-    if body is None:
-        return b""
-    if isinstance(body, str):
-        body = body.encode("utf-8")
-    if hasattr(body, "read"):
-        parts = _blocks(body)
-    else:
-        try:
-            memoryview(body)
-            parts = (body,)
-        except TypeError:
-            parts = body
-    if not chunked:
-        return b"".join(parts)
-    return b"".join(b"%X\r\n%s\r\n" % (len(part), part) for part in parts if part) + (
-        b"0\r\n\r\n"
-    )
-
-
-def _blocks(file):
-    """The blocks of ``file`` as http.client reads them, text as Latin-1."""
-    while block := file.read(8192):
-        yield block.encode("iso-8859-1") if isinstance(block, str) else block
-
-
 def _read_status(connection: _Connection) -> tuple[str, int, str]:
     """The version, status code and reason of the status line read next."""
-    line = connection.readline()
-    if len(line) > _MAX_LINE:
-        raise http.client.LineTooLong("status line")
+    line = connection.readline("status line")
     if not line:
         raise http.client.RemoteDisconnected(
             "Remote end closed connection without response"
@@ -270,9 +243,7 @@ def _read_fields(connection: _Connection) -> list[list[str]]:
     header raises ``HTTPException``."""
     fields = []
     for count in range(1, _MAX_HEADERS + 2):
-        line = connection.readline()
-        if len(line) > _MAX_LINE:
-            raise http.client.LineTooLong("header line")
+        line = connection.readline("header line")
         if count > _MAX_HEADERS:
             break
         if line in (b"\r\n", b"\n", b""):
@@ -287,14 +258,10 @@ def _read_fields(connection: _Connection) -> list[list[str]]:
     raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
 
 
-def _read_body(
-    connection: _Connection, method: str, status: int, fields: dict
-) -> tuple[bytes, bool]:
+def _read_body(connection: _Connection, status: int, fields: dict) -> tuple[bytes, bool]:
     """The body of a reply, framed as http.client frames it by the first
     value of each of its ``fields`` (keyed by lowercase name), and whether it
     ran to the end of the stream."""
-    if method == "HEAD":
-        return b"", False
     if fields.get("transfer-encoding", "").lower() == "chunked":
         return _read_chunked(connection), False
     if status in (204, 304):
@@ -314,30 +281,22 @@ def _read_body(
 def _read_chunked(connection: _Connection) -> bytes:
     """A chunked body, without chunk extensions, and its trailer read past."""
     parts = []
-    try:
-        while True:
-            line = connection.readline()
-            if len(line) > _MAX_LINE:
-                raise http.client.LineTooLong("chunk size")
-            try:
-                size = int(line.partition(b";")[0], 16)
-            except ValueError:
-                size = -1
-            if size < 0:  # no chunk size: the framing is lost
-                raise http.client.IncompleteRead(b"")
-            if size == 0:
-                break
-            part = connection.read(size)
-            if len(part) < size:
-                raise http.client.IncompleteRead(part, size - len(part))
-            parts.append(part)
-            if len(connection.read(2)) < 2:  # the CRLF after the chunk
-                raise http.client.IncompleteRead(b"")
-    except http.client.IncompleteRead as exc:
-        raise http.client.IncompleteRead(b"".join(parts)) from exc
-    while (line := connection.readline()) not in (b"\r\n", b"\n", b""):
-        if len(line) > _MAX_LINE:
-            raise http.client.LineTooLong("trailer line")
+    while True:
+        try:
+            size = int(connection.readline("chunk size").partition(b";")[0], 16)
+        except ValueError:
+            size = -1
+        if size < 0:  # no chunk size: the framing is lost
+            raise http.client.IncompleteRead(b"")
+        if size == 0:
+            break
+        part = connection.read(size)
+        if len(part) < size:
+            raise http.client.IncompleteRead(part, size - len(part))
+        parts.append(part)
+        connection.read(2)  # the CRLF; at the end of the stream no size follows
+    while connection.readline("trailer line") not in (b"\r\n", b"\n", b""):
+        pass
     return b"".join(parts)
 
 
@@ -360,10 +319,11 @@ _DROPPED = (http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetErro
 
 
 class _KeepAliveAdapter(BaseAdapter):
-    """requests transport for one plain-HTTP host and port: one kept-alive
-    socket per thread, spoken to in HTTP/1.1 directly, and ``underneath``,
-    the adapter it was mounted over, for each request that a proxy applies
-    to.
+    """requests transport for one plain-HTTP host and port. What
+    :class:`ChatClient` sends, a ``POST`` whose body is ``bytes`` and that no
+    proxy applies to, goes over one kept-alive socket per thread, spoken to
+    in HTTP/1.1 directly; every other request goes to ``underneath``, the
+    adapter this one was mounted over.
 
     A request goes out in one write: the request line, ``Host`` as
     http.client writes it, the request's headers and its body. The reply is
@@ -409,8 +369,11 @@ class _KeepAliveAdapter(BaseAdapter):
         return b"Host: " + (name if port == 80 else b"%s:%d" % (name, port))
 
     def send(self, request, stream=False, timeout=None, verify=True, cert=None, proxies=None):
-        # As HTTPAdapter.send itself reads the proxies.
-        if proxies and select_proxy(request.url, proxies):
+        # Only what ChatClient sends is carried here; a proxy is looked up
+        # as HTTPAdapter.send looks it up.
+        if not (request.method == "POST" and type(request.body) is bytes) or (
+            proxies and select_proxy(request.url, proxies)
+        ):
             return self.underneath.send(request, stream, timeout, verify, cert, proxies)
         request.headers["Accept-Encoding"] = "gzip, deflate"  # what _decoded reads
         connect_s, read_s = timeout if isinstance(timeout, tuple) else (timeout, timeout)
@@ -462,8 +425,7 @@ class _KeepAliveAdapter(BaseAdapter):
         # Each CR and LF ends a line: none is inside a header.
         if not head.count(b"\r") == head.count(b"\n") == len(lines) - 1:
             raise ValueError(f"a CR or LF inside a request header: {head!r:.200}")
-        chunked = "Transfer-Encoding" in headers and "Content-Length" not in headers
-        return head + b"\r\n\r\n" + _payload(request.body, chunked)
+        return head + b"\r\n\r\n" + request.body
 
     def _round_trip(self, request, connect_s, read_s) -> tuple:
         """The status, reason, headers and body as sent of the reply to
@@ -492,7 +454,7 @@ class _KeepAliveAdapter(BaseAdapter):
                     headers[name] = f"{headers[name]}, {value}"
                 else:
                     headers[name] = first[key] = value
-            body, to_end = _read_body(connection, request.method, status, first)
+            body, to_end = _read_body(connection, status, first)
             if to_end or connection.pending or _will_close(version, first):
                 self._discard(connection)
             return status, reason, headers, body

@@ -46,6 +46,7 @@ from types import NoneType, UnionType
 from typing import Callable, Iterable, Iterator, get_args, get_origin, get_type_hints
 
 from .agents import Agent, CompletionLog, Decision, _cell_pairs
+from .chat import ChatMessage, UsageRecord
 from .errors import (
     ConfigurationError, EpisodeProtocolFailure, LogCorruptionError, ReplayMismatchError,
     WumpusBenchError,
@@ -186,11 +187,13 @@ def run_episode(
     and the failed round is logged with the calls it made and the flags of
     the replies refused in it. Any other exception gets the status and error
     text of :func:`_failure`; so does a decision that the log could not read
-    back (a guess of the wrong shape, say, or a flag that is not text), which
-    :func:`_check_decision` refuses before its action is applied: the episode
-    ends as ``protocol_failure`` with no round for it. The failed round of an
-    :class:`EpisodeProtocolFailure` is checked the same way, so flags that
-    are not text end the episode with no round either.
+    back (a guess of the wrong shape, say, a flag that is not text or a call
+    that is not a :class:`CompletionLog`), which :func:`_check_decision`
+    refuses before its action is applied: the episode ends as
+    ``protocol_failure`` with no round for it. The failed round of an
+    :class:`EpisodeProtocolFailure` is checked the same way, so flags or
+    calls that the log could not read back end the episode with no round
+    either.
     """
     state = generate_world(config)
     rounds: list[RoundRecord] = []
@@ -253,16 +256,49 @@ _DECIDED = ("provenance", "analysis", "guess", "guess_raw", "flags")
 def _check_decision(decision: Decision) -> None:
     """Refuse, as the agent failing to act, a decision whose round the log
     could not read back: its provenance, analysis, guess, guess_raw and flags
-    are held to the rules that :func:`read_records` holds a round's fields to.
-    An action with a text provenance and nothing else, as every oracle round
-    is, needs no further look."""
+    are held to the rules that :func:`read_records` holds a round's fields to,
+    and its calls to :func:`_check_calls`. An action with a text provenance
+    and nothing else, as every oracle round is, needs no further look."""
     plain = decision.analysis is decision.guess is decision.guess_raw is None
-    if plain and decision.flags == [] and type(decision.provenance) is str:
+    if plain and decision.flags == decision.calls == [] and type(decision.provenance) is str:
         return
     try:
+        _check_calls(decision.calls)
         _field_values(RoundRecord)({name: getattr(decision, name) for name in _DECIDED})
     except LogCorruptionError as exc:
         raise TypeError(f"the decision cannot be logged: {exc}") from None
+
+
+def _check_calls(calls) -> None:
+    """Raise :class:`LogCorruptionError` unless ``calls`` is a list of
+    :class:`CompletionLog` whose role, model and response are text, whose
+    messages are :class:`ChatMessage` with a text role and content, and
+    whose usage is a :class:`UsageRecord`, which checks its own values."""
+    if type(calls) is not list:
+        raise LogCorruptionError(f"RoundRecord.calls must be a list, not {calls!r:.80}")
+    for call in calls:
+        if type(call) is not CompletionLog:
+            raise LogCorruptionError(f"a call must be a CompletionLog, not {call!r:.80}")
+        for name in ("role", "model", "response"):
+            if type(value := getattr(call, name)) is not str:
+                raise LogCorruptionError(f"CompletionLog.{name} must be str, not {value!r:.80}")
+        if type(messages := call.messages) is not list:
+            raise LogCorruptionError(
+                f"CompletionLog.messages must be a list, not {messages!r:.80}"
+            )
+        for message in messages:
+            if not (
+                type(message) is ChatMessage
+                and type(message.role) is str
+                and type(message.content) is str
+            ):
+                raise LogCorruptionError(
+                    f"a message must be a ChatMessage of text, not {message!r:.80}"
+                )
+        if type(call.usage) is not UsageRecord:
+            raise LogCorruptionError(
+                f"CompletionLog.usage must be a UsageRecord, not {call.usage!r:.80}"
+            )
 
 
 def _failure(exc: Exception) -> tuple[Status, str]:

@@ -11,6 +11,7 @@ import pytest
 from wumpusbench import (
     Action,
     ChatClient,
+    ChatMessage,
     CompletionLog,
     Decision,
     EpisodeProtocolFailure,
@@ -437,15 +438,16 @@ class GivesUpInRoundTwo:
     """Moves to (2,1), then fails the way an LLM agent fails, with the flags
     it was built with."""
 
-    def __init__(self, flags):
+    def __init__(self, flags, calls=None):
         self.flags = flags
+        self.calls = calls
         self.rounds = 0
 
     def decide(self, obs):
         self.rounds += 1
         if self.rounds == 1:
             return Decision(Action.move(2, 1), "custom")
-        raise EpisodeProtocolFailure("gave up", flags=self.flags)
+        raise EpisodeProtocolFailure("gave up", calls=self.calls, flags=self.flags)
 
 
 @pytest.mark.parametrize(
@@ -470,6 +472,53 @@ def test_a_protocol_failure_is_logged_so_that_the_log_reads_back(
     assert re.fullmatch(error, record.error)
     assert len(record.rounds) == 1 + failed_rounds
     assert record.rounds[0].action == Action.move(2, 1)
+    assert record.score == 49
+    path = tmp_path / "log.jsonl"
+    write_records(path, [record])
+    assert read_records(path) == [record]
+    verify_record(record)
+    assert summarize([record]).protocol_failures == 1
+    assert cli.main(["replay", "--log", str(path), "--episode", "0"]) == 0
+    assert "status=protocol_failure" in capsys.readouterr().out
+
+
+def logged_call(**changes) -> CompletionLog:
+    call = CompletionLog(
+        "model", "m", [ChatMessage("user", "hi")], "Action: <exit>", UsageRecord(10, 2, 12, 0.1)
+    )
+    return dataclasses.replace(call, **changes)
+
+
+@pytest.mark.parametrize(
+    "agent, message",
+    [
+        (lambda: BadDecisionInRoundTwo(calls=[3]), "a call must be a CompletionLog, not 3"),
+        (
+            lambda: BadDecisionInRoundTwo(calls=[logged_call(response=5)]),
+            "CompletionLog.response must be str, not 5",
+        ),
+        (
+            lambda: BadDecisionInRoundTwo(calls=[logged_call(messages=[ChatMessage("user", 7)])]),
+            r"a message must be a ChatMessage of text, not ChatMessage\(role='user', content=7\)",
+        ),
+        (
+            lambda: BadDecisionInRoundTwo(calls=[logged_call(usage={"prompt_tokens": 10})]),
+            "CompletionLog.usage must be a UsageRecord, not {'prompt_tokens': 10}",
+        ),
+        (lambda: BadDecisionInRoundTwo(calls=None), "RoundRecord.calls must be a list, not None"),
+        (lambda: GivesUpInRoundTwo([], calls=[3]), "a call must be a CompletionLog, not 3"),
+    ],
+    ids=["int-call", "int-response", "int-content", "dict-usage", "no-calls", "failed-round"],
+)
+def test_a_decision_whose_calls_the_log_could_not_read_back_ends_the_episode(
+    tmp_path, capsys, agent, message
+):
+    config = WorldConfig(grid_size=3, num_pits=0, num_wumpus=1, seed=1)
+    record = run_episode(config, agent(), agent_kind="custom")
+    assert record.status == "protocol_failure"
+    assert re.fullmatch(f"TypeError: the decision cannot be logged: {message}", record.error)
+    # The round before it is kept; the refused decision's action never ran.
+    assert [r.action for r in record.rounds] == [Action.move(2, 1)]
     assert record.score == 49
     path = tmp_path / "log.jsonl"
     write_records(path, [record])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import gzip
+import io
 import itertools
 import json
 import os
@@ -585,6 +586,17 @@ def test_interim_replies_chunk_extensions_and_trailers_are_read_past(
         (b"ICY 200 OK\r\n\r\n", "ICY 200 OK"),
         (b"HTTP/1.1 2000 OK\r\n\r\n", "HTTP/1.1 2000 OK"),
         (b"HTTP/2 200 OK\r\n\r\n", "HTTP/2$"),
+        (
+            http_response(b"1" * 65537 + b"\r\n", "Transfer-Encoding: chunked"),
+            "got more than 65536 bytes when reading chunk size",
+        ),
+        (
+            http_response(
+                b"0\r\nX-Trailer: " + b"a" * 65536 + b"\r\n\r\n", "Transfer-Encoding: chunked"
+            ),
+            "got more than 65536 bytes when reading trailer line",
+        ),
+        (b"HTTP/1.1 2oo OK\r\n\r\n", "HTTP/1.1 2oo OK"),
     ],
     ids=[
         "header-line-too-long",
@@ -593,6 +605,9 @@ def test_interim_replies_chunk_extensions_and_trailers_are_read_past(
         "not-http",
         "four-digit-status",
         "unknown-version",
+        "chunk-size-line-too-long",
+        "trailer-line-too-long",
+        "status-not-a-number",
     ],
 )
 def test_a_reply_past_the_limits_or_with_a_bad_status_line_is_retried_as_transient(
@@ -606,6 +621,65 @@ def test_a_reply_past_the_limits_or_with_a_bad_status_line_is_retried_as_transie
             client.complete([ChatMessage("user", "hi")])
     assert session.posts == 3
     assert len(received) == 3
+
+
+@pytest.mark.parametrize(
+    "response, message",
+    [
+        (
+            http_response(COMPLETION, "X-No-Colon", f"Content-Length: {len(COMPLETION)}"),
+            "malformed header line 'X-No-Colon",
+        ),
+        (http_response(b"zz\r\n" + COMPLETION, "Transfer-Encoding: chunked"), "IncompleteRead"),
+        (http_response(b"40\r\n" + COMPLETION[:10], "Transfer-Encoding: chunked"), "IncompleteRead"),
+        (http_response(b"a\r\n" + COMPLETION[:10], "Transfer-Encoding: chunked"), "IncompleteRead"),
+    ],
+    ids=["header-without-colon", "chunk-size-not-hex", "short-chunk", "chunk-without-crlf"],
+)
+def test_a_malformed_header_line_or_chunked_body_is_retried_as_transient(
+    clean_environment, response, message
+):
+    session = CountingPostSession()
+    received = []
+    with raw_server(response, close=True, received=received) as (url, _):
+        client = ChatClient(url, "m", max_retries=2, backoff=0, session=session)
+        with pytest.raises(TransportError, match=f"after 3 attempts.*{message}"):
+            client.complete([ChatMessage("user", "hi")])
+    assert session.posts == 3
+    assert len(received) == 3
+
+
+@pytest.mark.parametrize(
+    "fields, name, value",
+    [
+        (("X-Folded: first", " second", "\tthird"), "X-Folded", "first\r\n second\r\n\tthird"),
+        (("X-Twice: 1", "x-twice: 2"), "X-Twice", "1, 2"),
+    ],
+    ids=["folded", "repeated"],
+)
+def test_a_folded_field_keeps_its_lines_and_a_repeated_one_is_joined(
+    clean_environment, fields, name, value
+):
+    response = http_response(COMPLETION, *fields, f"Content-Length: {len(COMPLETION)}")
+    with raw_server(response) as (url, _), requests.Session() as session:
+        client = ChatClient(url, "m", max_retries=0, session=session)
+        assert client.complete([ChatMessage("user", "hi")])[0] == "decoded"
+        reply = session.post(url, json={"model": "m", "messages": []})
+        assert reply.headers[name] == value
+
+
+def test_a_204_fails_at_once_and_its_connection_answers_the_next_call(clean_environment):
+    session = CountingPostSession()
+    received = []
+    with raw_server(b"HTTP/1.1 204 No Content\r\n\r\n", received=received) as (url, closed):
+        client = ChatClient(url, "m", max_retries=3, backoff=0, timeout=2, session=session)
+        for posts in (1, 2):
+            with pytest.raises(TransportError, match="^endpoint returned 204: $"):
+                client.complete([ChatMessage("user", "hi")])
+            assert session.posts == len(received) == posts
+        # No body was waited for, so one kept-alive connection served both.
+        assert not closed.acquire(timeout=0.2)
+        session.close()
 
 
 def test_the_most_headers_a_reply_may_have_are_read(clean_environment):
@@ -945,6 +1019,49 @@ def test_both_transports_send_the_same_request(clean_environment):
     assert sorted(h for h in sent if h not in coding(sent)) == sorted(
         h for h in expected if h not in coding(expected)
     )
+
+
+CHAT_BODY = json.dumps({"model": "m", "messages": [{"role": "user", "content": "other"}]})
+
+
+@pytest.mark.parametrize(
+    "send, status",
+    [
+        (lambda session, url: session.get(url), 501),
+        (lambda session, url: session.head(url), 501),
+        (lambda session, url: session.post(url, data=CHAT_BODY), 200),
+        (lambda session, url: session.post(url, data=io.BytesIO(CHAT_BODY.encode())), 200),
+        # A body of unknown length: requests sends it chunked.
+        (lambda session, url: session.post(url, data=iter([CHAT_BODY.encode()])), 501),
+    ],
+    ids=["get", "head", "str-body", "file-body", "generator-body"],
+)
+def test_any_request_but_the_clients_own_post_goes_underneath(clean_environment, send, status):
+    with (
+        MockChatServer([MockReply("ok")] * 3) as server,
+        requests.Session() as session,
+    ):
+        client = ChatClient(server.url, "m", max_retries=0, session=session)
+        adapter = session.get_adapter(server.url)
+        underneath, send_underneath = [], adapter.underneath.send
+
+        def counting_send(request, *args, **kwargs):
+            underneath.append(request.method)
+            return send_underneath(request, *args, **kwargs)
+
+        adapter.underneath.send = counting_send
+        assert client.complete([ChatMessage("user", "client")])[0] == "ok"
+        response = send(session, server.url)
+        assert response.status_code == status
+        assert client.complete([ChatMessage("user", "client")])[0] == "ok"
+        assert underneath == [response.request.method]
+    # The client's own posts still share one kept-alive socket.
+    peers = {
+        peer
+        for request, peer in zip(server.requests, server.peers)
+        if request["messages"][0]["content"] == "client"
+    }
+    assert len(peers) == 1
 
 
 class RefusingAdapter(BaseAdapter):
