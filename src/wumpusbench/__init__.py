@@ -7,6 +7,7 @@ The names below are the public API, the ones the README lists under
 from .agents import (
     Agent,
     CompletionLog,
+    Completer,
     Decision,
     RandomLegalAgent,
     ScriptedAgent,

@@ -1,4 +1,4 @@
-"""Agent protocol plus the simple non-LLM agents.
+"""Agent and completer protocols plus the simple non-LLM agents.
 
 An agent sees only observations. Its decision carries the chosen action, who
 chose it (oracle, scripted, random, model, planner or critic), and the full
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol
+from typing import Iterable, Protocol, Sequence
 
 from .chat import ChatMessage, UsageRecord
 from .errors import EpisodeProtocolFailure
@@ -51,6 +51,15 @@ def _cell_pairs(cells) -> bool:
 
 class Agent(Protocol):
     def decide(self, obs: Observation) -> Decision: ...
+
+
+class Completer(Protocol):
+    """A model as agents ask it; ``ChatClient`` is one. ``complete`` returns a
+    reply's text and usage, or raises ``TransportError`` or ``ProtocolError``."""
+
+    model: str  # logged with each call
+
+    def complete(self, messages: Sequence[ChatMessage]) -> tuple[str, UsageRecord]: ...
 
 
 def legal_actions_from(obs: Observation) -> list[Action]:

@@ -12,8 +12,9 @@ are retried with exponential backoff; any other failure raises
 whole number of seconds, the client waits the larger of its backoff and that
 value, which is capped at ``_MAX_RETRY_AFTER`` seconds; an HTTP date or a
 malformed value leaves the backoff as it is. An endpoint that is not an
-``http`` or ``https`` URL with a host and a valid port is refused with
-``ConfigurationError`` when the client is built.
+``http`` or ``https`` URL with a host and a valid port, or a temperature that
+is not a finite number, is refused with ``ConfigurationError`` when the
+client is built.
 
 Credentials are never taken from config files: the client reads
 ``WUMPUSBENCH_API_KEY`` (falling back to ``OPENAI_API_KEY``) unless a key is
@@ -542,7 +543,8 @@ class ChatClient:
     it for each request, and not again: set it before building the client.
     A session passed in with ``trust_env = False`` keeps ignoring it. An
     endpoint that is not an ``http`` or ``https`` URL with a host and a valid
-    port raises :class:`ConfigurationError`.
+    port, or a temperature that is not a finite ``int`` or ``float``, raises
+    :class:`ConfigurationError`.
     """
 
     def __init__(
@@ -565,6 +567,11 @@ class ChatClient:
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ConfigurationError(
                 f"endpoint: expected an http or https URL with a host, not {endpoint!r:.80}"
+            )
+        # ``json`` reads NaN and Infinity, which no request body may carry.
+        if type(temperature) not in (int, float) or not math.isfinite(temperature):
+            raise ConfigurationError(
+                f"temperature must be a finite number, not {temperature!r:.80}"
             )
         self.endpoint = endpoint
         self.model = model

@@ -48,8 +48,8 @@ from typing import Callable, Iterable, Iterator, get_args, get_origin, get_type_
 from .agents import Agent, CompletionLog, Decision, _cell_pairs
 from .chat import ChatMessage, UsageRecord
 from .errors import (
-    ConfigurationError, EpisodeProtocolFailure, LogCorruptionError, ReplayMismatchError,
-    WumpusBenchError,
+    ConfigurationError, EpisodeProtocolFailure, IllegalActionError, InconsistentPerceptsError,
+    LogCorruptionError, ReplayMismatchError, WumpusBenchError,
 )
 from .observation import (
     Observation,
@@ -301,15 +301,21 @@ def _check_calls(calls) -> None:
             )
 
 
+# The environment's own checks: a bad configuration, an action the world
+# refuses and percepts that no hazard layout explains.
+_HARNESS_FAULTS = (ConfigurationError, IllegalActionError, InconsistentPerceptsError)
+
+
 def _failure(exc: Exception) -> tuple[Status, str]:
-    """Status and error text of an episode ended by ``exc``. A package error
-    (inconsistent percepts, an illegal action, a bad configuration) is the
-    harness failing its own checks, which no model reply can cause, so it
-    gets ``harness_error``; any other exception is the agent failing to act
-    and gets ``protocol_failure``."""
+    """Status and error text of an episode ended by ``exc``. One of the
+    environment's own checks failing (``_HARNESS_FAULTS``) gets
+    ``harness_error``. Any other exception is the agent failing to act and
+    gets ``protocol_failure``: a package error too, such as a reply with no
+    action, a failed arbitration, or a transport or protocol error from the
+    agent's model."""
     status = (
         Status.HARNESS_ERROR
-        if isinstance(exc, WumpusBenchError)
+        if isinstance(exc, _HARNESS_FAULTS)
         else Status.PROTOCOL_FAILURE
     )
     return status, "".join(traceback.format_exception_only(type(exc), exc)).strip()

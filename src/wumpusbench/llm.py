@@ -27,8 +27,8 @@ import re
 from functools import cache
 from typing import Callable, TypeVar
 
-from .agents import CompletionLog, Decision, _cell_pairs, legal_actions_from
-from .chat import ChatClient, ChatMessage
+from .agents import CompletionLog, Completer, Decision, _cell_pairs, legal_actions_from
+from .chat import ChatMessage
 from .errors import (
     ActionParseError,
     ConfigurationError,
@@ -181,7 +181,7 @@ def parse_cos_response(text: str, grid_size: int | None = None) -> Decision:
 
 
 def ask_until(
-    client: ChatClient,
+    client: Completer,
     messages: list[ChatMessage],
     accept: Callable[[str], tuple[T | None, str | None]],
     *,
@@ -220,7 +220,7 @@ def ask_until(
 
 
 def run_cos_round(
-    client: ChatClient,
+    client: Completer,
     obs: Observation,
     prev_guess: str | None,
     *,
@@ -273,7 +273,7 @@ class LlmAgent:
 
     def __init__(
         self,
-        client: ChatClient,
+        client: Completer,
         grid_size: int,
         *,
         mechanism: str = MECHANISM_COS,

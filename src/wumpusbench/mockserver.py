@@ -224,11 +224,15 @@ class _Server(socketserver.ThreadingTCPServer):
 
 
 class MockChatServer:
-    """Context-managed scripted endpoint bound to an ephemeral local port."""
+    """Context-managed scripted endpoint bound to a local port, by default an
+    ephemeral one. An empty script, or a port outside 0..65535, raises
+    :class:`ConfigurationError`."""
 
     def __init__(self, script: Sequence[MockReply], port: int = 0):
         if not script:
             raise ConfigurationError("mock script must not be empty")
+        if not 0 <= port <= 65535:
+            raise ConfigurationError(f"port must be in 0..65535, not {port}")
         self._queue = deque(script)
         self._lock = threading.Lock()
         self.requests: list[dict] = []

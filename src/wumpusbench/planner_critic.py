@@ -25,8 +25,8 @@ import re
 from dataclasses import dataclass
 from functools import cache
 
-from .agents import CompletionLog, Decision, legal_actions_from
-from .chat import ChatClient, ChatMessage
+from .agents import CompletionLog, Completer, Decision, legal_actions_from
+from .chat import ChatMessage
 from .errors import (
     ActionParseError,
     ArbitrationError,
@@ -154,7 +154,7 @@ def parse_critic_verdict(text: str) -> CriticVerdict:
 
 
 def critique(
-    client: ChatClient,
+    client: Completer,
     obs: Observation,
     proposal: Action,
     *,
@@ -192,10 +192,10 @@ class PlannerCriticAgent:
 
     def __init__(
         self,
-        planner_client: ChatClient,
+        planner_client: Completer,
         grid_size: int,
         *,
-        critic_client: ChatClient | None = None,
+        critic_client: Completer | None = None,
         arbitration: ArbitrationConfig | None = None,
     ):
         self.planner_client = planner_client

@@ -13,10 +13,29 @@ import itertools
 import random
 import re
 
-from wumpusbench import Action, Cell, WorldConfig, WorldState, world_from_layout
-from wumpusbench.errors import ConfigurationError, LogCorruptionError
+from wumpusbench import Action, Cell, UsageRecord, WorldConfig, WorldState, world_from_layout
+from wumpusbench.errors import ConfigurationError, LogCorruptionError, TransportError
 from wumpusbench.observation import Observation, parse_action
 from wumpusbench.world import frontier, sort_key
+
+
+class ScriptedCompleter:
+    """A model without an endpoint: ``complete`` serves a ``MockReply`` script in
+    order with latency 0, then raises ``TransportError``; ``requests`` keeps each
+    request's messages. Completers given one iterator share its replies."""
+
+    def __init__(self, script, model: str):
+        self.model = model
+        self.requests: list[list] = []
+        self._replies = iter(script)
+
+    def complete(self, messages):
+        self.requests.append(list(messages))
+        reply = next(self._replies, None)
+        if reply is None:
+            raise TransportError("mock script exhausted")
+        usage = UsageRecord(reply.prompt_tokens, reply.completion_tokens, reply.total_tokens, 0.0)
+        return reply.content, usage
 
 
 def brute_adjacent(cell: tuple[int, int], n: int) -> list[tuple[int, int]]:

@@ -637,6 +637,36 @@ def _v1_line_with_flags(flags) -> str:
             ["mock-serve", "--port", "0", "--script"],
             "reply 0: token counts must not be negative: prompt_tokens",
         ),
+        (
+            "config.json",
+            '{"endpoint": "http://127.0.0.1:9/v1", "model": "m"}',
+            ["--agent", "llm", "--temperature", "nan", "--config"],
+            "temperature must be a finite number, not nan",
+        ),
+        (
+            "config.json",
+            LLM_CONFIG % '"temperature": NaN',
+            ["--agent", "llm", "--config"],
+            "temperature must be a finite number, not nan",
+        ),
+        (
+            "config.json",
+            LLM_CONFIG % '"temperature": -Infinity',
+            ["--agent", "llm", "--config"],
+            "temperature must be a finite number, not -inf",
+        ),
+        (
+            "script.json",
+            [{"content": "<exit>"}],
+            ["mock-serve", "--port", "70000", "--script"],
+            "port must be in 0..65535, not 70000",
+        ),
+        (
+            "script.json",
+            [{"content": "<exit>"}],
+            ["mock-serve", "--port", "-1", "--script"],
+            "port must be in 0..65535, not -1",
+        ),
     ],
     ids=[
         "config-unknown-key",
@@ -654,6 +684,11 @@ def _v1_line_with_flags(flags) -> str:
         "log-int-flag",
         "script-infinite-delay",
         "script-negative-tokens",
+        "flag-nan-temperature",
+        "config-nan-temperature",
+        "config-infinite-temperature",
+        "mock-serve-port-above-range",
+        "mock-serve-negative-port",
     ],
 )
 def test_an_unknown_or_mistyped_input_key_is_refused_by_name(

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import reference_decode_action
+from helpers import ScriptedCompleter, reference_decode_action
 from wumpusbench import (
     Action,
     ChatClient,
@@ -95,11 +95,10 @@ def test_played_episode_reads_back_as_the_record_that_was_written(tmp_path):
         ),
         MockReply("Confidence: 0.9\nAlternative: none\nRationale: fine", 190, 8),
     ]
-    with MockChatServer(script) as server:
-        agent = PlannerCriticAgent(ChatClient(server.url, "m", max_retries=0), 3)
-        record = run_episode(
-            WorldConfig(3, 1, 1, 6), agent, agent_kind="llm", mechanism="planner_critic"
-        )
+    agent = PlannerCriticAgent(ScriptedCompleter(script, "m"), 3)
+    record = run_episode(
+        WorldConfig(3, 1, 1, 6), agent, agent_kind="llm", mechanism="planner_critic"
+    )
     assert [c.role for c in record.rounds[0].calls] == ["planner", "planner", "critic"]
     assert record.rounds[1].guess is not None
     path = tmp_path / "played.jsonl"
@@ -171,18 +170,15 @@ def test_frames_of_v1_episodes_are_unchanged():
     assert [render_frames(r) for r in read_records(V1_LOG)] == expected
 
 
-def replay_agent(record, url):
-    """A fresh agent of the record's kind, mechanism and models; model calls
-    go to ``url``."""
+def replay_agent(record, replies):
+    """A fresh agent of the record's kind, mechanism and models; the
+    completer of each model name draws on ``replies``, one shared iterator."""
     config = record.config
     if record.agent_kind == "oracle":
         return OracleAgent(config.grid_size, config.num_pits, config.num_wumpus)
     if record.agent_kind == "scripted":
         return ScriptedAgent([r.action for r in record.rounds])
-    clients = {
-        name: ChatClient(url, model, max_retries=0)
-        for name, model in record.models.items()
-    }
+    clients = {name: ScriptedCompleter(replies, model) for name, model in record.models.items()}
     if record.mechanism == "planner_critic":
         return PlannerCriticAgent(
             clients["planner"], config.grid_size, critic_client=clients["critic"]
@@ -195,22 +191,20 @@ def test_v1_episode_plays_again_from_its_logged_decisions(episode):
     # Every prompt sent, reply parsed, flag, guess and provenance must come
     # out as logged; only call latencies may differ.
     record = read_records(V1_LOG)[episode]
-    replies = [
+    replies = (
         MockReply(c.response, c.usage.prompt_tokens, c.usage.completion_tokens)
         for r in record.rounds
         for c in r.calls
-    ]
-    # A server needs one reply; oracle and scripted records make no call.
-    with MockChatServer(replies or [MockReply("unused")]) as server:
-        played = run_episode(
-            record.config,
-            replay_agent(record, server.url),
-            agent_kind=record.agent_kind,
-            mechanism=record.mechanism,
-            models=record.models,
-            condition=record.condition,
-        )
-        assert len(server.requests) == len(replies)
+    )
+    played = run_episode(
+        record.config,
+        replay_agent(record, replies),
+        agent_kind=record.agent_kind,
+        mechanism=record.mechanism,
+        models=record.models,
+        condition=record.condition,
+    )
+    assert next(replies, None) is None
     assert played.core_fingerprint() == record.core_fingerprint()
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import ScriptedCompleter
 from wumpusbench import (
     Action,
     ChatClient,
@@ -42,10 +43,14 @@ from wumpusbench import (
 )
 import wumpusbench.observation as observation_module
 from wumpusbench.errors import (
+    ActionParseError,
+    ArbitrationError,
     ConfigurationError,
     LogCorruptionError,
+    ProtocolError,
     ReplayMismatchError,
     SummaryError,
+    TransportError,
 )
 from wumpusbench.harness import DEFAULT_TRIALS_PER_CONDITION, Condition
 from wumpusbench.mockserver import script_from_json
@@ -322,6 +327,34 @@ def test_run_trials_logs_an_inference_crash_as_a_harness_error(tmp_path):
     assert summary.success_rate == 100.0
     assert summary.avg_total_reward == won.score
     assert "Harness errors          1" in summary.format_text()
+
+
+@pytest.mark.parametrize(
+    "error", [ActionParseError, ArbitrationError, TransportError, ProtocolError]
+)
+def test_an_error_of_the_agents_model_or_endpoint_is_a_protocol_failure(error, tmp_path):
+    # A reply with no action, a failed arbitration or an endpoint failure is
+    # the agent failing to act, not one of the environment's checks failing.
+    class FailsInRoundTwo:
+        decided = 0
+
+        def decide(self, obs):
+            self.decided += 1
+            if self.decided == 2:
+                raise error("the model gave nothing usable")
+            return Decision(Action.move(2, 1), "custom")
+
+    record = run_episode(WorldConfig(3, 1, 1, seed=1), FailsInRoundTwo())
+    assert record.status == "protocol_failure"
+    assert record.error == f"wumpusbench.errors.{error.__name__}: the model gave nothing usable"
+    assert [r.action for r in record.rounds] == [Action.move(2, 1)]
+    path = tmp_path / "log.jsonl"
+    write_records(path, [record])
+    [read] = read_records(path)
+    assert read == record
+    verify_record(read)
+    summary = summarize([read])
+    assert (summary.runs, summary.protocol_failures, summary.harness_errors) == (0, 1, 0)
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])
@@ -788,9 +821,8 @@ def test_endpoint_failure_keeps_the_spend_of_the_failed_round():
 def test_failed_round_keeps_the_flags_of_refused_replies():
     config = WorldConfig(grid_size=3, num_pits=0, num_wumpus=0, seed=9)
     # The retry after the reply without an action finds the script exhausted.
-    with MockChatServer([MockReply("Analysis: no idea", 5, 1)]) as server:
-        agent = LlmAgent(ChatClient(server.url, "m", max_retries=0), 3)
-        record = run_episode(config, agent, agent_kind="llm", mechanism="cos")
+    agent = LlmAgent(ScriptedCompleter([MockReply("Analysis: no idea", 5, 1)], "m"), 3)
+    record = run_episode(config, agent, agent_kind="llm", mechanism="cos")
     assert record.status == "protocol_failure"
     [failed] = record.rounds
     assert failed.flags == ["unparseable-action", "protocol-failure"]
@@ -802,9 +834,8 @@ def test_failed_round_puts_the_planner_flags_first():
     config = WorldConfig(grid_size=3, num_pits=0, num_wumpus=0, seed=9)
     planner = "Analysis: a\nGuess: none\nAction: <exit>"  # malformed guess
     script = [MockReply(planner, 12, 4), MockReply("no verdict", 3, 1)]
-    with MockChatServer(script) as server:
-        agent = PlannerCriticAgent(ChatClient(server.url, "m", max_retries=0), 3)
-        record = run_episode(config, agent, agent_kind="llm")
+    agent = PlannerCriticAgent(ScriptedCompleter(script, "m"), 3)
+    record = run_episode(config, agent, agent_kind="llm")
     [failed] = record.rounds
     assert failed.flags == ["malformed-guess", "unparseable-verdict", "protocol-failure"]
     assert [c.role for c in failed.calls] == ["planner", "critic"]
@@ -812,9 +843,8 @@ def test_failed_round_puts_the_planner_flags_first():
 
 def test_failed_round_after_exhausted_parse_retries_keeps_every_flag():
     config = WorldConfig(grid_size=3, num_pits=0, num_wumpus=0, seed=9)
-    with MockChatServer([MockReply("nothing", 1, 1)] * 4) as server:
-        agent = LlmAgent(ChatClient(server.url, "m", max_retries=0), 3)
-        record = run_episode(config, agent, agent_kind="llm", mechanism="cos")
+    agent = LlmAgent(ScriptedCompleter([MockReply("nothing", 1, 1)] * 4, "m"), 3)
+    record = run_episode(config, agent, agent_kind="llm", mechanism="cos")
     [failed] = record.rounds
     assert failed.flags == ["unparseable-action"] * 4 + ["protocol-failure"]
     assert record.error == "no usable action after 4 completions"

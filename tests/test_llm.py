@@ -17,7 +17,7 @@ from requests.adapters import BaseAdapter, HTTPAdapter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import REFERENCE_SECTION_RE, make_world
+from helpers import REFERENCE_SECTION_RE, ScriptedCompleter, make_world
 from wumpusbench import (
     Action,
     ChatClient,
@@ -1243,9 +1243,8 @@ def test_a_too_deeply_nested_guess_is_malformed():
     text = 'Analysis: x\nGuess: {"wumpus": ' + "[" * 100_000 + "}\nAction: <exit>"
     parsed = parse_cos_response(text, grid_size=3)
     assert parsed.flags == ["malformed-guess"] and parsed.guess_raw is None
-    with MockChatServer([MockReply(text, 5, 5)]) as server:
-        agent = LlmAgent(ChatClient(server.url, "m", max_retries=0), 3)
-        decision = agent.decide(fresh_obs())
+    agent = LlmAgent(ScriptedCompleter([MockReply(text, 5, 5)], "m"), 3)
+    decision = agent.decide(fresh_obs())
     assert decision.action == Action.exit()
     assert decision.flags == ["malformed-guess"]
 
@@ -1305,9 +1304,7 @@ def test_run_cos_round_retries_until_parseable():
         MockReply(COS_REPLY, 5, 5),
     ]
     obs = fresh_obs()
-    with MockChatServer(script) as server:
-        client = ChatClient(server.url, "m", max_retries=0)
-        decision = run_cos_round(client, obs, None, grid_size=3)
+    decision = run_cos_round(ScriptedCompleter(script, "m"), obs, None, grid_size=3)
     assert decision.action == Action.shoot("right")
     assert decision.provenance == "model"
     assert [c.response for c in decision.calls] == [r.content for r in script]
@@ -1319,11 +1316,10 @@ def test_run_cos_round_exhaustion_is_protocol_failure():
     # One reply more than the budget: the round must not ask for it.
     script = [MockReply("still nothing", 1, 1)] * (MAX_PARSE_RETRIES + 2)
     obs = fresh_obs()
-    with MockChatServer(script) as server:
-        client = ChatClient(server.url, "m", max_retries=0)
-        with pytest.raises(EpisodeProtocolFailure) as excinfo:
-            run_cos_round(client, obs, None, grid_size=3)
-        assert len(server.requests) == MAX_PARSE_RETRIES + 1
+    client = ScriptedCompleter(script, "m")
+    with pytest.raises(EpisodeProtocolFailure) as excinfo:
+        run_cos_round(client, obs, None, grid_size=3)
+    assert len(client.requests) == MAX_PARSE_RETRIES + 1
     assert len(excinfo.value.calls) == MAX_PARSE_RETRIES + 1
     assert excinfo.value.flags == ["unparseable-action"] * (MAX_PARSE_RETRIES + 1)
 
@@ -1354,26 +1350,24 @@ def test_llm_agent_propagates_guess_between_rounds():
         ),
     ]
     world = make_world(n=3, wumpus=(3, 3), gold=(3, 1))
-    with MockChatServer(replies) as server:
-        agent = LlmAgent(ChatClient(server.url, "m", max_retries=0), 3)
-        first = agent.decide(build_observation(world))
-        assert first.guess_raw == '{"wumpus": [[2,2]], "pits": []}'
-        from wumpusbench import apply_action
+    client = ScriptedCompleter(replies, "m")
+    agent = LlmAgent(client, 3)
+    first = agent.decide(build_observation(world))
+    assert first.guess_raw == '{"wumpus": [[2,2]], "pits": []}'
+    from wumpusbench import apply_action
 
-        apply_action(world, first.action)
-        second = agent.decide(build_observation(world))
-        round2_user = server.requests[1]["messages"][1]["content"]
+    apply_action(world, first.action)
+    second = agent.decide(build_observation(world))
+    round2_user = client.requests[1][1].content
     assert first.guess_raw in round2_user
     assert second.action == Action.exit()
 
 
 def test_cot_agent_accepts_plain_reasoning():
     world = make_world(n=3, gold=(3, 3))
-    with MockChatServer([MockReply("thinking... move to position (1,2)", 5, 5)]) as server:
-        agent = LlmAgent(
-            ChatClient(server.url, "m", max_retries=0), 3, mechanism=MECHANISM_COT
-        )
-        decision = agent.decide(build_observation(world))
+    client = ScriptedCompleter([MockReply("thinking... move to position (1,2)", 5, 5)], "m")
+    agent = LlmAgent(client, 3, mechanism=MECHANISM_COT)
+    decision = agent.decide(build_observation(world))
     assert decision.action == Action.move(1, 2)
     assert decision.provenance == "model"
     assert decision.guess == {"wumpus": [], "pits": []}

@@ -4,13 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import REFERENCE_ALTERNATIVE_RE, REFERENCE_CONFIDENCE_RE, make_world
+from helpers import REFERENCE_ALTERNATIVE_RE, REFERENCE_CONFIDENCE_RE, ScriptedCompleter, make_world
 from wumpusbench import (
     Action,
     ArbitrationConfig,
-    ChatClient,
     CriticVerdict,
-    MockChatServer,
     MockReply,
     PlannerCriticAgent,
     arbitrate,
@@ -212,11 +210,10 @@ def test_parse_verdict_reads_an_alternative_before_many_blank_lines():
 
 def test_critique_accepts_confident_verdict():
     obs = build_observation(make_world(n=3, gold=(3, 3)))
-    with MockChatServer([MockReply(verdict_reply(0.9), 5, 5)]) as server:
-        client = ChatClient(server.url, "critic-model", max_retries=0)
-        verdict, calls, flags = critique(
-            client, obs, Action.move(2, 1), threshold=0.7, grid_size=3
-        )
+    client = ScriptedCompleter([MockReply(verdict_reply(0.9), 5, 5)], "critic-model")
+    verdict, calls, flags = critique(
+        client, obs, Action.move(2, 1), threshold=0.7, grid_size=3
+    )
     assert verdict.confidence == 0.9
     assert len(calls) == 1
     assert calls[0].role == "critic"
@@ -230,11 +227,9 @@ def test_critique_retries_low_confidence_without_legal_alternative():
         MockReply(verdict_reply(0.2, "move to position (3,3)"), 1, 1),  # illegal
         MockReply(verdict_reply(0.2, "move to position (1,2)"), 1, 1),
     ]
-    with MockChatServer(script) as server:
-        client = ChatClient(server.url, "critic-model", max_retries=0)
-        verdict, calls, flags = critique(
-            client, obs, Action.move(2, 1), threshold=0.7, grid_size=3
-        )
+    verdict, calls, flags = critique(
+        ScriptedCompleter(script, "critic-model"), obs, Action.move(2, 1), threshold=0.7, grid_size=3
+    )
     assert verdict.alternative == Action.move(1, 2)
     assert len(calls) == 3
     assert flags.count("missing-or-illegal-alternative") == 2
@@ -247,11 +242,9 @@ def test_an_unparseable_alternative_is_none_and_asked_for_again():
         MockReply(verdict_reply(0.2, "jump"), 1, 1),
         MockReply(verdict_reply(0.2, "move to position (1,2)"), 1, 1),
     ]
-    with MockChatServer(script) as server:
-        client = ChatClient(server.url, "critic-model", max_retries=0)
-        verdict, calls, flags = critique(
-            client, obs, Action.move(2, 1), threshold=0.7, grid_size=3
-        )
+    verdict, calls, flags = critique(
+        ScriptedCompleter(script, "critic-model"), obs, Action.move(2, 1), threshold=0.7, grid_size=3
+    )
     assert verdict.alternative == Action.move(1, 2)
     assert len(calls) == 2
     assert flags == ["missing-or-illegal-alternative"]
@@ -261,12 +254,11 @@ def test_critique_falls_back_to_full_confidence_after_malformed_verdicts():
     obs = build_observation(make_world(n=3, gold=(3, 3)))
     # One reply more than the budget: the critic must not ask for it.
     script = [MockReply("no numbers here", 1, 1)] * (MAX_PARSE_RETRIES + 2)
-    with MockChatServer(script) as server:
-        client = ChatClient(server.url, "critic-model", max_retries=0)
-        verdict, calls, flags = critique(
-            client, obs, Action.move(2, 1), threshold=0.7, grid_size=3
-        )
-        assert len(server.requests) == MAX_PARSE_RETRIES + 1
+    client = ScriptedCompleter(script, "critic-model")
+    verdict, calls, flags = critique(
+        client, obs, Action.move(2, 1), threshold=0.7, grid_size=3
+    )
+    assert len(client.requests) == MAX_PARSE_RETRIES + 1
     assert verdict.confidence == 1.0
     assert verdict.alternative is None
     assert flags == [
@@ -282,11 +274,9 @@ def test_critique_asks_again_after_a_percentage_confidence():
         MockReply(verdict_reply("15%", "move to position (1,2)"), 1, 1),
         MockReply(verdict_reply(0.15, "move to position (1,2)"), 1, 1),
     ]
-    with MockChatServer(script) as server:
-        client = ChatClient(server.url, "critic-model", max_retries=0)
-        verdict, calls, flags = critique(
-            client, obs, Action.move(2, 1), threshold=0.7, grid_size=3
-        )
+    verdict, calls, flags = critique(
+        ScriptedCompleter(script, "critic-model"), obs, Action.move(2, 1), threshold=0.7, grid_size=3
+    )
     assert verdict.confidence == 0.15
     assert verdict.alternative == Action.move(1, 2)
     assert len(calls) == 2
@@ -303,10 +293,8 @@ def test_planner_critic_agent_round_uses_two_calls_and_tags_provenance():
         MockReply(PLANNER_REPLY, 10, 5),
         MockReply(verdict_reply(0.9), 7, 3),
     ]
-    with MockChatServer(script) as server:
-        client = ChatClient(server.url, "dual-model", max_retries=0)
-        agent = PlannerCriticAgent(client, 3)
-        decision = agent.decide(build_observation(world))
+    agent = PlannerCriticAgent(ScriptedCompleter(script, "dual-model"), 3)
+    decision = agent.decide(build_observation(world))
     assert decision.action == Action.move(2, 1)
     assert decision.provenance == "planner"
     assert [c.role for c in decision.calls] == ["planner", "critic"]
@@ -318,10 +306,8 @@ def test_planner_critic_agent_executes_critic_override():
         MockReply(PLANNER_REPLY, 10, 5),
         MockReply(verdict_reply(0.3, "move to position (1,2)", "risky"), 7, 3),
     ]
-    with MockChatServer(script) as server:
-        client = ChatClient(server.url, "dual-model", max_retries=0)
-        agent = PlannerCriticAgent(client, 3)
-        decision = agent.decide(build_observation(world))
+    agent = PlannerCriticAgent(ScriptedCompleter(script, "dual-model"), 3)
+    decision = agent.decide(build_observation(world))
     assert decision.action == Action.move(1, 2)
     assert decision.provenance == "critic"
 
@@ -336,14 +322,13 @@ def test_planner_critic_agent_carries_planner_guess_forward():
     ]
     from wumpusbench import apply_action
 
-    with MockChatServer(script) as server:
-        client = ChatClient(server.url, "dual-model", max_retries=0)
-        agent = PlannerCriticAgent(client, 3)
-        first = agent.decide(build_observation(world))
-        apply_action(world, first.action)
-        agent.decide(build_observation(world))
-        planner_round2 = server.requests[2]["messages"][1]["content"]
-        critic_round2 = server.requests[3]["messages"][1]["content"]
+    client = ScriptedCompleter(script, "dual-model")
+    agent = PlannerCriticAgent(client, 3)
+    first = agent.decide(build_observation(world))
+    apply_action(world, first.action)
+    agent.decide(build_observation(world))
+    planner_round2 = client.requests[2][1].content
+    critic_round2 = client.requests[3][1].content
     assert first.guess_raw in planner_round2
     assert "Previous guess" not in critic_round2  # critic sees obs + proposal only
     assert "Proposed action: <exit>" in critic_round2
